@@ -9,9 +9,18 @@ with the same arguments therefore agree on every bit of the representation.
 Elements are encoded as plain integers in ``[0, p**k)``: the base-p digits of
 the code are the coefficients of the residue polynomial, constant digit
 least significant.  This keeps single elements hashable and lets large
-batches live in numpy integer arrays; `GF.vec_add` and `GF.vec_mul` act on
-such arrays directly, decoding to digit matrices, convolving, and folding
-the overflow digits back with precomputed reduction rows.
+batches live in numpy integer arrays, which the ``vec_*`` methods act on
+directly.
+
+Over a prime field (k = 1) the vector ops are integer arithmetic mod p.
+Over an extension field with q <= ``_LOG_LIMIT``, the first vector op on at
+least ``_LOG_TRIGGER`` elements builds exp/log tables for a generator g and
+a Zech table ``zech[e] = log(1 + g^e)``; from then on `GF.vec_mul`,
+`GF.vec_pow`, `GF.vec_add`, `GF.vec_neg` and `GF.square_counts` are table
+gathers on discrete logarithms.  Without the tables (larger fields, or
+before the first large vector) they decode to base-p digit matrices, add or
+convolve, and fold the overflow digits back with precomputed reduction
+rows.
 """
 
 from __future__ import annotations
@@ -191,8 +200,7 @@ class GF(Ring):
         self._add_table = None
         self._mul_table = None
         self._inv_table = None
-        self._exp_table = None
-        self._log_table = None
+        self._logs = None  # (exp, log, zech) once built
         self._log_built = False
 
     def __repr__(self):
@@ -322,8 +330,9 @@ class GF(Ring):
             self._inv_table = inv
         return self._add_table, self._mul_table
 
-    # discrete-log tables, turning extension-field multiplication on large
-    # arrays into three gathers and an addition
+    # discrete-log tables, turning extension-field arithmetic on large
+    # arrays into a few gathers: multiplication adds logarithms, and
+    # addition uses Zech logarithms, g^i + g^j = g^(i + zech[j - i])
 
     def _find_generator(self) -> int:
         n = self.q - 1
@@ -334,32 +343,34 @@ class GF(Ring):
         raise AssertionError("no multiplicative generator found, impossible")
 
     def _build_log_tables(self):
+        # vec_mul below runs on the digit path: _log_built is already set
+        # while the tables are still missing
         self._log_built = True
         n = self.q - 1
         g = self._find_generator()
         exp = np.zeros(2 * n, dtype=np.int64)
-        block = min(4096, n)
-        cur = 1
-        for i in range(block):
-            exp[i] = cur
-            cur = self._mul_raw(cur, g)
-        if n > block:
-            step = self.power(g, block)
-            filled = block
-            while filled < n:
-                take = min(block, n - filled)
-                exp[filled : filled + take] = self.vec_mul(
-                    exp[filled - block : filled - block + take],
-                    np.int64(step),
-                )
-                filled += take
+        exp[0] = 1
+        # exp[filled : filled + shift] = exp[filled - shift : filled] * g^shift,
+        # with shift doubling up to a block of 4096 elements
+        filled, shift, step = 1, 1, g  # step = g^shift
+        while filled < n:
+            take = min(shift, n - filled)
+            exp[filled : filled + take] = self.vec_mul(
+                exp[filled - shift : filled - shift + take], np.int64(step)
+            )
+            filled += take
+            if shift < 4096:
+                shift, step = 2 * shift, self._mul_raw(step, step)
         exp[n:] = exp[:n]
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
-        self._exp_table = exp
-        self._log_table = log
+        # adding 1 changes only the constant digit of an encoded element
+        c, p = exp[:n], self.p
+        zech = log[np.where(c % p == p - 1, c - (p - 1), c + 1)]
+        self._logs = (exp, log, zech)
 
-    def _log_pair(self, size: int):
+    def _log_tables(self, size: int):
+        """(exp, log, zech) for this field, or None on the digit path."""
         if (
             not self._log_built
             and self.k > 1
@@ -367,7 +378,7 @@ class GF(Ring):
             and size >= _LOG_TRIGGER
         ):
             self._build_log_tables()
-        return self._exp_table, self._log_table
+        return self._logs
 
     # vectorized arithmetic on numpy arrays of encoded elements
 
@@ -386,12 +397,31 @@ class GF(Ring):
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        logs = self._log_tables(max(a.size, b.size))
+        if logs is not None:
+            exp, log, zech = logs
+            la, lb = log[a], log[b]
+            z = np.take(zech, lb - la, mode="wrap")  # index mod q-1
+            out = np.where(z < 0, 0, exp[la + z])  # z < 0: a == -b
+            out = np.where(la < 0, b, out)
+            return np.where(lb < 0, a, out)
         da, db = self.vec_decode(a), self.vec_decode(b)
         return self.vec_encode((da + db) % self.p)
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return np.array(a, dtype=np.int64)
+        a = np.asarray(a, dtype=np.int64)
         if self.k == 1:
-            return (-np.asarray(a, dtype=np.int64)) % self.p
+            return (-a) % self.p
+        logs = self._log_tables(a.size)
+        if logs is not None:
+            exp, log, _ = logs
+            la = log[a]
+            # -1 is g^((q-1)/2), so -x is x * g^((q-1)/2)
+            return np.where(la < 0, 0, exp[la + (self.q - 1) // 2])
         return self.vec_encode((-self.vec_decode(a)) % self.p)
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,8 +429,9 @@ class GF(Ring):
             return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        exp, log = self._log_pair(max(a.size, b.size))
-        if exp is not None:
+        logs = self._log_tables(max(a.size, b.size))
+        if logs is not None:
+            exp, log, _ = logs
             la, lb = log[a], log[b]
             vanish = (la < 0) | (lb < 0)
             out = exp[np.where(vanish, 0, la + lb)]
@@ -423,8 +454,9 @@ class GF(Ring):
         if n == 0:
             return np.ones_like(a)
         if self.k > 1:
-            exp, log = self._log_pair(a.size)
-            if exp is not None:
+            logs = self._log_tables(a.size)
+            if logs is not None:
+                exp, log, _ = logs
                 la = log[a]
                 vanish = la < 0
                 idx = (np.where(vanish, 0, la) * n) % (self.q - 1)
@@ -440,6 +472,15 @@ class GF(Ring):
 
     def square_counts(self) -> np.ndarray:
         """counts[d] = number of field elements y with y*y == d."""
+        if self.p == 2:
+            return np.ones(self.q, dtype=np.int64)  # squaring is bijective
+        logs = self._log_tables(self.q)
+        if logs is not None:
+            # the nonzero squares are the even powers of the generator
+            counts = np.zeros(self.q, dtype=np.int64)
+            counts[0] = 1
+            counts[logs[0][0 : self.q - 1 : 2]] = 2
+            return counts
         grid = np.arange(self.q, dtype=np.int64)
         squares = self.vec_mul(grid, grid)
         return np.bincount(squares, minlength=self.q)

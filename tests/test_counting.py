@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from wittzeta import counting
 from wittzeta import (
     BudgetExceeded,
     NotPrime,
@@ -63,6 +64,19 @@ def brute_projective(v, q):
             cone += 1
     assert (cone - 1) % (q - 1) == 0
     return (cone - 1) // (q - 1)
+
+
+def brute_plane_curve(eq, q):
+    """Points of a plane curve in P^2, one normalized representative each."""
+    p, k = field_params_from_q(q)
+    field = make_field(p, k)
+    els = field.elements()
+    reps = itertools.chain(
+        ((1, y, z) for y in els for z in els),
+        ((0, 1, z) for z in els),
+        [(0, 0, 1)],
+    )
+    return sum(1 for pt in reps if eval_at(field, eq, pt) == 0)
 
 
 # closed forms
@@ -293,3 +307,36 @@ def test_thread_count_does_not_change_results():
     assert count_points(v, 1, threads=4) == count_points(v, 1, threads=1)
     e = elliptic_f5()
     assert sym_product_counts(e, 6, threads=4) == sym_product_counts(e, 6)
+
+
+@pytest.mark.parametrize(
+    "p,degree,cubic",
+    [
+        (5, 7, "y^2*z - x^3 - 2*x*z^2 - 3*z^3"),
+        (2, 15, "y^2*z + x^3 + x*z^2 + z^3"),
+    ],
+)
+def test_plane_cubic_census_on_log_tables_ignores_threads(
+    monkeypatch, p, degree, cubic
+):
+    # the quadratic-solve path enumerates one coordinate, so the top field
+    # is large enough both for the log tables and for a two-way split
+    assert p**degree >= counting._CHUNK_MIN
+    v = projective_variety(2, (cubic,))
+    census = []
+    for threads in (1, 2):
+        monkeypatch.setattr(counting, "_count_cache", {})
+        census.append(closed_point_census(v, degree, p, threads=threads))
+    assert census[0] == census[1]
+    assert make_field(p, degree)._logs is not None
+
+
+def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
+    v = projective_variety(2, ("y^2*z - x^3 - 2*x*z^2 - z^3",))
+    expected = brute_plane_curve(v.blocks[0].equations[0], 81)
+    # the scalar oracle's dense tables (q*q >= _LOG_TRIGGER) built the log
+    # tables, so the 81-element vectors below take the log path as well
+    assert make_field(3, 4)._logs is not None
+    for threads in (1, 2):
+        monkeypatch.setattr(counting, "_count_cache", {})
+        assert count_points(v, 1, 3, 4, threads) == expected

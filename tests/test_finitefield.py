@@ -2,9 +2,26 @@ import numpy as np
 import pytest
 
 from wittzeta.errors import DegreeZero, NonIntegral, NotPrime, TorsionUnsupported
-from wittzeta.finitefield import is_prime, make_field
+from wittzeta.finitefield import _LOG_TRIGGER, GF, is_prime, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 1)]
+# extension fields on both sides of _LOG_TRIGGER; each builds its log
+# tables on the first vector of at least _LOG_TRIGGER elements
+LOG_FIELDS = [(2, 13), (3, 4), (3, 8), (5, 4), (7, 4), (13, 4)]
+
+
+def digit_path_copy(F):
+    """A second copy of F kept on the digit path: feed it short vectors only."""
+    return GF(F.p, F.k, F.modulus)
+
+
+def in_short_chunks(op, *arrays):
+    """op applied to slices shorter than _LOG_TRIGGER, concatenated."""
+    step = _LOG_TRIGGER // 2
+    size = len(arrays[0])
+    return np.concatenate(
+        [op(*(x[lo : lo + step] for x in arrays)) for lo in range(0, size, step)]
+    )
 
 
 def test_is_prime():
@@ -141,16 +158,71 @@ def test_vec_pow_zero_exponent():
 
 
 def test_square_counts():
-    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+    for p, k in [(3, 1), (5, 1), (7, 1), (3, 2), (3, 8)]:
         F = make_field(p, k)
         counts = F.square_counts()
         assert counts.sum() == F.q
         assert counts[0] == 1
         nonzero = counts[1:]
         assert set(nonzero.tolist()) <= {0, 2}
-    F2 = make_field(2, 2)
     # squaring is a bijection in characteristic 2
-    assert set(F2.square_counts().tolist()) == {1}
+    for k in (2, 13):
+        assert set(make_field(2, k).square_counts().tolist()) == {1}
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (2, 13), (5, 4)])
+def test_square_counts_match_digit_squares(p, k):
+    F = make_field(p, k)
+    counts = F.square_counts()
+    ref = digit_path_copy(F)
+    grid = np.arange(F.q, dtype=np.int64)
+    squares = in_short_chunks(ref.vec_mul, grid, grid)
+    assert np.array_equal(counts, np.bincount(squares, minlength=F.q))
+    assert ref._logs is None
+
+
+@pytest.mark.parametrize("p,k", LOG_FIELDS)
+def test_zech_addition_matches_digit_arithmetic(p, k):
+    F = make_field(p, k)
+    ref = digit_path_copy(F)
+    rng = np.random.default_rng(100 * p + k)
+    size = _LOG_TRIGGER + 1000
+    a = rng.integers(0, F.q, size=size).astype(np.int64)
+    b = rng.integers(0, F.q, size=size).astype(np.int64)
+    a[:100] = 0  # zero on the left
+    b[100:200] = 0  # zero on the right
+    a[200:300] = b[200:300] = 0
+    b[300:400] = in_short_chunks(ref.vec_neg, a[300:400])  # a = -b
+    total = F.vec_add(a, b)
+    neg = F.vec_neg(a)
+    assert F._logs is not None
+    assert not total[200:400].any()
+    assert np.array_equal(total, in_short_chunks(ref.vec_add, a, b))
+    assert np.array_equal(neg, in_short_chunks(ref.vec_neg, a))
+    assert ref._logs is None
+    for i in range(0, size, 7):
+        x, y = int(a[i]), int(b[i])
+        assert total[i] == F.add(x, y)
+        assert neg[i] == F.neg(x)
+    # an np.int64 scalar broadcast against an array, on either side
+    for x in (0, int(a[400]), F.neg(int(b[401]))):
+        left = F.vec_add(np.int64(x), b)
+        right = F.vec_add(b, np.int64(x))
+        assert np.array_equal(left, right)
+        for i in range(0, size, 13):
+            assert left[i] == F.add(x, int(b[i]))
+
+
+def test_dense_tables_built_through_log_tables_match_digits():
+    # q*q >= _LOG_TRIGGER, so the dense add/mul tables come out of the
+    # log-table gathers; scalar add and mul read them
+    F = digit_path_copy(make_field(3, 4))
+    for a in range(F.q):
+        da = F.decode(a)
+        for b in range(F.q):
+            assert F.add(a, b) == F.encode(x + y for x, y in zip(da, F.decode(b)))
+            assert F.mul(a, b) == F._mul_raw(a, b)
+    assert F._logs is not None
 
 
 def test_no_rationalization():
