@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     rat = groups.add_parser("rat", help="rational Witt vectors")
     rat_sub = rat.add_subparsers(dest="action", required=True)
     p = rat_sub.add_parser(
-        "mul", help="Witt product of rational forms via resultants"
+        "mul", help="Witt product of rational forms, exact and in lowest terms"
     )
     p.add_argument("--a-num", required=True, help="numerator of a, in t")
     p.add_argument("--a-den", default="1", help="denominator of a (default 1)")

@@ -57,6 +57,10 @@ class UnsupportedClass(WittzetaError):
     """Census-backed zeta functions are only defined on single variety atoms."""
 
 
+class CrossCheckFailed(WittzetaError):
+    """A computed result disagrees with the independent check that guards it."""
+
+
 class NotRationalAtBound(WittzetaError):
     """No rational form with the requested degree bound was found."""
 

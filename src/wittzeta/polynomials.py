@@ -1,15 +1,18 @@
 """Univariate polynomials over an arbitrary coefficient ring.
 
 Elements of `Poly1Ring(R)` are tuples of R-elements, constant term first,
-with trailing zeros stripped; the empty tuple is zero.  `Poly1Ring` itself
-satisfies the ring interface, so determinants of matrices with polynomial
-entries (needed for resultants in a formal variable) reuse the same
+with trailing zeros stripped; the empty tuple is zero.  `Poly1Ring` is the
+coefficient arithmetic of rational Witt vectors and of the rational
+function field QQ(u), and it satisfies the ring interface itself, so
+determinants of matrices with polynomial entries reuse the same
 fraction-free elimination as ordinary integer matrices.
 
 `resultant` evaluates the Sylvester determinant at *declared* degrees, which
 may exceed the true degrees; the extra rows of zeros simply scale the
 result, and callers rely on that convention when the leading coefficient of
-an operand vanishes.
+an operand vanishes.  The library computes star products of rational Witt
+vectors through the Witt product instead; the tests keep `resultant` as an
+independent oracle for them.
 """
 
 from __future__ import annotations
@@ -124,21 +127,20 @@ class Poly1Ring(Ring):
         """Exact quotient a/b; raises NonIntegral when b does not divide a."""
         if not b:
             raise NonIntegral("division by the zero polynomial")
-        out = {}
-        rem = a
+        base = self.base
+        rem = list(a)
         lead = b[-1]
         db = len(b) - 1
-        while rem:
-            da = len(rem) - 1
-            if da < db:
-                raise NonIntegral("inexact polynomial division")
-            c = self.base.exact_div(rem[-1], lead)
-            out[da - db] = c
-            rem = self.sub(rem, self.mul(self.monomial(da - db, c), b))
-        coeffs = [self.base.zero] * (max(out, default=-1) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return self.trim(coeffs)
+        quo = [base.zero] * max(len(a) - db, 0)
+        for k in reversed(range(len(quo))):
+            c = base.exact_div(rem[k + db], lead)
+            quo[k] = c
+            if not base.is_zero(c):
+                for j, y in enumerate(b):
+                    rem[k + j] = base.sub(rem[k + j], base.mul(c, y))
+        if any(not base.is_zero(x) for x in rem):
+            raise NonIntegral("inexact polynomial division")
+        return self.trim(quo)
 
     def divmod(self, a, b):
         """Quotient and remainder; requires an invertible leading coefficient."""

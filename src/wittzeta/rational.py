@@ -3,16 +3,22 @@
 A rational Witt vector is a pair of polynomials (p, q) with constant terms
 1, standing for the series p/q; in Witt terms that is p -_W q.  The class
 of such elements is closed under the Witt product, and the product is
-computed exactly by resultants instead of truncated series: for the
-building block (1/p) * (1/q) the answer is 1/r with
+computed exactly from the building block (1/p) * (1/q) = 1/r.  Over an
+algebraic closure, p = prod (1 - a_i t) and q = prod (1 - b_j t) give
 
-    r(t) = Res_x( x^(deg p) * p(1/x), q(t*x) ),
+    r(t) = prod_{i,j} (1 - a_i b_j t),
 
-the Sylvester determinant taken at x-degrees (deg p, deg q) over R[t].
-Writing f = (1/b) -_W (1/a) and g = (1/d) -_W (1/c) and expanding
-bilinearly gives the product pair
+of degree exactly deg p * deg q.  A Witt product truncated at that
+precision therefore holds all of r, and `rat_star` reads it off the
+ghost-coordinate engine of :mod:`wittzeta.witt`.  Writing
+f = (1/b) -_W (1/a) and g = (1/d) -_W (1/c) and expanding bilinearly
+gives the product pair
 
     f * g = ( star(a,d) * star(b,c) , star(a,c) * star(b,d) ).
+
+Over ZZ and QQ the pair is then reduced to lowest terms with a primitive
+remainder sequence over ZZ[t] (Collins, JACM 1967), so no rational
+coefficient ever grows inside Euclid's algorithm.
 
 `rationalize` goes the other way: given a truncated series it searches for
 a representing pair with bounded degrees by solving the Hankel linear
@@ -22,13 +28,15 @@ and returning None when no pair exists within the bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionTooLow
-from .polynomials import Poly1Ring, resultant
+from .polynomials import Poly1Ring
 from .rings import MPolyRing, QQ, Ring, ZZ
 from .series import TruncSeries
+from .witt import witt_mul, witt_neg
 
 
 @dataclass(frozen=True)
@@ -89,19 +97,23 @@ def rat_equal(f: RatWitt, g: RatWitt) -> bool:
 
 
 def rat_star(ring: Ring, p: tuple, q: tuple) -> tuple:
-    """The polynomial r with (1/p) * (1/q) = 1/r in the Witt ring."""
+    """The polynomial r with (1/p) * (1/q) = 1/r in the Witt ring.
+
+    Witt negation is the series inverse and (-x) * (-y) = x * y, so r is
+    the inverse of witt_mul(p, q).  r has degree exactly deg p * deg q, so
+    that precision holds all of it.  Every ring a `RatWitt` lives over (ZZ,
+    QQ, ZZ[u] and QQ(u)) is torsion-free, as the ghost engine requires.
+    """
     rt = Poly1Ring(ring, "t")
     p, q = rt.trim(p), rt.trim(q)
     dp, dq = len(p) - 1, len(q) - 1
     if dp < 1 or dq < 1:
         return (ring.one,)
-    # A(x) = x^dp * p(1/x), monic of degree dp with entries in R
-    # B(x) = q(t*x), coefficient of x^j is q_j * t^j in R[t]
-    a_coeffs = tuple(rt.constant(c) for c in reversed(p))
-    b_coeffs = tuple(rt.monomial(j, c) for j, c in enumerate(q))
-    r = resultant(rt, a_coeffs, b_coeffs, dp, dq)
-    assert r and r[0] == ring.one, "star product lost its constant term"
-    return r
+    n = dp * dq
+    prod = witt_mul(
+        TruncSeries.make(ring, p, n), TruncSeries.make(ring, q, n)
+    )
+    return rt.trim(witt_neg(prod).coeffs)
 
 
 def rat_add(f: RatWitt, g: RatWitt) -> RatWitt:
@@ -127,25 +139,59 @@ def rat_mul(f: RatWitt, g: RatWitt) -> RatWitt:
 
 
 def _reduce_over_rationals(ring: Ring, num, den):
-    """Cancel the common factor, keeping both constant terms at 1."""
-    qt = Poly1Ring(QQ, "t")
-    num_q = tuple(Fraction(c) for c in num)
-    den_q = tuple(Fraction(c) for c in den)
-    g = qt.gcd(num_q, den_q)
-    if len(g) > 1:
-        # constant terms 1 force g(0) != 0; normalize so division keeps them
-        g = qt.scale(1 / g[0], g)
-        num_q, rn = qt.divmod(num_q, g)
-        den_q, rd = qt.divmod(den_q, g)
-        assert not rn and not rd
-    if ring is ZZ:
-        out = []
-        for part in (num_q, den_q):
-            vals = [int(c) if c.denominator == 1 else None for c in part]
-            assert None not in vals, "reduction left the integers"
-            out.append(tuple(vals))
-        return out[0], out[1]
-    return num_q, den_q
+    """Cancel the common factor, keeping both constant terms at 1.
+
+    Both parts are cleared of denominators by one common multiple m and
+    divided by their primitive gcd g in ZZ[t]; by Gauss's lemma those
+    divisions are exact.  The quotients have constant term m/g(0), so
+    scaling by g(0)/m restores 1.  Over ZZ, m = 1 and g(0) = +-1.
+    """
+    if not (num and den) or num[0] != 1 or den[0] != 1:
+        raise ValueError("numerator and denominator need constant term 1")
+    m = math.lcm(*(c.denominator for c in num + den))
+    a = [c.numerator * (m // c.denominator) for c in num]
+    b = [c.numerator * (m // c.denominator) for c in den]
+    g = _primitive_gcd(a, b)
+    zt = Poly1Ring(ZZ, "t")
+    num_z, den_z = zt.exact_div(a, g), zt.exact_div(b, g)
+    scale = g[0] if ring is ZZ else Fraction(g[0], m)
+    return tuple(c * scale for c in num_z), tuple(c * scale for c in den_z)
+
+
+def _primitive(a: list) -> list:
+    content = math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """Remainder of lc(b)^k * a on division by b in ZZ[t], some k >= 0."""
+    r = list(a)
+    lead = b[-1]
+    shift = len(r) - len(b)
+    while shift >= 0:
+        c = r[-1]
+        r = [lead * x for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y
+        while r and not r[-1]:
+            r.pop()
+        shift = len(r) - len(b)
+    return r
+
+
+def _primitive_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two nonzero polynomials over ZZ, up to sign.
+
+    Primitive remainder sequence: each pseudo-remainder is divided by its
+    content, which keeps the coefficients as small as the gcd allows.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive(r) if r else [])
+    return a
 
 
 class RatFuncRing(Ring):

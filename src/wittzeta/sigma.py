@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import RingMismatch
+from .errors import CrossCheckFailed, RingMismatch
 from .rings import MPolyRing, Ring, ZZ, poly_ring
 from .series import TruncSeries
 from .verdict import Verdict, compare_series
@@ -33,7 +33,12 @@ class SigmaStructure:
     def sigma_series(self, a, precision: int) -> TruncSeries:
         """sigma_t(a) truncated; coefficient of t^n is sigma^n(a)."""
         out = self.rule(a, precision)
-        assert out.ring == self.ring and out.precision == precision
+        if out.ring != self.ring or out.precision != precision:
+            raise CrossCheckFailed(
+                f"sigma rule {self.name!r} returned a series over "
+                f"{out.ring.name} at precision {out.precision}, expected "
+                f"{self.ring.name} at precision {precision}"
+            )
         return out
 
     def sigma_n(self, a, n: int):

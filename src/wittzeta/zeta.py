@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import field_params_from_q, sym_product_counts
-from .errors import NotRationalAtBound, UnsupportedClass
+from .errors import CrossCheckFailed, NotRationalAtBound, UnsupportedClass
 from .measures import (
     Measure,
     as_k0,
@@ -237,7 +237,8 @@ def product_rationality(
 
     Reconstructs each factor zeta at denominator/numerator degree at most
     dmax, multiplies in the rational Witt ring, and cross-checks the
-    expansion against the directly computed product zeta.
+    expansion against the directly computed product zeta; a mismatch
+    raises CrossCheckFailed naming the first differing degree.
     """
     rx = rationalize(_zeta(measure, x, precision), dmax)
     if rx is None:
@@ -251,10 +252,12 @@ def product_rationality(
         )
     product = rat_mul(rx, ry)
     direct = _zeta(measure, atom_product(x, y), precision)
-    expansion = rat_expand(product, precision)
-    assert expansion.coeffs == direct.coeffs, (
-        "rational product disagrees with the direct product zeta"
-    )
+    verdict = compare_series(rat_expand(product, precision), direct)
+    if not verdict.holds:
+        raise CrossCheckFailed(
+            "rational product disagrees with the direct product zeta: "
+            + verdict.render()
+        )
     return product
 
 

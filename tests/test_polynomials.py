@@ -42,6 +42,15 @@ def test_exact_div():
     assert Zt.exact_div(num, (1, 2)) == (3, 0, 1)
     with pytest.raises(NonIntegral):
         Zt.exact_div((1, 1), (2,))
+    assert Zt.exact_div((), (1, 2)) == ()
+    # a nonzero remainder below the divisor's degree, and a dividend of
+    # lower degree than the divisor
+    with pytest.raises(NonIntegral):
+        Zt.exact_div((1, 3, 1), (1, 1))
+    with pytest.raises(NonIntegral):
+        Zt.exact_div((2, 1), (1, 2, 1))
+    with pytest.raises(NonIntegral):
+        Zt.exact_div((1, 1), ())
 
 
 def test_divmod_monic():

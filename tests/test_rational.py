@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from wittzeta.errors import PrecisionTooLow
+from wittzeta.polynomials import Poly1Ring, resultant
 from wittzeta.rational import (
     RatFuncRing,
     RatWitt,
+    _primitive_gcd,
     fraction_field,
     rat_add,
     rat_equal,
@@ -32,6 +34,48 @@ def test_ratwitt_requires_unit_constant_terms():
         RatWitt(ZZ, (2,), (1,))
     with pytest.raises(ValueError):
         RatWitt(ZZ, (1,), (0, 1))
+    # t/t has a common factor with no constant term to normalize by
+    with pytest.raises(ValueError):
+        rat_make(ZZ, (0, 1), (0, 1))
+    with pytest.raises(ValueError):
+        rat_make(QQ, (), (1,))
+
+
+def _star_by_resultant(ring, p, q):
+    """r(t) = Res_x(x^deg p * p(1/x), q(t*x)), the Sylvester construction."""
+    rt = Poly1Ring(ring, "t")
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp < 1 or dq < 1:
+        return (ring.one,)
+    a = tuple(rt.constant(c) for c in reversed(p))
+    b = tuple(rt.monomial(j, c) for j, c in enumerate(q))
+    return resultant(rt, a, b, dp, dq)
+
+
+def _reduce_by_euclid(num, den):
+    """Lowest terms by Euclid over Fraction coefficients, constant terms 1."""
+    qt = Poly1Ring(QQ, "t")
+    num, den = tuple(map(Fraction, num)), tuple(map(Fraction, den))
+    g = qt.gcd(num, den)
+    g = qt.scale(1 / g[0], g)
+    return qt.divmod(num, g)[0], qt.divmod(den, g)[0]
+
+
+def _rat_mul_by_resultants(f, g):
+    qt = Poly1Ring(QQ, "t")
+    a, b, c, d = f.num, f.den, g.num, g.den
+    num = qt.mul(_star_by_resultant(ZZ, a, d), _star_by_resultant(ZZ, b, c))
+    den = qt.mul(_star_by_resultant(ZZ, a, c), _star_by_resultant(ZZ, b, d))
+    return _reduce_by_euclid(num, den)
+
+
+def _random_poly(rng, degree, frac=False):
+    coeffs = [rng.randint(-4, 4) for _ in range(degree)]
+    if coeffs:
+        coeffs[-1] = coeffs[-1] or 1
+    if frac:
+        coeffs = [Fraction(c, rng.randint(1, 6)) for c in coeffs]
+    return (1,) + tuple(coeffs)
 
 
 def test_render():
@@ -47,6 +91,51 @@ def test_make_reduces_common_factors():
     f = rat_make(ZZ, (1, -3, 2), (1, -1))
     assert f.num == (1, -2)
     assert f.den == (1,)
+
+
+def test_make_cancels_a_factor_with_constant_term_minus_one():
+    zt = Poly1Ring(ZZ, "t")
+    c = (-1, 3, 2)
+    f = rat_make(ZZ, zt.mul(c, (-1, 1, 4)), zt.mul(c, (-1, 2)))
+    assert (f.num, f.den) == ((1, -1, -4), (1, -2))
+    assert all(type(x) is int for x in f.num + f.den)
+
+
+def test_primitive_gcd_strips_content():
+    zt = Poly1Ring(ZZ, "t")
+    common = (3, -1, 2)
+    a = zt.scale(6, zt.mul(common, (1, 4)))
+    b = zt.scale(-10, zt.mul(common, (2, 0, 1)))
+    g = _primitive_gcd(list(a), list(b))
+    assert tuple(g) in (common, zt.neg(common))
+    assert _primitive_gcd([4, 6], [8]) in ([1], [-1])
+
+
+def test_make_over_rationals_with_non_primitive_clearing():
+    # cleared by 4, the numerator 4 + 8t has content 4
+    qt = Poly1Ring(QQ, "t")
+    c = (Fraction(1), Fraction(1, 2))
+    num = qt.mul(c, (Fraction(1), Fraction(2)))
+    den = qt.mul(c, (Fraction(1), Fraction(-1, 4)))
+    f = rat_make(QQ, num, den)
+    assert (f.num, f.den) == ((1, 2), (1, Fraction(-1, 4)))
+    assert all(type(x) is Fraction for x in f.num + f.den)
+
+
+def test_make_over_rationals_matches_fraction_euclid():
+    rng = random.Random(12)
+    qt = Poly1Ring(QQ, "t")
+    nontrivial = 0
+    for _ in range(60):
+        common = _random_poly(rng, rng.randint(0, 3), frac=True)
+        num = qt.mul(common, _random_poly(rng, rng.randint(0, 4), frac=True))
+        den = qt.mul(common, _random_poly(rng, rng.randint(0, 4), frac=True))
+        f = rat_make(QQ, num, den)
+        expected = _reduce_by_euclid(num, den)
+        assert (f.num, f.den) == expected
+        assert all(type(x) is Fraction for x in f.num + f.den)
+        nontrivial += len(f.num) + len(f.den) < len(num) + len(den)
+    assert nontrivial > 30
 
 
 def test_expand_and_equal():
@@ -73,6 +162,26 @@ def test_star_on_linear_factors():
     assert rat_star(ZZ, (1, -2), (1, -3)) == (1, -6)
     assert rat_star(ZZ, (1, -2), (1,)) == (1,)
     assert rat_star(ZZ, (1,), (1, -3)) == (1,)
+
+
+@pytest.mark.parametrize("dp", [1, 2, 3, 4, 5])
+def test_star_matches_resultant_over_integers(dp):
+    rng = random.Random(100 + dp)
+    for dq in range(1, 6):
+        p, q = _random_poly(rng, dp), _random_poly(rng, dq)
+        r = rat_star(ZZ, p, q)
+        assert r == _star_by_resultant(ZZ, p, q)
+        assert len(r) == dp * dq + 1
+
+
+def test_star_matches_resultant_over_polynomial_coefficients():
+    R = int_poly_ring("u")
+    u = R.variable("u")
+    p = (R.one, R.neg(u), R.from_int(2))
+    q = (R.one, R.add(u, R.from_int(3)), R.mul(u, u), R.from_int(-1))
+    r = rat_star(R, p, q)
+    assert r == _star_by_resultant(R, p, q)
+    assert len(r) == 7
 
 
 def test_star_matches_ghost_product():
@@ -130,6 +239,22 @@ def test_rat_mul_matches_witt_mul():
         lhs = rat_expand(rat_mul(f, g), n)
         rhs = witt_mul(rat_expand(f, n), rat_expand(g, n))
         assert lhs.coeffs == rhs.coeffs
+
+
+def test_rat_mul_matches_resultant_pipeline():
+    rng = random.Random(13)
+    for _ in range(20):
+        f, g = (
+            rat_make(
+                ZZ,
+                _random_poly(rng, rng.randint(0, 5)),
+                _random_poly(rng, rng.randint(0, 5)),
+            )
+            for _ in range(2)
+        )
+        prod = rat_mul(f, g)
+        assert (prod.num, prod.den) == _rat_mul_by_resultants(f, g)
+        assert all(type(x) is int for x in prod.num + prod.den)
 
 
 def test_rationalize_geometric():

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from wittzeta.errors import RingMismatch
+from wittzeta.errors import CrossCheckFailed, RingMismatch
 from wittzeta.rings import ZZ
+from wittzeta.series import TruncSeries
 from wittzeta.sigma import (
     BINOMIAL_Z,
     PLETHYSTIC_ZU,
     ZU,
+    SigmaStructure,
     check_lambda_additivity,
     check_sigma_ring_hom,
 )
@@ -42,6 +44,14 @@ def test_lambda_nth_operations():
 def test_binomial_rejects_foreign_values():
     with pytest.raises(RingMismatch):
         BINOMIAL_Z.sigma_series("x", 3)
+
+
+def test_sigma_rule_with_wrong_precision_is_refused():
+    short = SigmaStructure(
+        "short", ZZ, lambda m, n: TruncSeries.geometric(ZZ, m, n - 1)
+    )
+    with pytest.raises(CrossCheckFailed, match="expected ZZ at precision 4"):
+        short.sigma_series(2, 4)
 
 
 def test_plethystic_on_integers_matches_binomial():

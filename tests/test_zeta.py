@@ -2,7 +2,9 @@
 
 import pytest
 
+import wittzeta.zeta as zeta_module
 from wittzeta import (
+    CrossCheckFailed,
     NotRationalAtBound,
     TruncSeries,
     UnsupportedClass,
@@ -244,6 +246,13 @@ def test_product_rationality_for_poincare():
     assert len(rat.den) == 5
     direct = kapranov_zeta(poincare_measure(), atom_product(p1, p1), 8)
     assert rat_expand(rat, 8) == direct.series
+
+
+def test_product_rationality_refuses_a_wrong_product(monkeypatch):
+    # the cross-check must catch a rat_mul that drops one factor
+    monkeypatch.setattr(zeta_module, "rat_mul", lambda f, g: f)
+    with pytest.raises(CrossCheckFailed, match="FAILS at t\\^1"):
+        product_rationality(F2, projective_space(1), projective_space(1), 2, 12)
 
 
 def test_product_rationality_bound_too_small():
