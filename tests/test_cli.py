@@ -328,7 +328,44 @@ def test_missing_counterpart_variety(capsys):
         capsys, "check", "expo", "--x", "a1", "--q", "2", "--prec", "4"
     )
     assert code == 2
-    assert err.startswith("error: --y is required")
+    assert err == "error: --y is required for the counting measure\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zeta", "kapranov", "--q", "2"),
+         "--variety is required for the counting measure"),
+        (("zeta", "kapranov", "--variety", "", "--q", "2"),
+         "--variety is required for the counting measure"),
+        (("check", "totaro", "--q", "2"),
+         "--variety is required for the counting measure"),
+        (("check", "bundle", "--q", "2"),
+         "--variety is required for the counting measure"),
+        (("check", "expo", "--y", "a1", "--q", "2"),
+         "--x is required for the counting measure"),
+        (("zeta", "kapranov", "--measure", "euler"),
+         "--variety-value is required for the euler measure"),
+        (("check", "totaro", "--measure", "euler"),
+         "--variety-value is required for the euler measure"),
+        (("check", "bundle", "--measure", "poincare"),
+         "--variety-value is required for the poincare measure"),
+        (("check", "expo", "--measure", "euler", "--y-value", "3"),
+         "--x-value is required for the euler measure"),
+        (("check", "expo", "--measure", "poincare", "--x-value", "1+u"),
+         "--y-value is required for the poincare measure"),
+        # the field is resolved from the first variety, before --y is read
+        (("check", "expo", "--x", "a1"),
+         "no finite field given; pass --q or a variety that declares p, k"),
+        (("check", "expo", "--x", "a1", "--q", "6"),
+         "6 is not a prime power"),
+    ],
+)
+def test_measure_and_class_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--prec", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_variety_name(capsys):

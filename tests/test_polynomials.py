@@ -4,7 +4,7 @@ import pytest
 
 from wittzeta.errors import NonIntegral
 from wittzeta.polynomials import Poly1Ring, determinant, resultant
-from wittzeta.rings import QQ, ZZ
+from wittzeta.rings import QQ, ZZ, int_poly_ring
 
 Zt = Poly1Ring(ZZ, "t")
 Qt = Poly1Ring(QQ, "t")
@@ -73,6 +73,15 @@ def test_render():
     assert Zt.render(Zt.zero) == "0"
     assert Zt.render((0, 1)) == "t"
     assert Zt.render((0, -1)) == "-t"
+    assert Zt.render((-1, 0, 1)) == "-1 + t^2"
+    coeffs = (Fraction(-1, 2), Fraction(1, 3), Fraction(-1), Fraction(-3, 4))
+    assert Qt.render(coeffs) == "-1/2 + 1/3*t - t^2 - 3/4*t^3"
+    R = int_poly_ring("u")
+    u = R.variable("u")
+    Rt = Poly1Ring(R, "t")
+    a = (R.from_int(-1), R.add(u, R.one), R.neg(u), R.mul_int(u, -5), R.one)
+    assert Rt.render(a) == "-1 + (1 + u)*t - u*t^2 - 5*u*t^3 + t^4"
+    assert Rt.render((R.zero, R.sub(R.zero, R.add(R.one, u)))) == "(-1 - u)*t"
 
 
 def test_determinant_exact():

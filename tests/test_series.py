@@ -109,6 +109,11 @@ def test_render():
     assert S(1, 0, -2).render() == "1 - 2*t^2 + O(t^3)"
     assert S(0, 0, 0).render() == "0 + O(t^3)"
     assert S(1, -1).render() == "1 - t + O(t^2)"
+    coeffs = (Fraction(-1, 2), Fraction(1, 3), Fraction(-1), Fraction(-3, 4))
+    s = TruncSeries.make(QQ, coeffs, 4)
+    assert s.render() == "-1/2 + 1/3*t - t^2 - 3/4*t^3 + O(t^5)"
+    s = TruncSeries.make(QQ, (Fraction(0), Fraction(-1, 2)), 2)
+    assert s.render() == "-1/2*t + O(t^3)"
 
 
 def test_render_polynomial_coefficients_are_parenthesized():
@@ -116,6 +121,17 @@ def test_render_polynomial_coefficients_are_parenthesized():
     u = R.variable("u")
     s = TruncSeries.make(R, (R.one, R.add(R.one, u)), 1)
     assert s.render() == "1 + (1 + u)*t + O(t^2)"
+    s = TruncSeries.make(
+        R,
+        (R.one, R.from_int(-3), R.sub(u, R.from_int(2)), R.neg(u),
+         R.from_int(-1), R.mul_int(R.mul(u, u), -2)),
+        6,
+    )
+    assert s.render() == (
+        "1 - 3*t + (-2 + u)*t^2 - u*t^3 - t^4 - 2*u^2*t^5 + O(t^7)"
+    )
+    lead = TruncSeries.make(R, (R.zero, R.sub(R.zero, R.add(R.one, u))), 1)
+    assert lead.render() == "(-1 - u)*t + O(t^2)"
 
 
 def test_render_json_uses_decimal_strings():

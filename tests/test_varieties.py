@@ -140,5 +140,8 @@ def test_k0_single_atom():
 def test_k0_describe():
     x = k0_atom(SymbolicAtom.make("X", {"euler": 1}))
     y = k0_atom(SymbolicAtom.make("Y", {"euler": 2}))
-    text = k0_add(x, k0_scale(-2, y)).describe()
-    assert "X" in text and "Y" in text
+    assert k0_add(x, k0_scale(-2, y)).describe() == "[X] - 2*[Y]"
+    assert k0_add(k0_neg(x), k0_scale(3, y)).describe() == "-[X] + 3*[Y]"
+    assert k0_add(k0_neg(x), k0_neg(y)).describe() == "-[X] - [Y]"
+    assert k0_add(k0_scale(-2, x), y).describe() == "-2*[X] + [Y]"
+    assert K0Class(()).describe() == "0"
