@@ -54,14 +54,9 @@ from .zeta import (
 _GIDENT_VARS = ("a", "b", "s")
 
 
-def _poly_coeffs(text: str) -> tuple:
-    """Coefficient tuple of an integer polynomial in t, constant first."""
-    poly = parse_poly(text, ("t",))
-    degree = max((exps[0] for exps, _ in poly), default=0)
-    out = [0] * (degree + 1)
-    for exps, c in poly:
-        out[exps[0]] = c
-    return tuple(out)
+def _poly_coeffs(text: str) -> list:
+    """Coefficients of an integer polynomial in t, constant first."""
+    return poly_ring(("t",)).dense(parse_poly(text, ("t",)))
 
 
 def _series_arg(text: str, precision: int, invert: bool) -> TruncSeries:
@@ -117,28 +112,38 @@ def _measure_arg(args, variety=None) -> Measure:
 
 
 def _value_atom(measure: Measure, name: str, text: str) -> SymbolicAtom:
-    """Symbolic atom carrying one explicit measure value."""
+    """Symbolic atom carrying one explicit euler or poincare value."""
     if measure.name == "euler":
         return euler_atom(name, int(text))
-    if measure.name == "poincare":
-        return SymbolicAtom.make(name, {"poincare": parse_poly(text, ("u",))})
-    raise ValueError(f"--*-value is not accepted by the {measure.name} measure")
+    return SymbolicAtom.make(name, {"poincare": parse_poly(text, ("u",))})
 
 
-def _class_arg(args, measure: Measure, flag: str, name: str):
-    """Resolve --<flag> (a variety) or --<flag>-value (a measure value)."""
-    attr = flag.replace("-", "_")
-    variety_text = getattr(args, attr, None)
-    value_text = getattr(args, attr + "_value", None)
-    if measure.policy == "census":
-        if variety_text is None:
-            raise ValueError(f"--{flag} is required for the counting measure")
-        return _variety_arg(variety_text)
-    if value_text is not None:
-        return _value_atom(measure, name, value_text)
-    raise ValueError(
-        f"--{flag}-value is required for the {measure.name} measure"
-    )
+def _measure_and_classes(args, **names):
+    """The measure and one class per flag of `names` (flag -> atom name).
+
+    Under counting each --<flag> names a variety, and the field comes from
+    --q or else the first variety, resolved before any later flag is read.
+    Under a sigma measure each --<flag>-value gives the class's value.
+    """
+    counting = args.measure == "counting"
+    measure = None if counting else _measure_arg(args)
+    classes = []
+    for flag, name in names.items():
+        if counting:
+            text = getattr(args, flag)
+            if not text:
+                raise ValueError(f"--{flag} is required for the counting measure")
+            classes.append(_variety_arg(text))
+            if measure is None:
+                measure = _measure_arg(args, classes[0])
+        else:
+            text = getattr(args, f"{flag}_value")
+            if text is None:
+                raise ValueError(
+                    f"--{flag}-value is required for the {measure.name} measure"
+                )
+            classes.append(_value_atom(measure, name, text))
+    return (measure, *classes)
 
 
 def _check_prec(n: int) -> int:
@@ -227,8 +232,6 @@ def _cmd_rat_mul(args) -> int:
 
 def _cmd_rat_rationalize(args) -> int:
     coeffs = tuple(int(part) for part in args.coeffs.split(","))
-    if not coeffs:
-        raise ValueError("--coeffs must list at least one coefficient")
     series = TruncSeries.make(ZZ, coeffs, len(coeffs) - 1)
     rat = rationalize(series, args.dmax)
     if rat is None:
@@ -259,17 +262,8 @@ def _cmd_zeta_weil(args) -> int:
 
 def _cmd_zeta_kapranov(args) -> int:
     n = _check_prec(args.prec)
-    if args.measure == "counting":
-        variety = _variety_arg(args.variety) if args.variety else None
-        if variety is None:
-            raise ValueError("--variety is required for the counting measure")
-        measure = _measure_arg(args, variety)
-        zeta = kapranov_zeta(measure, variety, n)
-    else:
-        measure = _measure_arg(args)
-        atom = _class_arg(args, measure, "variety", "X")
-        zeta = kapranov_zeta(measure, atom, n)
-    return _zeta_output(args, zeta)
+    measure, x = _measure_and_classes(args, variety="X")
+    return _zeta_output(args, kapranov_zeta(measure, x, n))
 
 
 # --------------------------------------------------------------- check
@@ -277,36 +271,13 @@ def _cmd_zeta_kapranov(args) -> int:
 
 def _cmd_check_expo(args) -> int:
     n = _check_prec(args.prec)
-    if args.measure == "counting":
-        x = _variety_arg(args.x) if args.x else None
-        if x is None:
-            raise ValueError("--x is required for the counting measure")
-        measure = _measure_arg(args, x)
-        y = _variety_arg(args.y) if args.y else None
-        if y is None:
-            raise ValueError("--y is required for the counting measure")
-    else:
-        measure = _measure_arg(args)
-        x = _class_arg(args, measure, "x", "X")
-        y = _class_arg(args, measure, "y", "Y")
+    measure, x, y = _measure_and_classes(args, x="X", y="Y")
     return _emit_verdict(args, check_exponentiation(measure, x, y, n))
 
 
-def _totaro_style_args(args):
-    n = _check_prec(args.prec)
-    if args.measure == "counting":
-        x = _variety_arg(args.variety) if args.variety else None
-        if x is None:
-            raise ValueError("--variety is required for the counting measure")
-        measure = _measure_arg(args, x)
-    else:
-        measure = _measure_arg(args)
-        x = _class_arg(args, measure, "variety", "X")
-    return measure, x, n
-
-
 def _cmd_check_totaro(args) -> int:
-    measure, x, n = _totaro_style_args(args)
+    n = _check_prec(args.prec)
+    measure, x = _measure_and_classes(args, variety="X")
     if args.trace:
         report = totaro_proof_trace(measure, x, args.n, n)
         _emit(args, report.render(), report.render_json())
@@ -315,7 +286,8 @@ def _cmd_check_totaro(args) -> int:
 
 
 def _cmd_check_bundle(args) -> int:
-    measure, x, n = _totaro_style_args(args)
+    n = _check_prec(args.prec)
+    measure, x = _measure_and_classes(args, variety="X")
     verdict = bundle_zeta_check(measure, x, args.n, n, args.kind)
     return _emit_verdict(args, verdict)
 

@@ -34,7 +34,13 @@ class TorsionUnsupported(WittzetaError):
 
 
 class NonIntegral(WittzetaError):
-    """A ghost vector has no preimage over the base ring."""
+    """An exact division has no quotient in the ring.
+
+    Raised by `exact_div` of ZZ, QQ, the polynomial rings and finite fields
+    (division by zero included), by `Poly1Ring.divmod` on a non-invertible
+    leading coefficient, and by `from_ghost` when a ghost vector has no
+    preimage over the base ring.
+    """
 
 
 class PrecisionTooLow(WittzetaError):
@@ -54,7 +60,12 @@ class UnvaluedAtom(WittzetaError):
 
 
 class UnsupportedClass(WittzetaError):
-    """Census-backed zeta functions are only defined on single variety atoms."""
+    """A class has no value where one is asked for.
+
+    Census-backed zeta functions take single variety atoms only; products
+    mixing symbolic atoms with varieties, or measure values of different
+    kinds, are not defined.
+    """
 
 
 class CrossCheckFailed(WittzetaError):

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeZero, NonIntegral, NotPrime, TorsionUnsupported
+from .errors import DegreeZero, NonIntegral, NotPrime
 from .rings import Ring
 
 _TABLE_LIMIT = 256  # largest q for which full add/mul tables are built
@@ -308,9 +308,6 @@ class GF(Ring):
         if inv is None:
             raise NonIntegral("division by zero in a finite field")
         return self.mul(a, inv)
-
-    def rationalization(self):
-        raise TorsionUnsupported(f"{self.name} has characteristic {self.p}")
 
     def render(self, a) -> str:
         return str(a)

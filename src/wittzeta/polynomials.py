@@ -18,7 +18,7 @@ independent oracle for them.
 from __future__ import annotations
 
 from .errors import NonIntegral, ZeroPolynomial
-from .rings import Ring
+from .rings import Ring, scaled_term, signed_sum
 
 
 class Poly1Ring(Ring):
@@ -171,32 +171,13 @@ class Poly1Ring(Ring):
         return a
 
     def render(self, a) -> str:
-        if not a:
-            return "0"
+        """Terms by ascending degree; zero coefficients, trailing or not, drop."""
         parts = []
         for i, c in enumerate(a):
-            if self.base.is_zero(c):
-                continue
-            text = self.base.render(c)
-            if i == 0:
-                parts.append(text)
-                continue
-            v = self.var if i == 1 else f"{self.var}^{i}"
-            if c == self.base.one:
-                parts.append(v)
-            elif text == "-1":
-                parts.append(f"-{v}")
-            else:
-                if " + " in text or " - " in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{v}")
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+            if not self.base.is_zero(c):
+                mono = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
+                parts.append(scaled_term(self.base.render(c), mono))
+        return signed_sum(parts)
 
 
 def determinant(ring: Ring, rows: list[list]) -> object:

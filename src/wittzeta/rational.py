@@ -271,21 +271,11 @@ class RatFuncRing(Ring):
             raise ZeroDivisionError("division by zero rational function")
         return self.mul(a, inv)
 
-    def rationalization(self):
-        return self, lambda x: x, lambda x: x
-
     def render(self, a) -> str:
         pr = self.poly
         if a[1] == (Fraction(1),):
             return pr.render(a[0])
         return f"({pr.render(a[0])})/({pr.render(a[1])})"
-
-
-def _univariate_coeffs(ring: MPolyRing, a) -> list:
-    out = [ring.base.zero] * (ring.total_degree(a) + 1 if a else 0)
-    for exps, c in a:
-        out[exps[0]] = c
-    return out
 
 
 def fraction_field(ring: Ring):
@@ -302,7 +292,7 @@ def fraction_field(ring: Ring):
         field = RatFuncRing(ring.vars[0])
 
         def embed(a):
-            return field.from_poly(Fraction(c) for c in _univariate_coeffs(ring, a))
+            return field.from_poly(Fraction(c) for c in ring.dense(a))
 
         def retract(x):
             num, den = x

@@ -15,10 +15,16 @@ Elements are plain immutable Python values interpreted by their ring object:
                           vector in base p, constant digit least significant
 
 All representations are canonical, so ``==`` and ``hash`` behave and every
-value can be shared freely between threads.  Torsion-free rings additionally
-expose their rationalization (tensor with the rationals) together with an
-exact membership test for the image, which is what makes Witt multiplication
-via ghost coordinates possible without ever touching floating point.
+value can be shared freely between threads.  Division is exact: `exact_div`
+returns the quotient in the ring itself or raises NonIntegral, which is what
+lets Witt multiplication via ghost coordinates stay in the coefficient ring,
+with no detour through its fraction field and no floating point.  Rational
+reconstruction does need a field; :func:`wittzeta.rational.fraction_field`
+supplies it.
+
+Sums of terms print one way everywhere (polynomials, series, classes in the
+Grothendieck group): :func:`scaled_term` writes one coefficient times one
+monomial and :func:`signed_sum` joins the terms.
 """
 
 from __future__ import annotations
@@ -91,9 +97,37 @@ class Ring:
         """Quotient a/b when it exists in the ring; raises NonIntegral otherwise."""
         raise NotImplementedError
 
-    def rationalization(self):
-        """Return (Q-ring, embed, retract); retract gives None off the image."""
-        raise NotImplementedError
+
+def scaled_term(coeff: str, mono: str) -> str:
+    """The term coeff*mono as printed, from the rendered coefficient.
+
+    A unit coefficient is implied (``t``, ``-t``), an empty monomial leaves
+    the coefficient alone, and a coefficient that is itself a sum is
+    bracketed.
+    """
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return "-" + mono
+    if " + " in coeff or " - " in coeff:
+        coeff = f"({coeff})"
+    return f"{coeff}*{mono}"
+
+
+def signed_sum(parts) -> str:
+    """Join rendered terms with " + ", turning a leading "-" into " - "."""
+    parts = list(parts)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for text in parts[1:]:
+        if text.startswith("-"):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out
 
 
 class IntegerRing(Ring):
@@ -129,15 +163,8 @@ class IntegerRing(Ring):
             raise NonIntegral(f"{a} is not divisible by {b}")
         return q
 
-    def rationalization(self):
-        return QQ, Fraction, _fraction_to_int
-
     def __repr__(self):
         return "ZZ"
-
-
-def _fraction_to_int(x: Fraction):
-    return int(x) if x.denominator == 1 else None
 
 
 class RationalRing(Ring):
@@ -171,9 +198,6 @@ class RationalRing(Ring):
         if not b:
             raise NonIntegral("division by zero")
         return a / b
-
-    def rationalization(self):
-        return self, lambda x: x, lambda x: x
 
     def __repr__(self):
         return "QQ"
@@ -353,27 +377,17 @@ class MPolyRing(Ring):
             rem = self.sub(rem, self.mul(self.monomial(exps, coeff), b))
         return self._canon(quotient)
 
-    def rationalization(self):
-        qring = poly_ring(self.vars, rational=True)
-        if self.rational:
-            return self, lambda x: x, lambda x: x
+    def dense(self, a) -> list:
+        """Coefficients of a univariate polynomial, constant term first.
 
-        def embed(a):
-            return tuple((e, Fraction(c)) for e, c in a)
-
-        def retract(a):
-            out = []
-            for e, c in a:
-                if c.denominator != 1:
-                    return None
-                out.append((e, int(c)))
-            return tuple(out)
-
-        return qring, embed, retract
+        The zero polynomial gives the empty list.
+        """
+        out = [self.base.zero] * (self.total_degree(a) + 1)
+        for (d,), c in a:
+            out[d] = c
+        return out
 
     def render(self, a) -> str:
-        if not a:
-            return "0"
         parts = []
         for e, c in a:
             mono = "*".join(
@@ -381,22 +395,8 @@ class MPolyRing(Ring):
                 for v, k in zip(self.vars, e)
                 if k
             )
-            if not mono:
-                text = str(c)
-            elif c == self.base.one:
-                text = mono
-            elif c == -self.base.one:
-                text = "-" + mono
-            else:
-                text = f"{c}*{mono}"
-            parts.append(text)
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+            parts.append(scaled_term(str(c), mono))
+        return signed_sum(parts)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from .errors import (
     PrecisionMismatch,
     RingMismatch,
 )
+from .polynomials import Poly1Ring
 from .rings import Ring
 
 
@@ -167,34 +168,8 @@ class TruncSeries:
     # presentation
 
     def render(self) -> str:
-        r = self.ring
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if r.is_zero(c):
-                continue
-            text = r.render(c)
-            if i == 0:
-                parts.append(text)
-                continue
-            v = "t" if i == 1 else f"t^{i}"
-            if c == r.one:
-                parts.append(v)
-            elif text == "-1":
-                parts.append(f"-{v}")
-            else:
-                if " + " in text or " - " in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{v}")
-        if not parts:
-            parts.append("0")
-        parts.append(f"O(t^{self.precision + 1})")
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+        window = Poly1Ring(self.ring, "t").render(self.coeffs)
+        return f"{window} + O(t^{self.precision + 1})"
 
     def render_json(self) -> dict:
         return {

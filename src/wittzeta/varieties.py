@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import NotPrime, UnsupportedClass
 from .finitefield import is_prime
 from .parsing import parse_poly
-from .rings import MPolyRing, poly_ring
+from .rings import MPolyRing, poly_ring, scaled_term, signed_sum
 
 
 def default_variables(n: int) -> tuple[str, ...]:
@@ -233,30 +233,10 @@ class K0Class:
     terms: tuple  # ((atom, multiplicity), ...)
 
     def describe(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for atom, mult in self.terms:
-            name = f"[{atom.describe()}]"
-            if mult == 1:
-                parts.append(name)
-            elif mult == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{mult}*{name}")
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
-
-    def single_atom(self):
-        """The unique atom with multiplicity 1, or None."""
-        if len(self.terms) == 1 and self.terms[0][1] == 1:
-            return self.terms[0][0]
-        return None
+        return signed_sum(
+            scaled_term(str(mult), f"[{atom.describe()}]")
+            for atom, mult in self.terms
+        )
 
 
 def _collect(pairs) -> K0Class:

@@ -109,15 +109,19 @@ def from_ghost(ring: Ring, ghosts: tuple) -> TruncSeries:
     return TruncSeries(ring, tuple(cs))
 
 
+def _require_torsion_free(ring: Ring) -> None:
+    if not ring.torsion_free:
+        raise TorsionUnsupported(
+            f"Witt multiplication needs a torsion-free ring, got {ring.name}"
+        )
+
+
 def witt_mul(g: TruncSeries, h: TruncSeries) -> TruncSeries:
     """The Witt product, pointwise multiplication in ghost coordinates."""
     require_witt(g)
     require_witt(h)
     g.check_compatible(h)
-    if not g.ring.torsion_free:
-        raise TorsionUnsupported(
-            f"Witt multiplication needs a torsion-free ring, got {g.ring.name}"
-        )
+    _require_torsion_free(g.ring)
     pg = ghost(g)
     ph = ghost(h)
     r = g.ring
@@ -125,10 +129,17 @@ def witt_mul(g: TruncSeries, h: TruncSeries) -> TruncSeries:
 
 
 def witt_pow(g: TruncSeries, n: int) -> TruncSeries:
-    """n-fold Witt product of g with itself; n = 0 gives the unit."""
+    """n-fold Witt product of g with itself; n = 0 gives the unit.
+
+    Ghost coordinates are multiplicative, so the power is one round trip
+    with each coordinate raised to the n-th power.  The unit needs no
+    ghost inversion and is returned over any ring.
+    """
     if n < 0:
         raise ValueError("negative Witt powers are not defined")
-    result = witt_unit(g.ring, g.precision)
-    for _ in range(n):
-        result = witt_mul(result, g)
-    return result
+    if n == 0:
+        return witt_unit(g.ring, g.precision)
+    require_witt(g)
+    _require_torsion_free(g.ring)
+    r = g.ring
+    return from_ghost(r, tuple(r.power(p, n) for p in ghost(g)))

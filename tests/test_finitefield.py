@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wittzeta.errors import DegreeZero, NonIntegral, NotPrime, TorsionUnsupported
+from wittzeta.errors import DegreeZero, NonIntegral, NotPrime
 from wittzeta.finitefield import _LOG_TRIGGER, GF, is_prime, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 1)]
@@ -223,11 +223,6 @@ def test_dense_tables_built_through_log_tables_match_digits():
             assert F.add(a, b) == F.encode(x + y for x, y in zip(da, F.decode(b)))
             assert F.mul(a, b) == F._mul_raw(a, b)
     assert F._logs is not None
-
-
-def test_no_rationalization():
-    with pytest.raises(TorsionUnsupported):
-        make_field(3, 1).rationalization()
 
 
 def test_field_identity_and_render():

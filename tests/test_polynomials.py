@@ -71,6 +71,7 @@ def test_gcd_over_field():
 def test_render():
     assert Zt.render((1, -2, 0, 3)) == "1 - 2*t + 3*t^3"
     assert Zt.render(Zt.zero) == "0"
+    assert Zt.render((0, 0)) == "0"
     assert Zt.render((0, 1)) == "t"
     assert Zt.render((0, -1)) == "-t"
     assert Zt.render((-1, 0, 1)) == "-1 + t^2"

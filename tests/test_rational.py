@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittzeta.errors import PrecisionTooLow
+from wittzeta.finitefield import make_field
 from wittzeta.polynomials import Poly1Ring, resultant
 from wittzeta.rational import (
     RatFuncRing,
@@ -333,9 +334,18 @@ def test_ratfunc_ring_field_ops():
 def test_fraction_field_dispatch():
     field, embed, retract = fraction_field(ZZ)
     assert field is QQ
+    assert embed(5) == Fraction(5)
     assert retract(embed(5)) == 5
+    assert retract(Fraction(10, 2)) == 5
+    assert retract(Fraction(1, 2)) is None
     R = int_poly_ring("u")
     field, embed, retract = fraction_field(R)
     assert isinstance(field, RatFuncRing)
     u = R.variable("u")
     assert retract(embed(u)) == u
+    img = embed(R.mul_int(u, 3))
+    assert retract(field.exact_div(img, field.from_int(6))) is None  # u/2
+    assert retract(field.exact_div(img, field.from_int(3))) == u
+    assert retract(field.try_inverse(embed(u))) is None  # 1/u
+    with pytest.raises(ValueError):
+        fraction_field(make_field(3, 1))

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from wittzeta.errors import NonIntegral
-from wittzeta.rings import QQ, ZZ, int_poly_ring, poly_ring
+from wittzeta.rings import (
+    QQ,
+    ZZ,
+    int_poly_ring,
+    poly_ring,
+    scaled_term,
+    signed_sum,
+)
 
 
 def test_integer_ring_basics():
@@ -26,14 +33,6 @@ def test_integer_inverse_and_division():
     assert ZZ.exact_div(12, 4) == 3
     with pytest.raises(NonIntegral):
         ZZ.exact_div(7, 2)
-
-
-def test_integer_rationalization_roundtrip():
-    qring, embed, retract = ZZ.rationalization()
-    assert qring is QQ
-    assert embed(5) == Fraction(5)
-    assert retract(Fraction(10, 2)) == 5
-    assert retract(Fraction(1, 2)) is None
 
 
 def test_rational_ring_is_a_field():
@@ -118,12 +117,20 @@ def test_poly_inverse_only_for_units():
     assert S.try_inverse(S.from_int(2)) == S.scalar(Fraction(1, 2))
 
 
-def test_poly_rationalization():
+def test_signed_sum_and_scaled_term():
+    assert signed_sum([]) == "0"
+    assert signed_sum(["-a"]) == "-a"
+    assert signed_sum(["1", "-2*t", "t^2"]) == "1 - 2*t + t^2"
+    assert scaled_term("-3", "") == "-3"
+    assert scaled_term("1", "t") == "t"
+    assert scaled_term("-1", "t") == "-t"
+    assert scaled_term("-1/2", "t") == "-1/2*t"
+    assert scaled_term("1 - u", "t^2") == "(1 - u)*t^2"
+
+
+def test_poly_dense_coefficients():
     R = int_poly_ring("u")
-    u = R.variable("u")
-    S, embed, retract = R.rationalization()
-    assert S.rational
-    img = embed(R.mul_int(u, 3))
-    half = S.exact_div(img, S.from_int(6))  # (1/2) u
-    assert retract(half) is None
-    assert retract(S.exact_div(img, S.from_int(3))) == u
+    assert R.dense(R.zero) == []
+    assert R.dense(R.from_terms({(3,): -2, (0,): 5})) == [5, 0, 0, -2]
+    S = poly_ring(("u",), rational=True)
+    assert S.dense(S.from_int(2)) == [Fraction(2)]

@@ -31,6 +31,16 @@ def random_wv(rng, prec):
     return wv(1, *(rng.randint(-4, 4) for _ in range(prec)))
 
 
+def random_wv_u(rng, prec):
+    """Random Witt vector over ZZ[u], coefficients of u-degree at most 2."""
+    R = int_poly_ring("u")
+    coeffs = [R.one] + [
+        R.from_terms({(d,): rng.randint(-3, 3) for d in range(3)})
+        for _ in range(prec)
+    ]
+    return TruncSeries.make(R, coeffs, prec)
+
+
 def test_zero_and_unit():
     assert witt_zero(ZZ, 3).coeffs == (1, 0, 0, 0)
     assert witt_unit(ZZ, 3).coeffs == (1, 1, 1, 1)
@@ -75,6 +85,10 @@ def test_from_ghost_roundtrip():
     for _ in range(10):
         a = random_wv(rng, 8)
         assert from_ghost(ZZ, ghost(a)).coeffs == a.coeffs
+    R = int_poly_ring("u")
+    for _ in range(10):
+        a = random_wv_u(rng, 6)
+        assert from_ghost(R, ghost(a)).coeffs == a.coeffs
 
 
 def test_from_ghost_rejects_non_integral():
@@ -126,6 +140,22 @@ def test_witt_pow():
     assert witt_pow(t2, 3).coeffs == teichmuller(ZZ, 8, 6).coeffs
     with pytest.raises(ValueError):
         witt_pow(t2, -1)
+    # against the n-fold Witt product, over ZZ and ZZ[u]
+    rng = random.Random(7)
+    for draw, prec in ((random_wv, 7), (random_wv_u, 5)):
+        for _ in range(6):
+            g = draw(rng, prec)
+            expected = witt_unit(g.ring, prec)
+            for n in range(5):
+                assert witt_pow(g, n).coeffs == expected.coeffs
+                expected = witt_mul(expected, g)
+    # the unit needs no ghost inversion; higher powers refuse torsion
+    F = make_field(3, 1)
+    a = TruncSeries.make(F, (1, 2, 1), 2)
+    assert witt_pow(a, 0).coeffs == witt_unit(F, 2).coeffs
+    for n in (1, 2, 3):
+        with pytest.raises(TorsionUnsupported):
+            witt_pow(a, n)
 
 
 def test_witt_mul_over_polynomials():
