@@ -85,8 +85,9 @@ class Ring:
         while n:
             if n & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             n >>= 1
+            if n:  # the square after the top bit would go unused
+                base = self.mul(base, base)
         return result
 
     def try_inverse(self, a):
