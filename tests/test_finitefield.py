@@ -47,13 +47,83 @@ def test_make_field_is_cached():
     assert make_field(3, 2) is make_field(3, 2)
 
 
+# make_field(p, k).modulus for k = 1, 2, ... on every field the benchmark
+# builds: the scan picks the first irreducible monic polynomial in the
+# base-p enumeration of lower coefficients, constant term first
+MODULUS_GOLDENS = {
+    2: [
+        (0, 1),
+        (1, 1, 1),
+        (1, 1, 0, 1),
+        (1, 1, 0, 0, 1),
+        (1, 0, 1, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 0, 1),
+        (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    ],
+    3: [
+        (0, 1),
+        (1, 0, 1),
+        (1, 2, 0, 1),
+        (2, 1, 0, 0, 1),
+        (1, 2, 0, 0, 0, 1),
+        (2, 1, 0, 0, 0, 0, 1),
+        (2, 0, 1, 0, 0, 0, 0, 1),
+        (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    ],
+    5: [
+        (0, 1),
+        (2, 0, 1),
+        (1, 1, 0, 1),
+        (2, 0, 0, 0, 1),
+        (1, 4, 0, 0, 0, 1),
+        (2, 1, 0, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 0, 1),
+        (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    ],
+    7: [
+        (0, 1),
+        (1, 0, 1),
+        (2, 0, 0, 1),
+        (1, 1, 0, 0, 1),
+        (3, 1, 0, 0, 0, 1),
+        (2, 0, 0, 0, 0, 0, 1),
+    ],
+    11: [
+        (0, 1),
+        (1, 0, 1),
+        (4, 1, 0, 1),
+        (2, 1, 0, 0, 1),
+        (2, 0, 0, 0, 0, 1),
+    ],
+    13: [
+        (0, 1),
+        (2, 0, 1),
+        (2, 0, 0, 1),
+        (2, 0, 0, 0, 1),
+        (2, 4, 0, 0, 0, 1),
+    ],
+}
+
+
 def test_modulus_scan_goldens():
-    # the scan picks the first irreducible monic polynomial in the
-    # base-p enumeration of lower coefficients
-    assert make_field(2, 1).modulus_text() == "x"
-    assert make_field(2, 2).modulus_text() == "x^2 + x + 1"
-    assert make_field(3, 2).modulus_text() == "x^2 + 1"
-    assert make_field(5, 2).modulus_text() == "x^2 + 2"
+    # x, x^2 + x + 1, x^2 + 1 and x^2 + 2
+    assert make_field(2, 1).modulus == (0, 1)
+    assert make_field(2, 2).modulus == (1, 1, 1)
+    assert make_field(3, 2).modulus == (1, 0, 1)
+    assert make_field(5, 2).modulus == (2, 0, 1)
+    for p, moduli in MODULUS_GOLDENS.items():
+        for k, modulus in enumerate(moduli, start=1):
+            assert make_field(p, k).modulus == modulus, (p, k)
+    for p in (53, 89, 109, 113, 149):  # census-prime
+        assert make_field(p, 1).modulus == (0, 1)
 
 
 def test_prime_field_is_mod_p():
