@@ -111,10 +111,17 @@ def _measure_arg(args, variety=None) -> Measure:
     raise ValueError(f"unknown measure {name!r}")
 
 
-def _value_atom(measure: Measure, name: str, text: str) -> SymbolicAtom:
+def _value_atom(measure: Measure, flag: str, name: str, text: str) -> SymbolicAtom:
     """Symbolic atom carrying one explicit euler or poincare value."""
     if measure.name == "euler":
-        return euler_atom(name, int(text))
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(
+                f"--{flag}-value must be an integer for the euler measure, "
+                f"got {text!r}"
+            ) from None
+        return euler_atom(name, value)
     return SymbolicAtom.make(name, {"poincare": parse_poly(text, ("u",))})
 
 
@@ -123,9 +130,17 @@ def _measure_and_classes(args, **names):
 
     Under counting each --<flag> names a variety, and the field comes from
     --q or else the first variety, resolved before any later flag is read.
-    Under a sigma measure each --<flag>-value gives the class's value.
+    Under a sigma measure each --<flag>-value gives the class's value.  A
+    flag the chosen measure does not read is a usage error.
     """
     counting = args.measure == "counting"
+    for flag in names:
+        unread = f"{flag}_value" if counting else flag
+        if getattr(args, unread) is not None:
+            raise ValueError(
+                f"--{unread.replace('_', '-')} is not read by the "
+                f"{args.measure} measure"
+            )
     measure = None if counting else _measure_arg(args)
     classes = []
     for flag, name in names.items():
@@ -142,7 +157,7 @@ def _measure_and_classes(args, **names):
                 raise ValueError(
                     f"--{flag}-value is required for the {measure.name} measure"
                 )
-            classes.append(_value_atom(measure, name, text))
+            classes.append(_value_atom(measure, flag, name, text))
     return (measure, *classes)
 
 

@@ -5,6 +5,9 @@ is the first monic irreducible polynomial ``x^k + c_{k-1} x^{k-1} + ... + c_0``
 found by counting ``m = 0, 1, 2, ...`` and reading the ``c_i`` off as the
 base-p digits of ``m``, least significant digit giving ``c_0``.  Two calls
 with the same arguments therefore agree on every bit of the representation.
+Each candidate is tested by Ben-Or's irreducibility test in F_p[x], which is
+`Poly1Ring` over the prime field; the same ring reduces x^(k+i) modulo the
+chosen modulus to give the rows that fold products back into degree < k.
 
 Elements are encoded as plain integers in ``[0, p**k)``: the base-p digits of
 the code are the coefficients of the residue polynomial, constant digit
@@ -30,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegreeZero, NonIntegral, NotPrime
-from .rings import Ring
+from .polynomials import Poly1Ring
+from .rings import Ring, binary_power
 
 _TABLE_LIMIT = 256  # largest q for which full add/mul tables are built
 _LOG_LIMIT = 1 << 22  # largest q for which discrete-log tables are built
@@ -66,101 +70,26 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-# polynomial helpers on coefficient tuples over F_p, constant term first
-
-
-def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _polymod(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # f is monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
-    return _trim(tuple(x % p for x in a))
-
-def _polymulmod(a, b, f, p):
-    if not a or not b:
-        return ()
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-    return _polymod(tuple(c % p for c in conv), f, p)
-
-
-def _polypowmod(a, n: int, f, p):
-    result = (1,)
-    base = _polymod(a, f, p)
-    while n:
-        if n & 1:
-            result = _polymulmod(result, base, f, p)
-        base = _polymulmod(base, base, f, p)
-        n >>= 1
-    return result
-
-
-def _poly_remainder(a, b, p):
-    """Remainder of a modulo b over F_p; b need not be monic."""
-    a = list(_trim(a))
-    b = _trim(b)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        lead = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - lead * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _trim(tuple(a))
-
-
-def gcd_fp(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _poly_remainder(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
+def _prime_polys(p: int) -> Poly1Ring:
+    """F_p[x], where moduli are tested and reduction rows computed."""
+    return Poly1Ring(GF(p, 1, (0, 1)), "x")
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic polynomial f over F_p (constant term first)."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    x = (0, 1)
-    # x^(p^k) == x (mod f)
-    xq = x
-    for _ in range(k):
-        xq = _polypowmod(xq, p, f, p)
-    if _trim(xq) != _polymod(x, f, p):
-        return False
-    for d in _prime_divisors(k):
-        e = k // d
-        xe = x
-        for _ in range(e):
-            xe = _polypowmod(xe, p, f, p)
-        # gcd(f, x^(p^e) - x) must be trivial
-        xs = list(xe) + [0] * (max(len(xe), 2) - len(xe))
-        xs[1] = (xs[1] - 1) % p
-        diff = _trim(tuple(c % p for c in xs))
-        if not diff:
-            return False
-        if len(gcd_fp(f, diff, p)) > 1:
+    """Ben-Or's test for a monic f over F_p (constant term first).
+
+    f of degree k is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for
+    i = 1 .. k // 2, i.e. when f has no irreducible factor of degree <= k/2.
+    """
+    ring = _prime_polys(p)
+    x = ring.monomial(1)
+    h = x  # x^(p^i) mod f
+    for _ in range((len(f) - 1) // 2):
+        # h(x)^p = h(x^p) in characteristic p: spread the coefficients
+        spread = [0] * (p * (len(h) - 1) + 1)
+        spread[::p] = h
+        h = ring.divmod(tuple(spread), f)[1]
+        if len(ring.gcd(f, ring.sub(h, x))) > 1:
             return False
     return True
 
@@ -178,24 +107,15 @@ class GF(Ring):
         self.modulus = modulus  # length k+1, monic, constant term first
         self.characteristic = p
         self.name = f"GF({self.q})"
-        # reduction rows: x^(k+i) as a length-k digit vector, i = 0..k-2
+        # reduction rows: x^(k+i) mod f as a length-k digit vector, i = 0..k-2
         rows = []
-        cur = tuple((-c) % p for c in modulus[:k])  # x^k
-        for _ in range(max(0, k - 1)):
-            rows.append(cur)
-            shifted = (0,) + cur
-            over = shifted[k] if len(shifted) > k else 0
-            base = list(shifted[:k]) + [0] * (k - len(shifted[:k]))
-            if over:
-                xr = tuple((-c) % p for c in modulus[:k])
-                base = [(b + over * r) % p for b, r in zip(base, xr)]
-            cur = tuple(b % p for b in base)
+        if k > 1:
+            ring = _prime_polys(p)
+            for i in range(k - 1):
+                rem = ring.divmod(ring.monomial(k + i), modulus)[1]
+                rows.append(rem + (0,) * (k - len(rem)))
         self._red_rows = tuple(rows)
-        self._red_matrix = (
-            np.array(rows, dtype=np.int64).reshape(max(0, k - 1), k)
-            if k > 1
-            else np.zeros((0, 1), dtype=np.int64)
-        )
+        self._red_matrix = np.array(rows, dtype=np.int64).reshape(k - 1, k)
         self._powers = tuple(p**i for i in range(k))
         self._add_table = None
         self._mul_table = None
@@ -234,19 +154,6 @@ class GF(Ring):
 
     def elements(self):
         return range(self.q)
-
-    def modulus_text(self) -> str:
-        parts = []
-        for i in range(self.k, -1, -1):
-            c = 1 if i == self.k else self.modulus[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                v = "x" if i == 1 else f"x^{i}"
-                parts.append(v if c == 1 else f"{c}*{v}")
-        return " + ".join(parts) if parts else "0"
 
     # ring interface
 
@@ -450,7 +357,7 @@ class GF(Ring):
         a = np.asarray(a, dtype=np.int64)
         if n == 0:
             return np.ones_like(a)
-        if self.k > 1:
+        if n > 0 and self.k > 1:
             logs = self._log_tables(a.size)
             if logs is not None:
                 exp, log, _ = logs
@@ -458,14 +365,9 @@ class GF(Ring):
                 vanish = la < 0
                 idx = (np.where(vanish, 0, la) * n) % (self.q - 1)
                 return np.where(vanish, 0, exp[idx])
-        result = np.ones_like(a)
-        base = a
-        while n:
-            if n & 1:
-                result = self.vec_mul(result, base)
-            base = self.vec_mul(base, base)
-            n >>= 1
-        return result
+        # n != 0 here, so binary_power never returns its `one`; for n == 1
+        # it returns `a` itself, and no caller writes into a vec_pow result
+        return binary_power(self.vec_mul, None, a, n)
 
     def square_counts(self) -> np.ndarray:
         """counts[d] = number of field elements y with y*y == d."""

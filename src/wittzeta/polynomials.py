@@ -2,10 +2,11 @@
 
 Elements of `Poly1Ring(R)` are tuples of R-elements, constant term first,
 with trailing zeros stripped; the empty tuple is zero.  `Poly1Ring` is the
-coefficient arithmetic of rational Witt vectors and of the rational
-function field QQ(u), and it satisfies the ring interface itself, so
-determinants of matrices with polynomial entries reuse the same
-fraction-free elimination as ordinary integer matrices.
+coefficient arithmetic of rational Witt vectors, of the rational function
+field QQ(u) and of F_p[x], where :mod:`wittzeta.finitefield` tests and
+reduces by the moduli of its extension fields.  It satisfies the ring
+interface itself, so determinants of matrices with polynomial entries reuse
+the same fraction-free elimination as ordinary integer matrices.
 
 `resultant` evaluates the Sylvester determinant at *declared* degrees, which
 may exceed the true degrees; the extra rows of zeros simply scale the
@@ -123,24 +124,33 @@ class Poly1Ring(Ring):
         inv = self.base.try_inverse(a[0])
         return None if inv is None else (inv,)
 
-    def exact_div(self, a, b):
-        """Exact quotient a/b; raises NonIntegral when b does not divide a."""
-        if not b:
-            raise NonIntegral("division by the zero polynomial")
+    def _divide(self, a, b, over_lead):
+        """Long division of a by a nonzero b: (quotient, remainder).
+
+        `over_lead(c)` is the quotient coefficient that cancels the leading
+        coefficient c of the running remainder, c divided by that of b.
+        """
         base = self.base
         rem = list(a)
-        lead = b[-1]
         db = len(b) - 1
         quo = [base.zero] * max(len(a) - db, 0)
         for k in reversed(range(len(quo))):
-            c = base.exact_div(rem[k + db], lead)
+            c = over_lead(rem[k + db])
             quo[k] = c
             if not base.is_zero(c):
                 for j, y in enumerate(b):
                     rem[k + j] = base.sub(rem[k + j], base.mul(c, y))
-        if any(not base.is_zero(x) for x in rem):
+        return self.trim(quo), self.trim(rem)
+
+    def exact_div(self, a, b):
+        """Exact quotient a/b; raises NonIntegral when b does not divide a."""
+        if not b:
+            raise NonIntegral("division by the zero polynomial")
+        lead = b[-1]
+        quo, rem = self._divide(a, b, lambda c: self.base.exact_div(c, lead))
+        if rem:
             raise NonIntegral("inexact polynomial division")
-        return self.trim(quo)
+        return quo
 
     def divmod(self, a, b):
         """Quotient and remainder; requires an invertible leading coefficient."""
@@ -149,16 +159,7 @@ class Poly1Ring(Ring):
         inv = self.base.try_inverse(b[-1])
         if inv is None:
             raise NonIntegral("leading coefficient is not invertible")
-        quo = ()
-        rem = a
-        db = len(b) - 1
-        while rem and len(rem) - 1 >= db:
-            da = len(rem) - 1
-            c = self.base.mul(rem[-1], inv)
-            term = self.monomial(da - db, c)
-            quo = self.add(quo, term)
-            rem = self.sub(rem, self.mul(term, b))
-        return quo, rem
+        return self._divide(a, b, lambda c: self.base.mul(c, inv))
 
     def gcd(self, a, b):
         """Monic gcd over a field coefficient ring (zero for two zeros)."""

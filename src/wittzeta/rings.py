@@ -22,6 +22,10 @@ with no detour through its fraction field and no floating point.  Rational
 reconstruction does need a field; :func:`wittzeta.rational.fraction_field`
 supplies it.
 
+Powers are computed one way everywhere: :func:`binary_power` is the
+square-and-multiply behind `Ring.power`, series powers and finite-field
+vector powers.
+
 Sums of terms print one way everywhere (polynomials, series, classes in the
 Grothendieck group): :func:`scaled_term` writes one coefficient times one
 monomial and :func:`signed_sum` joins the terms.
@@ -78,17 +82,7 @@ class Ring:
         return self.mul(a, self.from_int(n))
 
     def power(self, a, n: int):
-        if n < 0:
-            raise ValueError("negative power in a plain ring")
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:  # the square after the top bit would go unused
-                base = self.mul(base, base)
-        return result
+        return binary_power(self.mul, self.one, a, n)
 
     def try_inverse(self, a):
         """Inverse of a unit, or None when `a` is not invertible."""
@@ -97,6 +91,27 @@ class Ring:
     def exact_div(self, a, b):
         """Quotient a/b when it exists in the ring; raises NonIntegral otherwise."""
         raise NotImplementedError
+
+
+def binary_power(mul, one, base, n: int):
+    """base**n by square-and-multiply with the product `mul`.
+
+    Makes bit_length(n) + popcount(n) - 2 products for n >= 1: none with
+    `one`, which is returned only for n == 0, and no square after the top
+    bit.  Raises ValueError for n < 0.
+    """
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def scaled_term(coeff: str, mono: str) -> str:

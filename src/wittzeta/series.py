@@ -17,7 +17,7 @@ from .errors import (
     RingMismatch,
 )
 from .polynomials import Poly1Ring
-from .rings import Ring
+from .rings import Ring, binary_power
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,8 @@ class TruncSeries:
 
     def pow_int(self, n: int) -> "TruncSeries":
         base = self if n >= 0 else self.invert()
-        n = abs(n)
-        result = TruncSeries.one(self.ring, self.precision)
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return result
+        one = TruncSeries.one(self.ring, self.precision)
+        return binary_power(TruncSeries.mul, one, base, abs(n))
 
     def scale_argument(self, s) -> "TruncSeries":
         """g(t) -> g(s*t), multiplying the n-th coefficient by s^n."""

@@ -359,6 +359,37 @@ def test_missing_counterpart_variety(capsys):
          "no finite field given; pass --q or a variety that declares p, k"),
         (("check", "expo", "--x", "a1", "--q", "6"),
          "6 is not a prime power"),
+        # each measure reads only its own kind of class flag
+        (("check", "totaro", "--measure", "poincare", "--variety", "nosuch",
+          "--variety-value", "-1", "--q", "2", "--n", "2"),
+         "--variety is not read by the poincare measure"),
+        (("zeta", "kapranov", "--measure", "euler", "--variety", "a1",
+          "--variety-value", "2"),
+         "--variety is not read by the euler measure"),
+        (("check", "bundle", "--measure", "euler", "--variety", "a1"),
+         "--variety is not read by the euler measure"),
+        (("check", "expo", "--measure", "poincare", "--x-value", "1+u",
+          "--y", "a1", "--y-value", "u"),
+         "--y is not read by the poincare measure"),
+        (("zeta", "kapranov", "--variety", "a1", "--variety-value", "2",
+          "--q", "5"),
+         "--variety-value is not read by the counting measure"),
+        (("check", "totaro", "--variety-value", "2", "--q", "5"),
+         "--variety-value is not read by the counting measure"),
+        (("check", "expo", "--x", "a1", "--x-value", "3", "--y", "a1",
+          "--q", "5"),
+         "--x-value is not read by the counting measure"),
+        (("check", "expo", "--x", "a1", "--y", "a1", "--y-value", "3",
+          "--q", "5"),
+         "--y-value is not read by the counting measure"),
+        # euler values are integers, and a bad one names its flag
+        (("zeta", "kapranov", "--measure", "euler", "--variety-value", "x"),
+         "--variety-value must be an integer for the euler measure, got 'x'"),
+        (("check", "totaro", "--measure", "euler", "--variety-value", ""),
+         "--variety-value must be an integer for the euler measure, got ''"),
+        (("check", "expo", "--measure", "euler", "--x-value", "2",
+          "--y-value", "1+u"),
+         "--y-value must be an integer for the euler measure, got '1+u'"),
     ],
 )
 def test_measure_and_class_usage_errors(capsys, argv, message):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from wittzeta.errors import DegreeZero, NonIntegral, NotPrime
-from wittzeta.finitefield import _LOG_TRIGGER, GF, is_prime, make_field
+from wittzeta.finitefield import (
+    _LOG_TRIGGER,
+    GF,
+    _is_irreducible,
+    is_prime,
+    make_field,
+)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 1)]
 # extension fields on both sides of _LOG_TRIGGER; each builds its log
@@ -13,6 +19,25 @@ LOG_FIELDS = [(2, 13), (3, 4), (3, 8), (5, 4), (7, 4), (13, 4)]
 def digit_path_copy(F):
     """A second copy of F kept on the digit path: feed it short vectors only."""
     return GF(F.p, F.k, F.modulus)
+
+
+def monic_polys(p, degree):
+    """Every monic polynomial of one degree over F_p, constant term first."""
+    for m in range(p**degree):
+        yield tuple((m // p**i) % p for i in range(degree)) + (1,)
+
+
+def remainder_mod(a, f, p):
+    """a modulo the monic f over F_p as a length-deg(f) tuple, by schoolbook
+    elimination on plain lists."""
+    a = [c % p for c in a]
+    k = len(f) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top]
+        if c:
+            for j in range(k + 1):
+                a[top - k + j] = (a[top - k + j] - c * f[j]) % p
+    return tuple(a[:k]) + (0,) * (k - len(a))
 
 
 def in_short_chunks(op, *arrays):
@@ -126,6 +151,28 @@ def test_modulus_scan_goldens():
         assert make_field(p, 1).modulus == (0, 1)
 
 
+def test_is_irreducible_against_trial_division():
+    for p, top in [(2, 8), (3, 5), (5, 4)]:
+        for d in range(1, top + 1):
+            divisors = [g for e in range(1, d // 2 + 1) for g in monic_polys(p, e)]
+            for f in monic_polys(p, d):
+                reducible = any(not any(remainder_mod(f, g, p)) for g in divisors)
+                assert _is_irreducible(f, p) is not reducible, (p, f)
+
+
+def test_reduction_rows_are_remainders():
+    # _red_rows[i] is x^(k+i) modulo the modulus, as k digits
+    for p, moduli in MODULUS_GOLDENS.items():
+        for k, modulus in enumerate(moduli, start=1):
+            F = make_field(p, k)
+            rows = tuple(
+                remainder_mod((0,) * (k + i) + (1,), modulus, p) for i in range(k - 1)
+            )
+            assert F._red_rows == rows, (p, k)
+            assert F._red_matrix.shape == (k - 1, k)
+            assert F._red_matrix.tolist() == [list(r) for r in rows]
+
+
 def test_prime_field_is_mod_p():
     F = make_field(7, 1)
     assert F.q == 7
@@ -225,6 +272,33 @@ def test_vec_pow_zero_exponent():
     F = make_field(3, 2)
     a = np.arange(F.q, dtype=np.int64)
     assert np.array_equal(F.vec_pow(a, 0), np.ones(F.q, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (2, 13)])
+def test_vec_pow_matches_repeated_multiplication(p, k):
+    # a fresh copy of the field: short vectors stay on the digit path (or
+    # mod-p arithmetic for k = 1), and the large one then builds the log
+    # tables that the extension fields raise to powers through
+    F = GF(p, k, make_field(p, k).modulus)
+    ref = digit_path_copy(F)
+    rng = np.random.default_rng(10 * p + k)
+    for size in (64, _LOG_TRIGGER):
+        a = rng.integers(0, F.q, size=size).astype(np.int64)
+        a[:2] = 0, 1
+        want = np.ones_like(a)
+        for n in range(21):
+            assert np.array_equal(F.vec_pow(a, n), want), (size, n)
+            want = in_short_chunks(ref.vec_mul, want, a)
+        assert (F._logs is not None) == (k > 1 and size >= _LOG_TRIGGER)
+
+
+def test_vec_pow_negative_exponent_raises():
+    with_logs = GF(3, 4, make_field(3, 4).modulus)
+    with_logs._log_tables(_LOG_TRIGGER)
+    for F in (make_field(7, 1), make_field(3, 2), with_logs):
+        assert (F._logs is not None) == (F is with_logs)
+        with pytest.raises(ValueError):
+            F.vec_pow(np.arange(F.q, dtype=np.int64), -1)
 
 
 def test_square_counts():

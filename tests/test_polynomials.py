@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wittzeta.errors import NonIntegral
+from wittzeta.finitefield import make_field
 from wittzeta.polynomials import Poly1Ring, determinant, resultant
 from wittzeta.rings import QQ, ZZ, int_poly_ring
 
@@ -58,6 +60,38 @@ def test_divmod_monic():
     quo, rem = Zt.divmod((1, 2, 0, 1), (-1, 1))
     assert quo == (3, 1, 1)
     assert rem == (4,)
+
+
+def test_divmod_reconstructs_the_dividend():
+    rng = random.Random(7)
+    F5 = make_field(5, 1)
+    for ring, draw in [
+        (Qt, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+        (Poly1Ring(F5, "x"), lambda: rng.randrange(5)),
+    ]:
+        for _ in range(40):
+            a = ring.trim(draw() for _ in range(rng.randint(0, 7)))
+            b = ring.trim(draw() for _ in range(rng.randint(1, 4)))
+            if not b:
+                continue
+            quo, rem = ring.divmod(a, b)
+            assert ring.add(ring.mul(quo, b), rem) == a
+            assert ring.degree(rem) < ring.degree(b)
+            if not rem:
+                assert ring.exact_div(a, b) == quo
+
+
+def test_division_errors():
+    with pytest.raises(NonIntegral, match="^division by the zero polynomial$"):
+        Qt.divmod((Fraction(1),), ())
+    with pytest.raises(NonIntegral, match="^division by the zero polynomial$"):
+        Zt.exact_div((1,), ())
+    with pytest.raises(NonIntegral, match="^leading coefficient is not invertible$"):
+        Zt.divmod((1, 0, 1), (1, 2))
+    with pytest.raises(NonIntegral, match="^inexact polynomial division$"):
+        Zt.exact_div((1, 0, 1), (1, 1))
+    with pytest.raises(NonIntegral, match="^3 is not divisible by 2$"):
+        Zt.exact_div((0, 3), (0, 2))
 
 
 def test_gcd_over_field():

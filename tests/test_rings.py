@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from wittzeta.errors import NonIntegral
+from wittzeta.finitefield import make_field
 from wittzeta.rings import (
     QQ,
     ZZ,
+    binary_power,
     int_poly_ring,
     poly_ring,
     scaled_term,
@@ -24,6 +26,41 @@ def test_integer_ring_basics():
     assert ZZ.from_int(-9) == -9
     assert ZZ.render(-3) == "-3"
     assert ZZ.torsion_free and not ZZ.is_field
+
+
+def test_binary_power_product_count():
+    # bit_length(n) - 1 squares and popcount(n) - 1 multiplies: no product
+    # with the unit and no square after the top bit
+    for n in range(41):
+        operands = []
+
+        def mul(a, b):
+            operands.extend((a, b))
+            return a * b
+
+        assert binary_power(mul, 1, 3, n) == 3**n
+        products = len(operands) // 2
+        assert products == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        assert 1 not in operands
+    with pytest.raises(ValueError):
+        binary_power(lambda a, b: a * b, 1, 3, -1)
+
+
+def test_power_matches_repeated_multiplication():
+    R = int_poly_ring("u")
+    F = make_field(3, 2)
+    for ring, a in [
+        (ZZ, -3),
+        (QQ, Fraction(-2, 3)),
+        (R, R.add(R.variable("u"), R.from_int(-2))),
+        (F, 5),
+    ]:
+        want = ring.one
+        for n in range(21):
+            assert ring.power(a, n) == want
+            want = ring.mul(want, a)
+        with pytest.raises(ValueError):
+            ring.power(a, -1)
 
 
 def test_integer_inverse_and_division():

@@ -83,6 +83,31 @@ def test_pow_int():
     assert s.pow_int(-2).coeffs == (1, -2, 3, -4)
 
 
+def test_pow_int_matches_repeated_multiplication(monkeypatch):
+    R = int_poly_ring("u")
+    u = R.variable("u")
+    for s in [S(1, -2, 3, 0, 5, -1), TruncSeries.make(R, [R.one, u, R.neg(u)], 4)]:
+        one = TruncSeries.one(s.ring, s.precision)
+        inverse = s.invert()
+        for n in range(-5, 9):
+            want = one
+            for _ in range(abs(n)):
+                want = want.mul(s if n > 0 else inverse)
+            assert s.pow_int(n) == want
+    # square-and-multiply: no product with the unit, no square after the
+    # top bit of the exponent
+    calls = []
+    mul = TruncSeries.mul
+    monkeypatch.setattr(
+        TruncSeries, "mul", lambda a, b: calls.append(1) or mul(a, b)
+    )
+    s = S(1, 1, 0, 0)
+    for n, products in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (-3, 2)]:
+        calls.clear()
+        s.pow_int(n)
+        assert len(calls) == products, n
+
+
 def test_scale_and_stretch_argument():
     s = S(1, 1, 1, 1)
     assert s.scale_argument(2).coeffs == (1, 2, 4, 8)

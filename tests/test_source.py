@@ -1,11 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "wittzeta").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "wittzeta").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -15,3 +18,23 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/run.py --trace 1 wraps these names from outside the package;
+    # deleting or renaming one breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name in tracing.FUNCTIONS:
+        fn = getattr(importlib.import_module(f"wittzeta.{module}"), name, None)
+        assert callable(fn), f"wittzeta.{module}.{name}"
+    for module, cls, name in tracing.METHODS:
+        owner = importlib.import_module(f"wittzeta.{module}")
+        assert getattr(owner, cls.__name__, None) is cls, f"{module}.{cls.__name__}"
+        assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
+    # run.py reads the field cache's counters
+    make_field = importlib.import_module("wittzeta.finitefield").make_field
+    assert callable(make_field.cache_info)
