@@ -135,12 +135,9 @@ def _measure_and_classes(args, **names):
     """
     counting = args.measure == "counting"
     for flag in names:
-        unread = f"{flag}_value" if counting else flag
-        if getattr(args, unread) is not None:
-            raise ValueError(
-                f"--{unread.replace('_', '-')} is not read by the "
-                f"{args.measure} measure"
-            )
+        unread = f"{flag}-value" if counting else flag
+        if getattr(args, unread.replace("-", "_")) is not None:
+            raise ValueError(f"--{unread} is not read by the {args.measure} measure")
     measure = None if counting else _measure_arg(args)
     classes = []
     for flag, name in names.items():

@@ -124,18 +124,19 @@ class Poly1Ring(Ring):
         inv = self.base.try_inverse(a[0])
         return None if inv is None else (inv,)
 
-    def _divide(self, a, b, over_lead):
+    def _divide(self, a, b, div, by):
         """Long division of a by a nonzero b: (quotient, remainder).
 
-        `over_lead(c)` is the quotient coefficient that cancels the leading
-        coefficient c of the running remainder, c divided by that of b.
+        Each quotient coefficient is div(c, by), c being the leading
+        coefficient of the running remainder: c over b's leading
+        coefficient, as an exact division by it or a product with its inverse.
         """
         base = self.base
         rem = list(a)
         db = len(b) - 1
         quo = [base.zero] * max(len(a) - db, 0)
         for k in reversed(range(len(quo))):
-            c = over_lead(rem[k + db])
+            c = div(rem[k + db], by)
             quo[k] = c
             if not base.is_zero(c):
                 for j, y in enumerate(b):
@@ -146,8 +147,7 @@ class Poly1Ring(Ring):
         """Exact quotient a/b; raises NonIntegral when b does not divide a."""
         if not b:
             raise NonIntegral("division by the zero polynomial")
-        lead = b[-1]
-        quo, rem = self._divide(a, b, lambda c: self.base.exact_div(c, lead))
+        quo, rem = self._divide(a, b, self.base.exact_div, b[-1])
         if rem:
             raise NonIntegral("inexact polynomial division")
         return quo
@@ -159,7 +159,7 @@ class Poly1Ring(Ring):
         inv = self.base.try_inverse(b[-1])
         if inv is None:
             raise NonIntegral("leading coefficient is not invertible")
-        return self._divide(a, b, lambda c: self.base.mul(c, inv))
+        return self._divide(a, b, self.base.mul, inv)
 
     def gcd(self, a, b):
         """Monic gcd over a field coefficient ring (zero for two zeros)."""
