@@ -16,6 +16,7 @@ standard error).  Output is deterministic; --threads never changes it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -30,7 +31,6 @@ from .errors import WittzetaError
 from .measures import (
     Measure,
     counting_measure,
-    euler_atom,
     euler_measure,
     poincare_measure,
 )
@@ -113,16 +113,17 @@ def _measure_arg(args, variety=None) -> Measure:
 
 def _value_atom(measure: Measure, flag: str, name: str, text: str) -> SymbolicAtom:
     """Symbolic atom carrying one explicit euler or poincare value."""
-    if measure.name == "euler":
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"--{flag}-value must be an integer for the euler measure, "
-                f"got {text!r}"
-            ) from None
-        return euler_atom(name, value)
-    return SymbolicAtom.make(name, {"poincare": parse_poly(text, ("u",))})
+    euler = measure.name == "euler"
+    try:
+        value = int(text) if euler else parse_poly(text, ("u",))
+    except ValueError as exc:
+        want = "an integer" if euler else "a polynomial in u"
+        why = "" if euler else f": {exc}"
+        raise ValueError(
+            f"--{flag}-value must be {want} for the {measure.name} measure, "
+            f"got {text!r}{why}"
+        ) from None
+    return SymbolicAtom.make(name, {measure.name: value})
 
 
 def _measure_and_classes(args, **names):
@@ -164,6 +165,11 @@ def _check_prec(n: int) -> int:
     return n
 
 
+def _check_dmax(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"--dmax must be at least 0, got {n}")
+
+
 def _emit(args, text: str, data: dict) -> None:
     if args.json:
         print(json.dumps(data))
@@ -181,9 +187,13 @@ def _emit_rat(args, rat: RatWitt) -> int:
     return 0
 
 
-def _emit_not_found(args, dmax: int) -> int:
-    _emit(args, f"NOT FOUND (dmax {dmax})", {"found": False, "dmax": dmax})
-    return 1
+def _emit_rationalized(args, series: TruncSeries) -> int:
+    rat = rationalize(series, args.dmax)
+    if rat is None:
+        data = {"found": False, "dmax": args.dmax}
+        _emit(args, f"NOT FOUND (dmax {args.dmax})", data)
+        return 1
+    return _emit_rat(args, rat)
 
 
 def _emit_verdict(args, verdict) -> int:
@@ -243,12 +253,14 @@ def _cmd_rat_mul(args) -> int:
 
 
 def _cmd_rat_rationalize(args) -> int:
-    coeffs = tuple(int(part) for part in args.coeffs.split(","))
-    series = TruncSeries.make(ZZ, coeffs, len(coeffs) - 1)
-    rat = rationalize(series, args.dmax)
-    if rat is None:
-        return _emit_not_found(args, args.dmax)
-    return _emit_rat(args, rat)
+    try:
+        coeffs = tuple(int(part) for part in args.coeffs.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--coeffs must be comma-separated integers, got {args.coeffs!r}"
+        ) from None
+    _check_dmax(args.dmax)
+    return _emit_rationalized(args, TruncSeries.make(ZZ, coeffs, len(coeffs) - 1))
 
 
 # ---------------------------------------------------------------- zeta
@@ -256,16 +268,15 @@ def _cmd_rat_rationalize(args) -> int:
 
 def _zeta_output(args, zeta) -> int:
     if args.rationalize:
-        rat = rationalize(zeta.series, args.dmax)
-        if rat is None:
-            return _emit_not_found(args, args.dmax)
-        return _emit_rat(args, rat)
+        return _emit_rationalized(args, zeta.series)
     _emit(args, zeta.render(), zeta.render_json())
     return 0
 
 
 def _cmd_zeta_weil(args) -> int:
     n = _check_prec(args.prec)
+    if args.rationalize:
+        _check_dmax(args.dmax)
     variety = _variety_arg(args.variety)
     p, k = _field_args(args, variety)
     zeta = weil_zeta(variety, p**k, n, args.threads)
@@ -274,6 +285,8 @@ def _cmd_zeta_weil(args) -> int:
 
 def _cmd_zeta_kapranov(args) -> int:
     n = _check_prec(args.prec)
+    if args.rationalize:
+        _check_dmax(args.dmax)
     measure, x = _measure_and_classes(args, variety="X")
     return _zeta_output(args, kapranov_zeta(measure, x, n))
 
@@ -619,15 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except WittzetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (WittzetaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

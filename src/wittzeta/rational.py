@@ -20,10 +20,10 @@ Over ZZ and QQ the pair is then reduced to lowest terms with a primitive
 remainder sequence over ZZ[t] (Collins, JACM 1967), so no rational
 coefficient ever grows inside Euclid's algorithm.
 
-`rationalize` goes the other way: given a truncated series it searches for
-a representing pair with bounded degrees by solving the Hankel linear
-system over the fraction field, preferring the smallest denominator degree
-and returning None when no pair exists within the bound.
+`rationalize` goes the other way: given a truncated series it finds the
+pair with both degrees bounded, or None, in one elimination pass over the
+Hankel system in the fraction field.  Padé forms are unique under the
+precision bound, so the first solvable denominator degree is the answer.
 """
 
 from __future__ import annotations
@@ -310,48 +310,21 @@ def fraction_field(ring: Ring):
     raise ValueError(f"no fraction field support for {ring.name}")
 
 
-def _solve_linear(field: Ring, rows: list, unknowns: int):
-    """One solution of the system, free unknowns set to 0; None if none."""
-    m = [list(r) for r in rows]  # each row: unknowns coefficients + rhs
-    pivots = []
-    row = 0
-    for col in range(unknowns):
-        pivot = next(
-            (r for r in range(row, len(m)) if not field.is_zero(m[r][col])),
-            None,
-        )
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = field.try_inverse(m[row][col])
-        m[row] = [field.mul(inv, v) for v in m[row]]
-        for r in range(len(m)):
-            if r != row and not field.is_zero(m[r][col]):
-                factor = m[r][col]
-                m[r] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(m[r], m[row])
-                ]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    for r in range(row, len(m)):
-        if not field.is_zero(m[r][unknowns]):
-            return None
-    solution = [field.zero] * unknowns
-    for r, col in enumerate(pivots):
-        solution[col] = m[r][unknowns]
-    return solution
-
-
 def rationalize(g: TruncSeries, dmax: int):
-    """Smallest (num, den) pair matching g on its whole window, or None.
+    """The pair (num, den) in lowest terms that g expands, or None.
 
-    Searches denominator degrees 0..dmax, then numerator degrees, and
-    requires every available coefficient of g to match, which needs
-    2*dmax < precision; below that bound the answer would not be trustworthy
-    and PrecisionTooLow is raised.
+    Both degrees are at most dmax and all of c_0..c_N of g must match,
+    which needs 2*dmax < N + 1, else PrecisionTooLow.  The pair is then
+    unique: q*g = p and q'*g = p' modulo t^(N+1) give p*q' = p'*q there,
+    and both sides have degree at most 2*dmax, so p/q = p'/q'.
+
+    The Hankel rows n = dmax+1..N, sum_{j=1..dmax} q_j c_(n-j) = -c_n, say
+    that q*g has no term t^n.  One elimination runs over their columns in
+    order; after column dq the system in q_1..q_dq is solvable exactly when
+    no row left without a pivot has a nonzero right-hand side.  By
+    uniqueness the first solvable dq is the degree of the reduced
+    denominator and q is the only solution there, so no numerator degree is
+    searched: num is q*g truncated at degree dmax.
     """
     n_max = g.precision
     if 2 * dmax >= n_max:
@@ -360,30 +333,40 @@ def rationalize(g: TruncSeries, dmax: int):
         )
     ring = g.ring
     field, embed, retract = fraction_field(ring)
+    if dmax < 0:
+        return None
     c = [embed(x) for x in g.coeffs]
-
-    for dq in range(dmax + 1):
-        for dp in range(dmax + 1):
-            rows = []
-            for n in range(dp + 1, n_max + 1):
-                row = [
-                    c[n - j] if n - j >= 0 else field.zero
-                    for j in range(1, dq + 1)
-                ]
-                row.append(field.neg(c[n]))
-                rows.append(row)
-            sol = _solve_linear(field, rows, dq)
-            if sol is None:
-                continue
-            q = [field.one] + sol
-            p = []
-            for i in range(dp + 1):
-                acc = field.zero
-                for j in range(0, min(i, dq) + 1):
-                    acc = field.add(acc, field.mul(q[j], c[i - j]))
-                p.append(acc)
-            return _assemble(ring, field, retract, p, q)
-    return None
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    rows = [  # the rows without a pivot
+        [c[n - j] for j in range(1, dmax + 1)] + [field.neg(c[n])]
+        for n in range(dmax + 1, n_max + 1)
+    ]
+    pivots = []  # (column, row) with the row scaled so its pivot is 1
+    dq = 0
+    while not all(is_zero(row[-1]) for row in rows):
+        if dq == dmax:
+            return None
+        col, dq = dq, dq + 1
+        at = next((i for i, row in enumerate(rows) if not is_zero(row[col])), None)
+        if at is None:
+            continue
+        inv = field.try_inverse(rows[at][col])
+        top = [mul(inv, v) for v in rows.pop(at)]
+        pivots.append((col, top))
+        for row in rows:
+            factor = row[col]
+            if not is_zero(factor):
+                for k in range(col, dmax + 1):
+                    row[k] = sub(row[k], mul(factor, top[k]))
+    q = [field.one] + [field.zero] * dq
+    for col, row in reversed(pivots):
+        acc = row[-1]
+        for k in range(col + 1, dq):
+            acc = sub(acc, mul(row[k], q[k + 1]))
+        q[col + 1] = acc
+    rt = Poly1Ring(field, "t")
+    p = rt.trim(rt.mul(q, c[: dmax + 1])[: dmax + 1])
+    return _assemble(ring, field, retract, p, q)
 
 
 def _assemble(ring, field, retract, p, q):

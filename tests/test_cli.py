@@ -390,6 +390,14 @@ def test_missing_counterpart_variety(capsys):
         (("check", "expo", "--measure", "euler", "--x-value", "2",
           "--y-value", "1+u"),
          "--y-value must be an integer for the euler measure, got '1+u'"),
+        # so does a poincare value that is no polynomial in u
+        (("check", "expo", "--measure", "poincare", "--x-value", "1+u",
+          "--y-value", "2*"),
+         "--y-value must be a polynomial in u for the poincare measure, "
+         "got '2*': unexpected end of input"),
+        (("zeta", "kapranov", "--measure", "poincare", "--variety-value", "1+v"),
+         "--variety-value must be a polynomial in u for the poincare measure, "
+         "got '1+v': unknown variable 'v' at position 2"),
     ],
 )
 def test_measure_and_class_usage_errors(capsys, argv, message):
@@ -411,6 +419,89 @@ def test_missing_field(capsys):
     assert err.startswith("error: no finite field given")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rat", "rationalize", "--coeffs", "1,2,x"),
+         "--coeffs must be comma-separated integers, got '1,2,x'"),
+        (("rat", "rationalize", "--coeffs", ""),
+         "--coeffs must be comma-separated integers, got ''"),
+        (("rat", "rationalize", "--coeffs", "1,4,13,40", "--dmax", "-1"),
+         "--dmax must be at least 0, got -1"),
+        (("zeta", "weil", "--variety", "p1", "--q", "3", "--rationalize",
+          "--dmax", "-1"),
+         "--dmax must be at least 0, got -1"),
+        (("zeta", "kapranov", "--measure", "euler", "--variety-value", "2",
+          "--rationalize", "--dmax", "-2", "--json"),
+         "--dmax must be at least 0, got -2"),
+        # a bad --prec is still reported first
+        (("zeta", "weil", "--variety", "p1", "--q", "3", "--prec", "0",
+          "--rationalize", "--dmax", "-1"),
+         "precision must be at least 1"),
+        # errors of the series itself are unchanged
+        (("rat", "rationalize", "--coeffs", "2,4,8,16", "--dmax", "1"),
+         "numerator and denominator need constant term 1"),
+        (("rat", "rationalize", "--coeffs", "0,0,0,0,0", "--dmax", "1"),
+         "numerator and denominator need constant term 1"),
+        (("rat", "rationalize", "--coeffs", "1,2,3", "--dmax", "1"),
+         "need 2*dmax < precision, got dmax=1, precision=2"),
+    ],
+)
+def test_rationalize_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_dmax_is_not_read_without_rationalize(capsys):
+    code, out, _ = run(
+        capsys, "zeta", "weil", "--variety", "p1", "--q", "3", "--prec", "3",
+        "--dmax", "-1",
+    )
+    assert code == 0
+    assert out == run(
+        capsys, "zeta", "weil", "--variety", "p1", "--q", "3", "--prec", "3"
+    )[1]
+
+
+def _run_to_exit(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejected the argv
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_REUSE_ARGV = (
+    ("rat", "rationalize", "--coeffs", "1,4,13,40,121,364,1093", "--dmax", "2"),
+    ("witt", "mul", "--a", "1-2*t"),  # argparse: --b is required
+    ("rat", "rationalize", "--coeffs", "1,4,13,40,121,364,1093", "--dmax", "1",
+     "--json"),
+    ("zeta", "kapranov", "--measure", "euler", "--variety-value", "2",
+     "--prec", "4"),
+    ("check", "expo", "--measure", "bogus"),  # argparse: invalid choice
+    ("witt", "ghost", "--a", "1-2*t", "--inv-a", "--prec", "5", "--json"),
+    ("rat", "rationalize", "--coeffs", "1,2,x"),
+    ("count", "points", "--variety", "a1"),
+    ("rat", "--help"),
+)
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(capsys):
+    fresh = {}
+    for argv in PARSER_REUSE_ARGV:
+        cli._parser.cache_clear()
+        fresh[argv] = _run_to_exit(capsys, argv)
+    assert {code for code, _, _ in fresh.values()} == {0, 1, 2}
+    cli._parser.cache_clear()
+    for order in (PARSER_REUSE_ARGV, PARSER_REUSE_ARGV[::-1]) * 2:
+        for argv in order:
+            assert _run_to_exit(capsys, argv) == fresh[argv], argv
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["witt", "mul", "--a", "1-2*t"])
@@ -418,6 +509,9 @@ def test_argparse_usage_error_exits_two():
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the package this test imported, however pytest found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [
             sys.executable, "-m", "wittzeta.cli",
@@ -425,6 +519,7 @@ def test_module_entry_point_subprocess():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "(2, 4, 8, 16, 32)\n"

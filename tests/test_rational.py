@@ -9,6 +9,7 @@ from wittzeta.polynomials import Poly1Ring, resultant
 from wittzeta.rational import (
     RatFuncRing,
     RatWitt,
+    _assemble,
     _primitive_gcd,
     fraction_field,
     rat_add,
@@ -316,6 +317,163 @@ def test_rationalize_over_polynomial_coefficients():
     assert rat.ring is R
     assert rat.num == (R.one,)
     assert rat.den == (R.one, R.neg(u))
+
+
+def _solve_by_gauss_jordan(field, rows, unknowns):
+    """One solution of the system, free unknowns set to 0; None if none."""
+    m = [list(r) for r in rows]  # each row: unknowns coefficients + rhs
+    pivots = []
+    row = 0
+    for col in range(unknowns):
+        pivot = next(
+            (r for r in range(row, len(m)) if not field.is_zero(m[r][col])),
+            None,
+        )
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = field.try_inverse(m[row][col])
+        m[row] = [field.mul(inv, v) for v in m[row]]
+        for r in range(len(m)):
+            if r != row and not field.is_zero(m[r][col]):
+                factor = m[r][col]
+                m[r] = [
+                    field.sub(v, field.mul(factor, w))
+                    for v, w in zip(m[r], m[row])
+                ]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    for r in range(row, len(m)):
+        if not field.is_zero(m[r][unknowns]):
+            return None
+    solution = [field.zero] * unknowns
+    for r, col in enumerate(pivots):
+        solution[col] = m[r][unknowns]
+    return solution
+
+
+def _rationalize_by_degree_search(g, dmax):
+    """Oracle: a fresh Gauss-Jordan solve per (dq, dp), smallest dq first."""
+    n_max = g.precision
+    if 2 * dmax >= n_max:
+        raise PrecisionTooLow(
+            f"need 2*dmax < precision, got dmax={dmax}, precision={n_max}"
+        )
+    field, embed, retract = fraction_field(g.ring)
+    c = [embed(x) for x in g.coeffs]
+    for dq in range(dmax + 1):
+        for dp in range(dmax + 1):
+            rows = []
+            for n in range(dp + 1, n_max + 1):
+                row = [
+                    c[n - j] if n - j >= 0 else field.zero
+                    for j in range(1, dq + 1)
+                ]
+                row.append(field.neg(c[n]))
+                rows.append(row)
+            sol = _solve_by_gauss_jordan(field, rows, dq)
+            if sol is None:
+                continue
+            q = [field.one] + sol
+            p = []
+            for i in range(dp + 1):
+                acc = field.zero
+                for j in range(0, min(i, dq) + 1):
+                    acc = field.add(acc, field.mul(q[j], c[i - j]))
+                p.append(acc)
+            return _assemble(g.ring, field, retract, p, q)
+    return None
+
+
+def _outcome(rationalizer, g, dmax):
+    """(ring, num, den), None, or the (type, message) of the error raised."""
+    try:
+        rat = rationalizer(g, dmax)
+    except (ValueError, PrecisionTooLow) as exc:
+        return type(exc), str(exc)
+    return None if rat is None else (rat.ring, rat.num, rat.den)
+
+
+def _ratio_corpus(rng, ring, draw, degrees):
+    """Series p/q with deg p, deg q <= D for each D in `degrees`.
+
+    The precision N runs over 2D+1..2D+3.  In about a third of them the last
+    coefficient is bumped by one, which leaves most of those with no pair
+    within the bound.
+    """
+    for dmax in degrees:
+        num = [ring.one] + [draw() for _ in range(rng.randint(0, dmax))]
+        den = [ring.one] + [draw() for _ in range(rng.randint(0, dmax))]
+        n = 2 * dmax + rng.randint(1, 3)
+        coeffs = list(rat_expand(rat_make(ring, num, den), n).coeffs)
+        if rng.random() < 0.35:
+            coeffs[-1] = ring.add(coeffs[-1], ring.one)
+        yield TruncSeries.make(ring, coeffs, n), dmax
+
+
+def _assert_matches_degree_search(corpus):
+    outcomes = []
+    for g, dmax in corpus:
+        want = _outcome(_rationalize_by_degree_search, g, dmax)
+        assert _outcome(rationalize, g, dmax) == want, (g.coeffs, dmax)
+        outcomes.append(want)
+    return outcomes
+
+
+def test_rationalize_matches_degree_search_over_integers():
+    rng = random.Random(20)
+    # every D in 1..8, weighted towards the cheap small bounds
+    counts = {1: 125, 2: 125, 3: 115, 4: 70, 5: 45, 6: 20, 7: 6, 8: 5}
+    degrees = [d for d, k in counts.items() for _ in range(k)]
+    outcomes = _assert_matches_degree_search(
+        _ratio_corpus(rng, ZZ, lambda: rng.randint(-2, 2), degrees)
+    )
+    assert len(outcomes) >= 500
+    missing = outcomes.count(None)
+    assert 0.25 * len(outcomes) < missing < 0.45 * len(outcomes)
+
+
+def test_rationalize_matches_degree_search_over_rationals():
+    rng = random.Random(21)
+
+    def draw():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    degrees = [1 + i % 5 for i in range(100)]
+    outcomes = _assert_matches_degree_search(_ratio_corpus(rng, QQ, draw, degrees))
+    assert None in outcomes
+    assert any(o and any(c.denominator > 1 for c in o[1] + o[2]) for o in outcomes)
+
+
+def test_rationalize_matches_degree_search_over_polynomial_coefficients():
+    rng = random.Random(22)
+    R = int_poly_ring("u")
+
+    def draw():
+        return R.from_terms({(e,): rng.randint(-1, 1) for e in range(2)})
+
+    degrees = [1 + i % 3 for i in range(54)]
+    outcomes = _assert_matches_degree_search(_ratio_corpus(rng, R, draw, degrees))
+    assert None in outcomes
+    assert any(o and o[0] is R for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "coeffs, dmax",
+    [
+        ((2, 4, 8, 16), 1),  # constant term 2
+        ((0, 0, 0, 0, 0), 2),  # the zero series
+        ((1, 2, 3, 4), 2),  # 2*dmax >= precision
+        ((1, 1), 1),
+    ],
+)
+def test_rationalize_errors_match_degree_search(coeffs, dmax):
+    g = TruncSeries.make(ZZ, coeffs, len(coeffs) - 1)
+    got = _outcome(rationalize, g, dmax)
+    assert got == _outcome(_rationalize_by_degree_search, g, dmax)
+    assert isinstance(got, tuple) and got[0] in (ValueError, PrecisionTooLow)
 
 
 def test_ratfunc_ring_field_ops():
