@@ -24,8 +24,6 @@ are the coefficients of prod_d (1 - t^d)^(-B_d), all over the integers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .errors import BudgetExceeded, CensusInconsistent, NotPrime
@@ -228,6 +226,8 @@ def _check_budget(q: int, enumerated: int):
 def _run_chunks(total: int, threads: int, worker) -> int:
     if threads <= 1 or total < _CHUNK_MIN:
         return worker(0, total)
+    from concurrent.futures import ThreadPoolExecutor  # 0.5 MB RSS; threads only
+
     bounds = [total * i // threads for i in range(threads + 1)]
     ranges = [
         (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
