@@ -17,20 +17,28 @@ grid into contiguous index ranges whose partial sums are added in order, so
 the result is identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
-deterministic modulus scan as the base field.  Closed-point counts follow
-by Moebius inversion of N_m = sum_(d|m) d*B_d, and symmetric-product counts
-are the coefficients of prod_d (1 - t^d)^(-B_d), all over the integers.
+deterministic modulus scan as the base field; only a block with equations
+builds it, a closed form needs nothing but q^m.  A census counts its
+largest degree first, so the budget of its largest field is checked before
+anything is enumerated.  The zeta series exp(sum_m N_m t^m / m) is the Witt
+vector whose ghost coordinates are the counts N_m, so the symmetric-product
+counts are `from_ghost` of N_1..N_D over the integers.  Closed-point counts
+follow by Moebius inversion of N_m = sum_(d|m) d*B_d; they also validate
+the counts, since no variety has counts whose B_d are fractional or
+negative.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from .errors import BudgetExceeded, CensusInconsistent, NotPrime
-from .finitefield import GF, is_prime, make_field
+from .finitefield import GF, check_field_params, make_field
 from .rings import ZZ
-from .series import TruncSeries
 from .varieties import Block, VarietyDesc
+from .witt import from_ghost
 
 BUDGET = 10**7
 _CHUNK_MIN = 1 << 15  # grids below this size are never split across threads
@@ -42,13 +50,14 @@ def field_params_from_q(q: int) -> tuple[int, int]:
     """Split a prime power into (p, k); rejects everything else."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    # the smallest divisor is prime, and past sqrt(q) only q itself is left
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     k = 0
     rest = q
     while rest % p == 0:
         rest //= p
         k += 1
-    if rest != 1 or not is_prime(p):
+    if rest != 1:
         raise NotPrime(f"{q} is not a prime power")
     return p, k
 
@@ -82,14 +91,14 @@ def count_points(
 ) -> int:
     """Number of F_(q^m)-points, q = p^k."""
     p, k = resolve_field(v, p, k)
+    check_field_params(p, k * m)
     key = (v.blocks, p, k, m)
     cached = _count_cache.get(key)
     if cached is not None:
         return cached
-    field = make_field(p, k * m)
     total = 1
     for block in v.blocks:
-        total *= _count_block(block, field, threads)
+        total *= _count_block(block, p, k * m, threads)
         if total == 0:
             break
     _count_cache[key] = total
@@ -99,18 +108,26 @@ def count_points(
 def point_counts(
     v: VarietyDesc, degree: int, p: int = 0, k: int = 0, threads: int = 1
 ) -> tuple:
-    return tuple(
-        count_points(v, m, p, k, threads) for m in range(1, degree + 1)
-    )
+    """N_1..N_degree, counted from the largest degree down.
+
+    The largest field has the largest grids, so a census over the budget
+    raises before any smaller field is enumerated.
+    """
+    counts = [count_points(v, m, p, k, threads) for m in range(degree, 0, -1)]
+    return tuple(reversed(counts))
 
 
 def closed_point_census(
     v: VarietyDesc, degree: int, p: int = 0, k: int = 0, threads: int = 1
 ) -> tuple:
     """B_1..B_degree with B_d the number of degree-d closed points."""
-    ns = point_counts(v, degree, p, k, threads)
+    return _closed_points(point_counts(v, degree, p, k, threads))
+
+
+def _closed_points(ns: tuple) -> tuple:
+    """Moebius inversion of the counts; refuses counts no variety has."""
     out = []
-    for d in range(1, degree + 1):
+    for d in range(1, len(ns) + 1):
         total = sum(
             moebius(e) * ns[d // e - 1] for e in range(1, d + 1) if d % e == 0
         )
@@ -130,31 +147,31 @@ def sym_product_counts(
 ) -> tuple:
     """s_0..s_degree, the point counts of the symmetric products.
 
-    These are the coefficients of prod_(d<=degree) (1 - t^d)^(-B_d): a
-    degree-n effective zero-cycle is a multiset of closed points with
-    degrees summing to n.
+    sum_n s_n t^n = exp(sum_m N_m t^m / m), the Witt vector whose ghost
+    coordinates are the point counts N_m.  The closed-point census checks
+    the counts first.
     """
-    bs = closed_point_census(v, degree, p, k, threads)
-    series = TruncSeries.one(ZZ, degree)
-    for d in range(1, degree + 1):
-        factor = TruncSeries.make(ZZ, [1] + [0] * (d - 1) + [-1], degree)
-        series = series.mul(factor.pow_int(-bs[d - 1]))
-    return series.coeffs
+    ns = point_counts(v, degree, p, k, threads)
+    _closed_points(ns)
+    # truncating keeps a negative degree the error it is for any series
+    return from_ghost(ZZ, ns).truncate(degree).coeffs
 
 
 # block-level counting
 
 
-def _count_block(block: Block, field: GF, threads: int) -> int:
-    q = field.q
-    if block.kind == "affine":
-        if not block.equations:
+def _count_block(block: Block, p: int, k: int, threads: int) -> int:
+    """Points over F_(p^k); only a block with equations builds the field."""
+    if not block.equations:
+        q = p**k
+        if block.kind == "affine":
             return q**block.dim
+        return sum(q**i for i in range(block.dim + 1))
+    field = make_field(p, k)
+    if block.kind == "affine":
         return _count_chart(
             list(block.equations), block.nvars, field, threads
         )
-    if not block.equations:
-        return sum(q**i for i in range(block.dim + 1))
     total = 0
     nvars = block.nvars
     for i in range(nvars):

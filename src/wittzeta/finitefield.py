@@ -385,13 +385,18 @@ class GF(Ring):
         return np.bincount(squares, minlength=self.q)
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, k: int) -> GF:
-    """Field with p**k elements; deterministic first-irreducible modulus."""
+def check_field_params(p: int, k: int) -> None:
+    """Refuse a non-prime p or a degree k below 1, as `make_field` does."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise DegreeZero(f"extension degree must be positive, got {k}")
+
+
+@lru_cache(maxsize=None)
+def make_field(p: int, k: int) -> GF:
+    """Field with p**k elements; deterministic first-irreducible modulus."""
+    check_field_params(p, k)
     for m in range(p**k):
         digits = []
         rest = m

@@ -78,10 +78,6 @@ def rat_zero(ring: Ring) -> RatWitt:
     return RatWitt(ring, (ring.one,), (ring.one,))
 
 
-def rat_unit(ring: Ring) -> RatWitt:
-    return RatWitt(ring, (ring.one,), (ring.one, ring.neg(ring.one)))
-
-
 def rat_expand(f: RatWitt, precision: int) -> TruncSeries:
     num = TruncSeries.make(f.ring, f.num, precision)
     den = TruncSeries.make(f.ring, f.den, precision)

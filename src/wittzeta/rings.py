@@ -329,33 +329,8 @@ class MPolyRing(Ring):
     def from_int(self, n):
         return self.monomial(self._zero_exps, self.base.from_int(n))
 
-    def scalar(self, c):
-        return self.monomial(self._zero_exps, c)
-
-    def is_constant(self, a) -> bool:
-        return all(e == self._zero_exps for e, _ in a)
-
-    def constant_value(self, a):
-        """Coefficient of the constant term."""
-        for e, c in a:
-            if e == self._zero_exps:
-                return c
-        return self.base.zero
-
     def total_degree(self, a) -> int:
         return max((sum(e) for e, _ in a), default=-1)
-
-    def degree_in(self, a, index: int) -> int:
-        return max((e[index] for e, _ in a), default=-1)
-
-    def coefficient_in(self, a, index: int, power: int):
-        """Coefficient of var_index^power, a polynomial in the same ring."""
-        picked = {}
-        for e, c in a:
-            if e[index] == power:
-                reduced = tuple(x if j != index else 0 for j, x in enumerate(e))
-                picked[reduced] = picked.get(reduced, self.base.zero) + c
-        return self._canon(picked)
 
     def try_inverse(self, a):
         if len(a) != 1:

@@ -78,9 +78,6 @@ class TruncSeries:
             return self
         return TruncSeries.make(self.ring, self.coeffs, precision)
 
-    def map_coefficients(self, ring: Ring, fn) -> "TruncSeries":
-        return TruncSeries(ring, tuple(fn(c) for c in self.coeffs))
-
     # arithmetic
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
@@ -145,18 +142,6 @@ class TruncSeries:
         for c in self.coeffs:
             out.append(r.mul(c, power))
             power = r.mul(power, s)
-        return TruncSeries(r, tuple(out))
-
-    def stretch_argument(self, d: int) -> "TruncSeries":
-        """g(t) -> g(t^d) at the same precision."""
-        if d < 1:
-            raise ValueError("stretch factor must be positive")
-        r = self.ring
-        out = [r.zero] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if i * d >= len(out):
-                break
-            out[i * d] = c
         return TruncSeries(r, tuple(out))
 
     # presentation

@@ -41,15 +41,9 @@ class SigmaStructure:
             )
         return out
 
-    def sigma_n(self, a, n: int):
-        return self.sigma_series(a, n).coefficient(n)
-
     def lambda_series(self, a, precision: int) -> TruncSeries:
         """lambda_t(a) = iota(sigma_t(a)); coefficient of t^n is lambda^n(a)."""
         return lambda_involution(self.sigma_series(a, precision))
-
-    def lambda_n(self, a, n: int):
-        return self.lambda_series(a, n).coefficient(n)
 
 
 def _binomial_rule(m, precision: int) -> TruncSeries:

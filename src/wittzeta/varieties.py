@@ -82,9 +82,6 @@ class VarietyDesc:
         text = " x ".join(b.describe() for b in self.blocks)
         return text or "affine(0)"
 
-    def with_field(self, p: int, k: int) -> "VarietyDesc":
-        return VarietyDesc(self.blocks, p, k)
-
 
 def affine_variety(
     dim: int, equations=(), p: int = 0, k: int = 0

@@ -1,13 +1,18 @@
 """Point counting: closed forms, brute-force cross-checks, censuses."""
 
 import itertools
+import random
+import time
 
 import pytest
 
 from wittzeta import counting
 from wittzeta import (
+    ZZ,
     BudgetExceeded,
+    CensusInconsistent,
     NotPrime,
+    TruncSeries,
     affine_space,
     affine_variety,
     closed_point_census,
@@ -25,6 +30,9 @@ from wittzeta import (
     sym_product_counts,
     variety_product,
 )
+from wittzeta.errors import DegreeZero
+from wittzeta.finitefield import is_prime
+from wittzeta.varieties import CATALOG
 
 # brute-force reference: evaluate every equation at every tuple using the
 # scalar field ops, which are exhaustively tested on their own
@@ -229,6 +237,34 @@ def test_field_params_rejects_non_prime_powers(q):
         field_params_from_q(q)
 
 
+def test_field_params_of_a_large_prime_are_found_quickly():
+    # trial division stops at sqrt(q); scanning up to q took about a minute
+    start = time.perf_counter()
+    assert field_params_from_q(1000000007) == (1000000007, 1)
+    assert field_params_from_q(10000019) == (10000019, 1)
+    assert time.perf_counter() - start < 1.0
+    assert field_params_from_q(101**3) == (101, 3)
+    for q in (2 * 1000000007, 101 * 1000000007):
+        with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
+            field_params_from_q(q)
+
+
+def test_field_params_agree_with_prime_powers_up_to_5000():
+    powers = {
+        p**k: (p, k)
+        for p in range(2, 5000)
+        if is_prime(p)
+        for k in range(1, 13)
+        if p**k < 5000
+    }
+    for q in range(-3, 5000):
+        if q in powers:
+            assert field_params_from_q(q) == powers[q]
+        else:
+            with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
+                field_params_from_q(q)
+
+
 # moebius and the censuses
 
 
@@ -270,6 +306,108 @@ def test_sym_counts_of_the_projective_line():
     assert got == (1, 4, 13, 40, 121, 364, 1093)
 
 
+def product_loop_sym_counts(v, degree, p, k=0):
+    """prod_d (1 - t^d)^(-B_d): a degree-n effective zero-cycle is a
+    multiset of closed points whose degrees sum to n."""
+    bs = closed_point_census(v, degree, p, k)
+    series = TruncSeries.one(ZZ, degree)
+    for d in range(1, degree + 1):
+        factor = TruncSeries.make(ZZ, [1] + [0] * (d - 1) + [-1], degree)
+        series = series.mul(factor.pow_int(-bs[d - 1]))
+    return series.coeffs
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sym_counts_match_the_closed_point_product(name, q):
+    v = CATALOG[name]()
+    p, k = field_params_from_q(q)
+    assert sym_product_counts(v, 8, p, k) == product_loop_sym_counts(
+        v, 8, p, k
+    )
+
+
+def test_sym_counts_of_seeded_plane_cubics_match_the_product():
+    rng = random.Random(2024)
+    # general cubics take the full grid; Weierstrass cubics solve for y
+    # (in odd characteristic, or without the x*y*z and y*z^2 terms)
+    general = [
+        f"x^{a}*y^{b}*z^{3 - a - b}" for a in range(4) for b in range(4 - a)
+    ]
+    weierstrass = ["x*y*z", "y*z^2", "x^3", "x^2*z", "x*z^2", "z^3"]
+    cases = [(general, 2, 6), (general, 3, 4)]
+    cases += [(weierstrass, p, degree) for p, degree in [(2, 8), (5, 6), (7, 5)]]
+    for monomials, p, degree in cases:
+        for _ in range(3):
+            terms = [f"{rng.randrange(p)}*{m}" for m in monomials]
+            if monomials is weierstrass:
+                terms.append("y^2*z")
+            v = projective_variety(2, (" + ".join(terms),))
+            assert sym_product_counts(v, degree, p) == (
+                product_loop_sym_counts(v, degree, p)
+            )
+
+
+def test_sym_counts_of_the_projective_line_to_degree_40():
+    v = projective_space(1)
+    got = sym_product_counts(v, 40, 3)
+    assert got == product_loop_sym_counts(v, 40, 3)
+    assert got == tuple((3 ** (n + 1) - 1) // 2 for n in range(41))
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((1, 2), "degree-2 count sum 1 is not divisible by 2"),
+        ((3, 1), "negative closed-point count B_2=-1"),
+    ],
+)
+def test_counts_no_variety_has_are_refused(monkeypatch, counts, message):
+    monkeypatch.setattr(counting, "point_counts", lambda *args: counts)
+    for census in (closed_point_census, sym_product_counts):
+        with pytest.raises(CensusInconsistent, match=f"^{message}$"):
+            census(point(), 2, 5)
+
+
+def test_closed_forms_build_no_field(monkeypatch):
+    def refuse(p, k):
+        raise AssertionError(f"F_({p}^{k}) built for a closed form")
+
+    monkeypatch.setattr(counting, "make_field", refuse)
+    monkeypatch.setattr(counting, "_count_cache", {})
+    product = variety_product(
+        variety_product(projective_space(2), affine_space(2)), point()
+    )
+    for v, size in [
+        (point(), lambda q: 1),
+        (affine_space(1), lambda q: q),
+        (affine_space(2), lambda q: q**2),
+        (projective_space(1), lambda q: q + 1),
+        (projective_space(2), lambda q: q**2 + q + 1),
+        (product, lambda q: (q**2 + q + 1) * q**2),
+    ]:
+        want = tuple(size(25**m) for m in range(1, 81))
+        assert point_counts(v, 80, 5, 2) == want
+        assert sym_product_counts(v, 80, 5, 2)[1] == want[0]
+
+
+def test_field_checks_hold_for_closed_forms():
+    count_points(affine_space(1), 1, 5)  # a cached count must not mask them
+    with pytest.raises(NotPrime, match="^4 is not prime$"):
+        count_points(affine_space(1), 1, 4)
+    with pytest.raises(NotPrime, match="^1 is not prime$"):
+        count_points(point(), 2, 1, 3)
+    for v in (affine_space(1), projective_space(1), point()):
+        with pytest.raises(
+            DegreeZero, match="^extension degree must be positive, got 0$"
+        ):
+            count_points(v, 0, 5)
+        with pytest.raises(
+            DegreeZero, match="^extension degree must be positive, got -2$"
+        ):
+            count_points(v, -1, 5, 2)
+
+
 def test_sym_counts_of_a_point_and_the_torus():
     assert sym_product_counts(point(), 5, 7) == (1,) * 6
     assert sym_product_counts(multiplicative_group(), 4, 5) == (
@@ -300,6 +438,25 @@ def test_budget_applies_to_the_solved_variable_path():
 
 def test_closed_forms_bypass_the_budget():
     assert count_points(affine_space(12), 1, 7) == 7**12
+
+
+def test_census_checks_its_largest_field_before_enumerating(monkeypatch):
+    # F_(5^10) is within the budget and F_(5^12) is not: nothing may be
+    # enumerated before the largest field's grid is refused
+    chunks = []
+    real = counting._run_chunks
+
+    def spy(total, threads, worker):
+        chunks.append(total)
+        return real(total, threads, worker)
+
+    monkeypatch.setattr(counting, "_run_chunks", spy)
+    monkeypatch.setattr(counting, "_count_cache", {})
+    message = "^244140625 tuples to enumerate, budget is 10000000$"
+    for census in (point_counts, sym_product_counts):
+        with pytest.raises(BudgetExceeded, match=message):
+            census(elliptic_f5(), 12)
+    assert chunks == []
 
 
 def test_thread_count_does_not_change_results(monkeypatch):

@@ -20,13 +20,12 @@ from wittzeta.rational import (
     rat_neg,
     rat_star,
     rat_sub,
-    rat_unit,
     rat_zero,
     rationalize,
 )
 from wittzeta.rings import QQ, ZZ, int_poly_ring
 from wittzeta.series import TruncSeries
-from wittzeta.witt import ghost, teichmuller, witt_mul
+from wittzeta.witt import ghost, teichmuller, witt_mul, witt_unit
 from wittzeta.zeta import weil_zeta
 from wittzeta.varieties import projective_space
 
@@ -84,7 +83,7 @@ def test_render():
     f = rat_make(ZZ, (1, -1), (1, -2))
     assert f.render() == "(1 - t)/(1 - 2*t)"
     assert rat_zero(ZZ).render() == "(1)/(1)"
-    assert rat_unit(ZZ).render() == "(1)/(1 - t)"
+    assert rat_make(ZZ, (1,), (1, -1)).render() == "(1)/(1 - t)"
     assert f.render_json() == {"num": ["1", "-1"], "den": ["1", "-2"]}
 
 
@@ -213,6 +212,9 @@ def test_rat_mul_teichmuller_example():
 
 
 def test_rat_mul_unit_law():
+    # the multiplicative unit (1 - t)^(-1) as a rational Witt vector
+    unit = rat_make(ZZ, (1,), (1, -1))
+    assert rat_expand(unit, 6) == witt_unit(ZZ, 6)
     rng = random.Random(7)
     for _ in range(10):
         f = rat_make(
@@ -220,7 +222,7 @@ def test_rat_mul_unit_law():
             (1,) + tuple(rng.randint(-3, 3) for _ in range(2)),
             (1,) + tuple(rng.randint(-3, 3) for _ in range(2)),
         )
-        assert rat_equal(rat_mul(f, rat_unit(ZZ)), f)
+        assert rat_equal(rat_mul(f, unit), f)
         assert rat_equal(rat_mul(f, rat_zero(ZZ)), rat_zero(ZZ))
 
 

@@ -108,17 +108,16 @@ def test_pow_int_matches_repeated_multiplication(monkeypatch):
         assert len(calls) == products, n
 
 
-def test_scale_and_stretch_argument():
+def test_scale_argument():
     s = S(1, 1, 1, 1)
     assert s.scale_argument(2).coeffs == (1, 2, 4, 8)
-    assert s.stretch_argument(2).coeffs == (1, 0, 1, 0)
 
 
-def test_truncate_and_map():
+def test_truncate():
     s = S(1, 2, 3, 4)
     assert s.truncate(1).coeffs == (1, 2)
-    doubled = s.map_coefficients(ZZ, lambda c: 2 * c)
-    assert doubled.coeffs == (2, 4, 6, 8)
+    assert s.truncate(3) is s
+    assert s.truncate(5).coeffs == (1, 2, 3, 4, 0, 0)
 
 
 def test_mismatch_errors():

@@ -59,7 +59,7 @@ def test_variety_product_merges_fields():
     assert (prod.p, prod.k) == (5, 1)
     assert len(prod.blocks) == 2
     with pytest.raises(ValueError):
-        variety_product(e, point().with_field(3, 1))
+        variety_product(e, affine_variety(0, p=3, k=1))
 
 
 def test_load_variety_from_dict_text_and_file(tmp_path):
