@@ -165,9 +165,9 @@ def _check_prec(n: int) -> int:
     return n
 
 
-def _check_dmax(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"--dmax must be at least 0, got {n}")
+def _check_flag(flag: str, n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"--{flag} must be at least {least}, got {n}")
 
 
 def _emit(args, text: str, data: dict) -> None:
@@ -259,7 +259,7 @@ def _cmd_rat_rationalize(args) -> int:
         raise ValueError(
             f"--coeffs must be comma-separated integers, got {args.coeffs!r}"
         ) from None
-    _check_dmax(args.dmax)
+    _check_flag("dmax", args.dmax, 0)
     return _emit_rationalized(args, TruncSeries.make(ZZ, coeffs, len(coeffs) - 1))
 
 
@@ -276,7 +276,7 @@ def _zeta_output(args, zeta) -> int:
 def _cmd_zeta_weil(args) -> int:
     n = _check_prec(args.prec)
     if args.rationalize:
-        _check_dmax(args.dmax)
+        _check_flag("dmax", args.dmax, 0)
     variety = _variety_arg(args.variety)
     p, k = _field_args(args, variety)
     zeta = weil_zeta(variety, p**k, n, args.threads)
@@ -286,7 +286,7 @@ def _cmd_zeta_weil(args) -> int:
 def _cmd_zeta_kapranov(args) -> int:
     n = _check_prec(args.prec)
     if args.rationalize:
-        _check_dmax(args.dmax)
+        _check_flag("dmax", args.dmax, 0)
     measure, x = _measure_and_classes(args, variety="X")
     return _zeta_output(args, kapranov_zeta(measure, x, n))
 
@@ -376,6 +376,7 @@ def _counts_output(args, values) -> int:
 def _cmd_count_census(args) -> int:
     variety = _variety_arg(args.variety)
     p, k = _field_args(args, variety)
+    _check_flag("degree", args.degree, 0)
     census = closed_point_census(variety, args.degree, p, k, args.threads)
     return _counts_output(args, census)
 
@@ -383,6 +384,7 @@ def _cmd_count_census(args) -> int:
 def _cmd_count_sym(args) -> int:
     variety = _variety_arg(args.variety)
     p, k = _field_args(args, variety)
+    _check_flag("degree", args.degree, 0)
     counts = sym_product_counts(variety, args.degree, p, k, args.threads)
     return _counts_output(args, counts)
 
@@ -641,6 +643,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if hasattr(args, "threads"):
+            _check_flag("threads", args.threads, 1)
         return args.func(args)
     except (WittzetaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

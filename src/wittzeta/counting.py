@@ -7,14 +7,17 @@ normalized to 1).  Within a chart three strategies apply, in order:
 * no equations: closed form, nothing is enumerated;
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
-  polynomial, using a precomputed square-root count table;
+  polynomial, reading square roots off a q-sized table when at least q
+  tuples are enumerated, and off Euler's criterion otherwise;
 * otherwise: enumerate the full grid and test every equation.
 
 Whatever is actually enumerated is counted against a hard budget of 10^7
-tuples per call, checked before any work happens.  Enumeration runs on
-numpy arrays of encoded field elements; an optional thread count splits the
-grid into contiguous index ranges whose partial sums are added in order, so
-the result is identical for every thread count.
+tuples per call, checked before any work happens; no field-sized table is
+built for a grid smaller than the field, so the budget bounds those too.
+Enumeration runs on numpy arrays of encoded field elements; an optional
+thread count, capped at the CPU count, splits the grid into contiguous
+index ranges whose partial sums are added in order, so the result is
+identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a block with equations
@@ -30,6 +33,7 @@ negative.
 
 from __future__ import annotations
 
+import os
 from math import isqrt
 
 import numpy as np
@@ -241,6 +245,7 @@ def _check_budget(q: int, enumerated: int):
 
 
 def _run_chunks(total: int, threads: int, worker) -> int:
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or total < _CHUNK_MIN:
         return worker(0, total)
     # imported here, so that unthreaded processes skip its 0.5 MB of RSS
@@ -334,8 +339,13 @@ def _try_solve_counting(terms: dict, nvars: int, field: GF, threads: int):
         bucket[key] = bucket.get(key, 0) + coeff
 
     quadratic = bool(coeff_polys[2])
-    sqrt_counts = field.square_counts() if quadratic else None
-    four = field.from_int(4)
+    grid = field.q ** (nvars - 1)
+    # a grid of fewer than q points decides squareness by Euler's criterion
+    # instead of a q-sized table; characteristic 2 needs neither
+    sqrt_counts = None
+    if quadratic and field.p != 2 and grid >= field.q:
+        sqrt_counts = field.square_counts()
+    minus_four = np.int64(field.from_int(-4))
 
     def worker(lo: int, hi: int) -> int:
         size = hi - lo
@@ -357,15 +367,18 @@ def _try_solve_counting(terms: dict, nvars: int, field: GF, threads: int):
         if not quadratic:
             return int(linear.sum())
         if field.p == 2:
-            quad = np.ones(size, dtype=np.int64)  # s^2 = d: one root
+            quad = 1  # s^2 = d: one root
         else:
             disc = field.vec_add(
                 field.vec_mul(b, b),
-                field.vec_neg(
-                    field.vec_mul(np.int64(four), field.vec_mul(a, c))
-                ),
+                field.vec_mul(minus_four, field.vec_mul(a, c)),
             )
-            quad = sqrt_counts[disc]
+            if sqrt_counts is not None:
+                quad = sqrt_counts[disc]
+            else:
+                # d^((q-1)/2) is 1 on nonzero squares and -1 on the rest
+                euler = field.vec_pow(disc, (field.q - 1) // 2)
+                quad = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
         return int(np.where(a != 0, quad, linear).sum())
 
-    return _run_chunks(field.q ** (nvars - 1), threads, worker)
+    return _run_chunks(grid, threads, worker)

@@ -15,19 +15,23 @@ least significant.  This keeps single elements hashable and lets large
 batches live in numpy integer arrays, which the ``vec_*`` methods act on
 directly.
 
-Over a prime field (k = 1) the vector ops are integer arithmetic mod p.
-Over an extension field with q <= ``_LOG_LIMIT``, the first vector op on at
-least ``_LOG_TRIGGER`` elements builds exp/log tables for a generator g and
-a Zech table ``zech[e] = log(1 + g^e)``; from then on `GF.vec_mul`,
-`GF.vec_pow`, `GF.vec_add`, `GF.vec_neg` and `GF.square_counts` are table
-gathers on discrete logarithms.  Without the tables (larger fields, or
-before the first large vector) they decode to base-p digit matrices, add or
-convolve, and fold the overflow digits back with precomputed reduction
-rows.
+Over a prime field (k = 1) all arithmetic is integer arithmetic mod p.
+An extension field has one kernel, the ``vec_*`` methods; scalar `GF.add`
+and `GF.mul` are one-element calls of `GF.vec_add` and `GF.vec_mul`, `GF.neg`
+multiplies by -1 and `GF.try_inverse` raises to the power q - 2.  When
+q <= ``_LOG_LIMIT``, which is the enumeration budget of `counting`, the first
+vector op on at least ``_LOG_TRIGGER`` elements builds exp/log tables for a
+generator g and a Zech table ``zech[e] = log(1 + g^e)``; from then on every
+op, scalar or vector, is a table gather on discrete logarithms.  Without
+the tables (short vectors before the first long one, and fields past the
+budget) the ops decode to base-p digit matrices, add or convolve, and fold
+the overflow digits back with precomputed reduction rows; the table build
+itself runs on these digit products.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -36,8 +40,9 @@ from .errors import DegreeZero, NonIntegral, NotPrime
 from .polynomials import Poly1Ring
 from .rings import Ring, binary_power
 
-_TABLE_LIMIT = 256  # largest q for which full add/mul tables are built
-_LOG_LIMIT = 1 << 22  # largest q for which discrete-log tables are built
+# largest q for which discrete-log tables are built: counting.BUDGET, so
+# that every field a budgeted grid can enumerate gets them
+_LOG_LIMIT = 10**7
 _LOG_TRIGGER = 4096  # vector size that makes building the tables worthwhile
 
 
@@ -114,14 +119,10 @@ class GF(Ring):
             for i in range(k - 1):
                 rem = ring.divmod(ring.monomial(k + i), modulus)[1]
                 rows.append(rem + (0,) * (k - len(rem)))
-        self._red_rows = tuple(rows)
         self._red_matrix = np.array(rows, dtype=np.int64).reshape(k - 1, k)
         self._powers = tuple(p**i for i in range(k))
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
         self._logs = None  # (exp, log, zech) once built
-        self._log_built = False
+        self._build_lock = threading.Lock()  # census threads share a field
 
     def __repr__(self):
         return self.name
@@ -137,21 +138,6 @@ class GF(Ring):
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
 
-    # encoding
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.k):
-            a, r = divmod(a, self.p)
-            digits.append(r)
-        return tuple(digits)
-
-    def encode(self, digits) -> int:
-        total = 0
-        for c, w in zip(digits, self._powers):
-            total += (c % self.p) * w
-        return total
-
     def elements(self):
         return range(self.q)
 
@@ -166,48 +152,19 @@ class GF(Ring):
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        table = self._tables()[0]
-        if table is not None:
-            return int(table[a, b])
-        return self.encode(
-            (x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))
-        )
+        return int(self.vec_add(a, b))
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.encode((-x) % self.p for x in self.decode(a))
+        return self.mul(a, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        table = self._tables()[1]
-        if table is not None:
-            return int(table[a, b])
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        k, p = self.k, self.p
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:k]]
-        for i in range(k - 1):
-            over = conv[k + i] % p
-            if over:
-                row = self._red_rows[i]
-                for j in range(k):
-                    out[j] = (out[j] + over * row[j]) % p
-        return self.encode(out)
+        return int(self.vec_mul(a, b))
 
     def try_inverse(self, a: int):
         if a == 0:
             return None
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
         return self.power(a, self.q - 2)
 
     def exact_div(self, a: int, b: int) -> int:
@@ -219,52 +176,39 @@ class GF(Ring):
     def render(self, a) -> str:
         return str(a)
 
-    # dense tables for small fields
-
-    def _tables(self):
-        if self.q <= _TABLE_LIMIT and self._add_table is None:
-            grid = np.arange(self.q, dtype=np.int64)
-            left = np.repeat(grid, self.q)
-            right = np.tile(grid, self.q)
-            self._add_table = self.vec_add(left, right).reshape(self.q, self.q)
-            self._mul_table = self.vec_mul(left, right).reshape(self.q, self.q)
-            inv = np.zeros(self.q, dtype=np.int64)
-            for a in range(1, self.q):
-                inv[a] = self.power(a, self.q - 2)
-            self._inv_table = inv
-        return self._add_table, self._mul_table
-
     # discrete-log tables, turning extension-field arithmetic on large
     # arrays into a few gathers: multiplication adds logarithms, and
     # addition uses Zech logarithms, g^i + g^j = g^(i + zech[j - i])
 
     def _find_generator(self) -> int:
+        """The least multiplicative generator, testing 64 candidates at a time."""
         n = self.q - 1
         primes = _prime_divisors(n)
-        for g in range(1, self.q):
-            if all(self.power(g, n // r) != 1 for r in primes):
-                return g
+        for lo in range(1, self.q, 64):
+            cand = np.arange(lo, min(lo + 64, self.q), dtype=np.int64)
+            ok = np.ones(cand.size, dtype=bool)
+            for r in primes:
+                ok &= binary_power(self._digit_mul, None, cand, n // r) != 1
+            if ok.any():
+                return int(cand[ok.argmax()])
         raise AssertionError("no multiplicative generator found, impossible")
 
     def _build_log_tables(self):
-        # vec_mul below runs on the digit path: _log_built is already set
-        # while the tables are still missing
-        self._log_built = True
         n = self.q - 1
         g = self._find_generator()
         exp = np.zeros(2 * n, dtype=np.int64)
         exp[0] = 1
         # exp[filled : filled + shift] = exp[filled - shift : filled] * g^shift,
         # with shift doubling up to a block of 4096 elements
-        filled, shift, step = 1, 1, g  # step = g^shift
+        filled, shift, step = 1, 1, np.int64(g)  # step = g^shift
         while filled < n:
             take = min(shift, n - filled)
-            exp[filled : filled + take] = self.vec_mul(
-                exp[filled - shift : filled - shift + take], np.int64(step)
+            exp[filled : filled + take] = self._digit_mul(
+                exp[filled - shift : filled - shift + take], step
             )
             filled += take
             if shift < 4096:
-                shift, step = 2 * shift, self._mul_raw(step, step)
+                shift, step = 2 * shift, self._digit_mul(step, step)
         exp[n:] = exp[:n]
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
@@ -273,15 +217,21 @@ class GF(Ring):
         zech = log[np.where(c % p == p - 1, c - (p - 1), c + 1)]
         self._logs = (exp, log, zech)
 
+    @property
+    def _log_built(self) -> bool:
+        return self._logs is not None
+
     def _log_tables(self, size: int):
         """(exp, log, zech) for this field, or None on the digit path."""
         if (
-            not self._log_built
+            self._logs is None
             and self.k > 1
             and self.q <= _LOG_LIMIT
             and size >= _LOG_TRIGGER
         ):
-            self._build_log_tables()
+            with self._build_lock:
+                if self._logs is None:
+                    self._build_log_tables()
         return self._logs
 
     # vectorized arithmetic on numpy arrays of encoded elements
@@ -299,59 +249,47 @@ class GF(Ring):
         return (digits % self.p) @ weights
 
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            return (a + b) % self.p
         logs = self._log_tables(max(a.size, b.size))
-        if logs is not None:
-            exp, log, zech = logs
-            la, lb = log[a], log[b]
-            z = np.take(zech, lb - la, mode="wrap")  # index mod q-1
-            out = np.where(z < 0, 0, exp[la + z])  # z < 0: a == -b
-            out = np.where(la < 0, b, out)
-            return np.where(lb < 0, a, out)
-        da, db = self.vec_decode(a), self.vec_decode(b)
-        return self.vec_encode((da + db) % self.p)
+        if logs is None:
+            return self.vec_encode(self.vec_decode(a) + self.vec_decode(b))
+        exp, log, zech = logs
+        la, lb = log[a], log[b]
+        z = np.take(zech, lb - la, mode="wrap")  # index mod q-1
+        out = np.where(z < 0, 0, exp[la + z])  # z < 0: a == -b
+        out = np.where(la < 0, b, out)
+        return np.where(lb < 0, a, out)
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.array(a, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        if self.k == 1:
-            return (-a) % self.p
-        logs = self._log_tables(a.size)
-        if logs is not None:
-            exp, log, _ = logs
-            la = log[a]
-            # -1 is g^((q-1)/2), so -x is x * g^((q-1)/2)
-            return np.where(la < 0, 0, exp[la + (self.q - 1) // 2])
-        return self.vec_encode((-self.vec_decode(a)) % self.p)
+        # with log tables, -1 = g^((q-1)/2) makes this one gather
+        return self.vec_mul(a, self.p - 1)
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            return (a * b) % self.p
         logs = self._log_tables(max(a.size, b.size))
-        if logs is not None:
-            exp, log, _ = logs
-            la, lb = log[a], log[b]
-            vanish = (la < 0) | (lb < 0)
-            out = exp[np.where(vanish, 0, la + lb)]
-            return np.where(vanish, 0, out)
+        if logs is None:
+            return self._digit_mul(a, b)
+        exp, log, _ = logs
+        la, lb = log[a], log[b]
+        vanish = (la < 0) | (lb < 0)
+        out = exp[np.where(vanish, 0, la + lb)]
+        return np.where(vanish, 0, out)
+
+    def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products by convolving base-p digits and folding the overflow back."""
         da, db = np.broadcast_arrays(self.vec_decode(a), self.vec_decode(b))
         k = self.k
-        shape = da.shape[:-1]
-        conv = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
+        conv = np.zeros(da.shape[:-1] + (2 * k - 1,), dtype=np.int64)
         for i in range(k):
-            for j in range(k):
-                conv[..., i + j] += da[..., i] * db[..., j]
+            conv[..., i : i + k] += da[..., i, None] * db
         conv %= self.p
-        out = conv[..., :k]
-        if k > 1:
-            out = out + conv[..., k:] @ self._red_matrix
-        return self.vec_encode(out % self.p)
+        return self.vec_encode(conv[..., :k] + conv[..., k:] @ self._red_matrix)
 
     def vec_pow(self, a: np.ndarray, n: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

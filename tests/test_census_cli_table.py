@@ -201,9 +201,9 @@ TABLE = [
     ),
     (
         "count census --variety p1 --q 3 --degree -1",
-        0,
-        "\n",
+        2,
         "",
+        "error: --degree must be at least 0, got -1\n",
     ),
     (
         "count sym --variety pt --q 3 --degree 6",
@@ -263,7 +263,7 @@ TABLE = [
         "count sym --variety p1 --q 3 --degree -1",
         2,
         "",
-        "error: a series stores at least its constant term\n",
+        "error: --degree must be at least 0, got -1\n",
     ),
     (
         "check totaro --variety p1 --q 13 --n 1 --prec 8 --trace",

@@ -454,6 +454,30 @@ def test_rationalize_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "points", "--variety", "a1", "--q", "3", "--threads", "0"),
+         "--threads must be at least 1, got 0"),
+        (("zeta", "weil", "--variety", "e5", "--prec", "3", "--threads", "-2"),
+         "--threads must be at least 1, got -2"),
+        (("check", "totaro", "--variety", "p1", "--q", "3", "--threads", "0",
+          "--json"),
+         "--threads must be at least 1, got 0"),
+        (("count", "census", "--variety", "p1", "--q", "3", "--degree", "-1"),
+         "--degree must be at least 0, got -1"),
+        (("count", "sym", "--variety", "e5", "--degree", "-3", "--threads",
+          "2"),
+         "--degree must be at least 0, got -3"),
+    ],
+)
+def test_threads_and_degree_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_dmax_is_not_read_without_rationalize(capsys):
     code, out, _ = run(
         capsys, "zeta", "weil", "--variety", "p1", "--q", "3", "--prec", "3",

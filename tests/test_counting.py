@@ -1,16 +1,20 @@
 """Point counting: closed forms, brute-force cross-checks, censuses."""
 
+import concurrent.futures
 import itertools
 import random
 import time
 
+import numpy as np
 import pytest
+from reffield import RefField
 
 from wittzeta import counting
 from wittzeta import (
     ZZ,
     BudgetExceeded,
     CensusInconsistent,
+    GF,
     NotPrime,
     TruncSeries,
     affine_space,
@@ -31,60 +35,42 @@ from wittzeta import (
     variety_product,
 )
 from wittzeta.errors import DegreeZero
-from wittzeta.finitefield import is_prime
+from wittzeta.finitefield import _LOG_LIMIT, _LOG_TRIGGER, is_prime
 from wittzeta.varieties import CATALOG
 
-# brute-force reference: evaluate every equation at every tuple using the
-# scalar field ops, which are exhaustively tested on their own
+# brute-force reference: evaluate every equation at every point with the
+# test-local arithmetic of reffield, which shares no code with GF
 
 
-def eval_at(field, eq, pt):
-    total = 0
-    for exps, coeff in eq:
-        term = field.from_int(coeff)
-        for x, e in zip(pt, exps):
-            if e:
-                term = field.mul(term, field.power(x, e))
-        total = field.add(total, term)
-    return total
-
-
-def brute_affine(v, q):
+def brute_count(v, q):
+    """Points of v over F_q, one representative per projective point."""
     p, k = field_params_from_q(q)
-    field = make_field(p, k)
-    block = v.blocks[0]
-    count = 0
-    for pt in itertools.product(field.elements(), repeat=block.nvars):
-        if all(eval_at(field, eq, pt) == 0 for eq in block.equations):
-            count += 1
+    ref = RefField(p, make_field(p, k).modulus)
+
+    def value(eq, pt):
+        total = 0
+        for exps, coeff in eq:
+            term = coeff % p
+            for x, e in zip(pt, exps):
+                term = ref.mul(term, ref.power(x, e))
+            total = ref.add(total, term)
+        return total
+
+    count = 1
+    for block in v.blocks:
+        n = block.nvars
+        if block.kind == "affine":
+            points = itertools.product(range(q), repeat=n)
+        else:  # first nonzero coordinate normalized to 1
+            points = (
+                (0,) * i + (1,) + rest
+                for i in range(n)
+                for rest in itertools.product(range(q), repeat=n - i - 1)
+            )
+        count *= sum(
+            all(value(eq, pt) == 0 for eq in block.equations) for pt in points
+        )
     return count
-
-
-def brute_projective(v, q):
-    # count the affine cone and remove the origin; homogeneous equations
-    # of positive degree all vanish there
-    p, k = field_params_from_q(q)
-    field = make_field(p, k)
-    block = v.blocks[0]
-    cone = 0
-    for pt in itertools.product(field.elements(), repeat=block.nvars):
-        if all(eval_at(field, eq, pt) == 0 for eq in block.equations):
-            cone += 1
-    assert (cone - 1) % (q - 1) == 0
-    return (cone - 1) // (q - 1)
-
-
-def brute_plane_curve(eq, q):
-    """Points of a plane curve in P^2, one normalized representative each."""
-    p, k = field_params_from_q(q)
-    field = make_field(p, k)
-    els = field.elements()
-    reps = itertools.chain(
-        ((1, y, z) for y in els for z in els),
-        ((0, 1, z) for z in els),
-        [(0, 0, 1)],
-    )
-    return sum(1 for pt in reps if eval_at(field, eq, pt) == 0)
 
 
 # closed forms
@@ -123,41 +109,41 @@ def test_multiplicative_group_counts(q):
 def test_circle_odd_characteristic_solve_path():
     v = affine_variety(2, ("x^2 + y^2 - 1",))
     assert count_points(v, 1, 3) == 4
-    assert count_points(v, 1, 7) == brute_affine(v, 7)
-    assert count_points(v, 1, 3, 2) == brute_affine(v, 9)
+    assert count_points(v, 1, 7) == brute_count(v, 7)
+    assert count_points(v, 1, 3, 2) == brute_count(v, 9)
 
 
 def test_fermat_cubic_grid_path():
     v = affine_variety(2, ("x^3 + y^3 - 1",))
     for q in (4, 7):
         p, k = field_params_from_q(q)
-        assert count_points(v, 1, p, k) == brute_affine(v, q)
+        assert count_points(v, 1, p, k) == brute_count(v, q)
 
 
 def test_char_two_quadratic_without_linear_term():
     # squaring is a bijection, so y^2 = x^3 + 1 has exactly q points
     v = affine_variety(2, ("y^2 + x^3 + 1",))
     assert count_points(v, 1, 2, 2) == 4
-    assert count_points(v, 1, 2, 2) == brute_affine(v, 4)
+    assert count_points(v, 1, 2, 2) == brute_count(v, 4)
 
 
 def test_char_two_quadratic_with_linear_term():
     v = affine_variety(2, ("y^2 + y + x^3",))
     for q in (2, 4, 8):
         p, k = field_params_from_q(q)
-        assert count_points(v, 1, p, k) == brute_affine(v, q)
+        assert count_points(v, 1, p, k) == brute_count(v, q)
 
 
 def test_projective_conic_with_no_points():
     v = projective_variety(1, ("x^2 + y^2",))
     assert count_points(v, 1, 3) == 0
     assert count_points(v, 1, 5) == 2
-    assert count_points(v, 1, 5) == brute_projective(v, 5)
+    assert count_points(v, 1, 5) == brute_count(v, 5)
 
 
 def test_elliptic_curve_counts_match_brute_force():
     v = elliptic_f5()
-    assert count_points(v, 1) == brute_projective(v, 5)
+    assert count_points(v, 1) == brute_count(v, 5)
     assert point_counts(v, 4) == (9, 27, 108, 675)
 
 
@@ -497,10 +483,106 @@ def test_plane_cubic_census_on_log_tables_ignores_threads(
 
 def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
     v = projective_variety(2, ("y^2*z - x^3 - 2*x*z^2 - z^3",))
-    expected = brute_plane_curve(v.blocks[0].equations[0], 81)
-    # the scalar oracle's dense tables (q*q >= _LOG_TRIGGER) built the log
-    # tables, so the 81-element vectors below take the log path as well
-    assert make_field(3, 4)._logs is not None
+    expected = brute_count(v, 81)
+    # one long vector builds the log tables, so the 81-element vectors
+    # below take the log path as well
+    F = make_field(3, 4)
+    F.vec_mul(np.arange(_LOG_TRIGGER) % F.q, 1)
+    assert F._logs is not None
     for threads in (1, 2):
         monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, 3, 4, threads) == expected
+
+
+def test_log_tables_cover_every_field_the_budget_enumerates():
+    assert _LOG_LIMIT >= counting.BUDGET
+
+
+# every counting strategy against the brute-force counter; (variety, q)
+STRATEGY_CASES = {
+    "closed form, affine": (affine_space(2), 4),
+    "closed form, product": (
+        variety_product(projective_space(1), affine_space(1)), 9
+    ),
+    "linear": (affine_variety(3, ("x^3*y + x^3*z^3 - x^3",)), 9),
+    "odd quadratic, 1-point grid": (affine_variety(1, ("x^2 - 2",)), 27),
+    "odd quadratic, 1-point grid, linear term": (
+        affine_variety(1, ("2*x^2 + x + 3",)), 625
+    ),
+    "odd quadratic, 1-point grid past _LOG_TRIGGER": (
+        affine_variety(1, ("x^2 + x - 1",)), 3**8
+    ),
+    "odd quadratic, q-point grid": (
+        affine_variety(2, ("y*x^2 + x + y^3 - 1",)), 81
+    ),
+    "odd quadratic, q^2-point grid": (
+        affine_variety(3, ("x^2 - y*z - 2",)), 25
+    ),
+    "char 2, no linear term": (affine_variety(2, ("x*y^2 + x^3 + 1",)), 8),
+    "char 2, linear term": (affine_variety(2, ("y^2 + x*y + x^3 + 1",)), 16),
+    "full grid, two equations": (
+        affine_variety(2, ("x^3 + y^3 - 1", "x*y - 1")), 49
+    ),
+    "full grid past _LOG_TRIGGER": (affine_variety(1, ("x^3 + x + 1",)), 3**8),
+    "projective conic": (projective_variety(2, ("x^2 + y^2 + z^2",)), 9),
+    "projective cubic, char 2": (
+        projective_variety(2, ("y^2*z + x*y*z + x^3 + z^3",)), 8
+    ),
+    "projective quadratic chart": (
+        projective_variety(1, ("x^2 - 2*y^2",)), 3**7
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRATEGY_CASES))
+def test_strategies_match_brute_force(monkeypatch, case):
+    v, q = STRATEGY_CASES[case]
+    p, k = field_params_from_q(q)
+    expected = brute_count(v, q)
+    # split every grid, even one point, across two workers
+    monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        monkeypatch.setattr(counting, "_count_cache", {})
+        assert count_points(v, 1, p, k, threads) == expected, threads
+
+
+def test_one_variable_quadratic_builds_no_field_table(monkeypatch):
+    # x^2 = 2 y^2 on P^1 over F_(3^m): 2 is a square exactly for even m.
+    # The chart enumerates one point, so no q-sized table may be built
+    calls = []
+    monkeypatch.setattr(
+        GF, "square_counts", lambda self: calls.append(self.q)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    v = projective_variety(1, ("x^2 - 2*y^2",))
+    start = time.perf_counter()
+    assert count_points(v, 15, 3) == 0
+    assert count_points(v, 16, 3) == 2
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+
+def test_thread_pool_is_capped_at_the_cpu_count(monkeypatch):
+    workers = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    total = 10 * counting._CHUNK_MIN
+    for threads in (2, 3, 10**6):
+        parts = counting._run_chunks(total, threads, lambda lo, hi: hi - lo)
+        assert parts == total
+    assert workers == [2, 3, 3]

@@ -1,8 +1,14 @@
+import random
+import threading
+import time
+
 import numpy as np
 import pytest
+from reffield import RefField, remainder_mod
 
 from wittzeta.errors import DegreeZero, NonIntegral, NotPrime
 from wittzeta.finitefield import (
+    _LOG_LIMIT,
     _LOG_TRIGGER,
     GF,
     _is_irreducible,
@@ -25,19 +31,6 @@ def monic_polys(p, degree):
     """Every monic polynomial of one degree over F_p, constant term first."""
     for m in range(p**degree):
         yield tuple((m // p**i) % p for i in range(degree)) + (1,)
-
-
-def remainder_mod(a, f, p):
-    """a modulo the monic f over F_p as a length-deg(f) tuple, by schoolbook
-    elimination on plain lists."""
-    a = [c % p for c in a]
-    k = len(f) - 1
-    for top in range(len(a) - 1, k - 1, -1):
-        c = a[top]
-        if c:
-            for j in range(k + 1):
-                a[top - k + j] = (a[top - k + j] - c * f[j]) % p
-    return tuple(a[:k]) + (0,) * (k - len(a))
 
 
 def in_short_chunks(op, *arrays):
@@ -161,14 +154,13 @@ def test_is_irreducible_against_trial_division():
 
 
 def test_reduction_rows_are_remainders():
-    # _red_rows[i] is x^(k+i) modulo the modulus, as k digits
+    # row i of _red_matrix is x^(k+i) modulo the modulus, as k digits
     for p, moduli in MODULUS_GOLDENS.items():
         for k, modulus in enumerate(moduli, start=1):
             F = make_field(p, k)
             rows = tuple(
                 remainder_mod((0,) * (k + i) + (1,), modulus, p) for i in range(k - 1)
             )
-            assert F._red_rows == rows, (p, k)
             assert F._red_matrix.shape == (k - 1, k)
             assert F._red_matrix.tolist() == [list(r) for r in rows]
 
@@ -357,16 +349,75 @@ def test_zech_addition_matches_digit_arithmetic(p, k):
             assert left[i] == F.add(x, int(b[i]))
 
 
-def test_dense_tables_built_through_log_tables_match_digits():
-    # q*q >= _LOG_TRIGGER, so the dense add/mul tables come out of the
-    # log-table gathers; scalar add and mul read them
-    F = digit_path_copy(make_field(3, 4))
-    for a in range(F.q):
-        da = F.decode(a)
-        for b in range(F.q):
-            assert F.add(a, b) == F.encode(x + y for x, y in zip(da, F.decode(b)))
-            assert F.mul(a, b) == F._mul_raw(a, b)
-    assert F._logs is not None
+# fields below _LOG_TRIGGER, between it and _LOG_LIMIT, and one past the
+# limit, which never gets log tables
+REFERENCE_FIELDS = [
+    (2, 4), (3, 4), (7, 3), (2, 11), (3, 8), (2, 13), (13, 4), (3, 15)
+]
+
+
+@pytest.mark.parametrize("p,k", REFERENCE_FIELDS)
+def test_ops_match_reference_arithmetic(p, k):
+    F = GF(p, k, make_field(p, k).modulus)  # a fresh copy: no tables yet
+    ref = RefField(p, F.modulus)
+    rng = random.Random(100 * p + k)
+    pairs = [(0, 1), (1, 0), (F.q - 1, F.q - 1), (p - 1, 1)]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(20)]
+
+    def check_scalar_ops():
+        for a, b in pairs:
+            assert F.add(a, b) == ref.add(a, b), (a, b)
+            assert F.mul(a, b) == ref.mul(a, b), (a, b)
+            assert F.neg(a) == ref.neg(a), a
+            inv = F.try_inverse(a)
+            assert inv is None if a == 0 else ref.mul(a, inv) == 1, a
+
+    check_scalar_ops()
+    assert F._logs is None  # one-element ops never build the tables
+    nprng = np.random.default_rng(100 * p + k)
+    a = nprng.integers(0, F.q, size=_LOG_TRIGGER).astype(np.int64)
+    b = nprng.integers(0, F.q, size=_LOG_TRIGGER).astype(np.int64)
+    a[:3] = 0, 1, p - 1
+    b[1:4] = 0, F.q - 1, 0
+    total, product = F.vec_add(a, b), F.vec_mul(a, b)
+    neg, cube = F.vec_neg(a), F.vec_pow(a, 3)
+    assert (F._logs is not None) == (F.q <= _LOG_LIMIT)
+    for i in list(range(8)) + list(range(8, _LOG_TRIGGER, 61)):
+        x, y = int(a[i]), int(b[i])
+        assert total[i] == ref.add(x, y), (x, y)
+        assert product[i] == ref.mul(x, y), (x, y)
+        assert neg[i] == ref.neg(x), x
+        assert cube[i] == ref.power(x, 3), x
+    check_scalar_ops()  # now on the log tables where the field has them
+
+
+def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
+    # census threads share one field; the first long vectors of two
+    # workers must not both build its tables
+    F = GF(3, 8, make_field(3, 8).modulus)
+    builds = []
+    build = GF._build_log_tables
+
+    def slow_build(self):
+        builds.append(self.q)
+        time.sleep(0.05)  # hold the window open for the other workers
+        build(self)
+
+    monkeypatch.setattr(GF, "_build_log_tables", slow_build)
+    a = np.arange(_LOG_TRIGGER, dtype=np.int64)
+    results = []
+    workers = [
+        threading.Thread(target=lambda: results.append(F.vec_mul(a, a)))
+        for _ in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+    assert not any(worker.is_alive() for worker in workers)
+    assert builds == [F.q]
+    assert len(results) == 4
+    assert all(np.array_equal(r, results[0]) for r in results)
 
 
 def test_field_identity_and_render():

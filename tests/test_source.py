@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).parent.parent
@@ -36,5 +37,10 @@ def test_benchmark_traced_names_resolve():
         assert getattr(owner, cls.__name__, None) is cls, f"{module}.{cls.__name__}"
         assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
     # run.py reads the field cache's counters
-    make_field = importlib.import_module("wittzeta.finitefield").make_field
-    assert callable(make_field.cache_info)
+    finitefield = importlib.import_module("wittzeta.finitefield")
+    assert callable(finitefield.make_field.cache_info)
+    # tracing.py flags the vector op that built a field's log tables
+    F = finitefield.GF(3, 8, finitefield.make_field(3, 8).modulus)
+    assert F._log_built is False
+    F.vec_mul(np.arange(finitefield._LOG_TRIGGER), 1)
+    assert F._log_built is True
