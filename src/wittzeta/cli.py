@@ -362,6 +362,7 @@ def _cmd_check_lambda_axioms(args) -> int:
 def _cmd_count_points(args) -> int:
     variety = _variety_arg(args.variety)
     p, k = _field_args(args, variety)
+    _check_flag("m", args.m, 1)
     value = count_points(variety, args.m, p, k, args.threads)
     _emit(args, str(value), {"value": str(value)})
     return 0

@@ -1,23 +1,26 @@
 """Exact point counting over finite fields, and the derived censuses.
 
 Counts are taken blockwise (blocks of a product are independent, so their
-counts multiply) and per projective chart (first nonzero coordinate
-normalized to 1).  Within a chart three strategies apply, in order:
+counts multiply).  A block without equations has a closed form and builds
+no field.  Otherwise it is cut into charts: an affine block is one chart
+with no fixed coordinates, a projective block one chart per first nonzero
+coordinate, normalized to 1.  Every chart goes through one pipeline:
+`_specialize` plugs in the fixed coordinates and reduces the coefficients
+mod p, and `_count_chart` picks one of two strategies, checks the budget
+against what that strategy enumerates, and runs it in chunks:
 
-* no equations: closed form, nothing is enumerated;
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
   polynomial, reading square roots off a q-sized table when at least q
   tuples are enumerated, and off Euler's criterion otherwise;
 * otherwise: enumerate the full grid and test every equation.
 
-Whatever is actually enumerated is counted against a hard budget of 10^7
-tuples per call, checked before any work happens; no field-sized table is
-built for a grid smaller than the field, so the budget bounds those too.
-Enumeration runs on numpy arrays of encoded field elements; an optional
-thread count, capped at the CPU count, splits the grid into contiguous
-index ranges whose partial sums are added in order, so the result is
-identical for every thread count.
+The budget is a hard 10^7 tuples per chart, checked before any work
+happens; no field-sized table is built for a grid smaller than the field,
+so the budget bounds those too.  Enumeration runs on numpy arrays of
+encoded field elements; an optional thread count, capped at the CPU count,
+splits the grid into contiguous index ranges whose partial sums are added
+in order, so the result is identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a block with equations
@@ -34,12 +37,12 @@ negative.
 from __future__ import annotations
 
 import os
-from math import isqrt
+from functools import partial
 
 import numpy as np
 
 from .errors import BudgetExceeded, CensusInconsistent, NotPrime
-from .finitefield import GF, check_field_params, make_field
+from .finitefield import GF, check_field_params, factorize, make_field
 from .rings import ZZ
 from .varieties import Block, VarietyDesc
 from .witt import from_ghost
@@ -52,17 +55,10 @@ _count_cache: dict = {}
 
 def field_params_from_q(q: int) -> tuple[int, int]:
     """Split a prime power into (p, k); rejects everything else."""
-    if q < 2:
+    factors = factorize(q)
+    if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
-    # the smallest divisor is prime, and past sqrt(q) only q itself is left
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise NotPrime(f"{q} is not a prime power")
+    ((p, k),) = factors.items()
     return p, k
 
 
@@ -76,18 +72,8 @@ def resolve_field(v: VarietyDesc, p: int = 0, k: int = 0) -> tuple[int, int]:
 
 
 def moebius(n: int) -> int:
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def count_points(
@@ -165,82 +151,76 @@ def sym_product_counts(
 
 
 def _count_block(block: Block, p: int, k: int, threads: int) -> int:
-    """Points over F_(p^k); only a block with equations builds the field."""
+    """Points over F_(p^k); only a block with equations builds the field.
+
+    An affine block is one chart with no fixed coordinates; a projective
+    block has one chart per first nonzero coordinate, normalized to 1.
+    """
     if not block.equations:
         q = p**k
         if block.kind == "affine":
             return q**block.dim
         return sum(q**i for i in range(block.dim + 1))
     field = make_field(p, k)
-    if block.kind == "affine":
-        return _count_chart(
-            list(block.equations), block.nvars, field, threads
-        )
-    total = 0
     nvars = block.nvars
-    for i in range(nvars):
-        fixed = {j: 0 for j in range(i)}
-        fixed[i] = 1
-        eqs = [_specialize(eq, nvars, fixed) for eq in block.equations]
-        total += _count_chart(eqs, nvars - i - 1, field, threads)
-    return total
+    charts = [{}]
+    if block.kind == "projective":
+        charts = [{**dict.fromkeys(range(i), 0), i: 1} for i in range(nvars)]
+    return sum(
+        _count_chart(
+            [_specialize(eq, nvars, fixed, p) for eq in block.equations],
+            nvars - len(fixed),
+            field,
+            threads,
+        )
+        for fixed in charts
+    )
 
 
-def _specialize(eq, nvars: int, fixed: dict):
-    """Plug 0/1 values into some variables; terms keyed by remaining exps."""
+def _specialize(eq, nvars: int, fixed: dict, p: int) -> dict:
+    """Plug 0/1 values into some variables and reduce mod p.
+
+    Terms are keyed by the exponents of the remaining variables; terms
+    whose coefficient vanishes in F_p are dropped.
+    """
     remaining = [i for i in range(nvars) if i not in fixed]
     out: dict = {}
     for exps, coeff in eq:
         if any(exps[i] and fixed[i] == 0 for i in fixed):
             continue
         key = tuple(exps[i] for i in remaining)
-        out[key] = out.get(key, 0) + coeff
-    return {k: c for k, c in out.items() if c}
+        out[key] = (out.get(key, 0) + coeff) % p
+    return {key: c for key, c in out.items() if c}
 
 
-def _as_term_dict(eq, nvars: int) -> dict:
-    if isinstance(eq, dict):
-        return eq
-    return {exps: coeff for exps, coeff in eq}
+def _count_chart(eqs: list, nvars: int, field: GF, threads: int) -> int:
+    """Common zeros of reduced equations on the affine grid of nvars variables.
 
-
-def _count_chart(equations, nvars: int, field: GF, threads: int) -> int:
-    """Common zeros of the equations on the affine grid of nvars variables."""
-    p = field.p
-    q = field.q
-    eqs = []
-    for eq in equations:
-        terms = {
-            exps: coeff % p
-            for exps, coeff in _as_term_dict(eq, nvars).items()
-            if coeff % p
-        }
-        if not terms:
-            continue  # identically zero: no constraint
-        if set(terms) == {(0,) * nvars}:
-            return 0  # nonzero constant: empty chart
-        eqs.append(terms)
+    The one place that picks the strategy, checks the budget against what
+    it enumerates and runs the chunks.
+    """
+    eqs = [terms for terms in eqs if terms]  # identically zero: no constraint
+    if any(set(terms) == {(0,) * nvars} for terms in eqs):
+        return 0  # a nonzero constant: the chart is empty
     if not eqs:
-        return q**nvars
-    if nvars == 0:
-        return 1  # only nontrivial constants could fail, handled above
-    if len(eqs) == 1:
-        solved = _try_solve_counting(eqs[0], nvars, field, threads)
-        if solved is not None:
-            return solved
-    _check_budget(q, nvars)
-    return _run_chunks(
-        q**nvars,
-        threads,
-        lambda lo, hi: _grid_zeros(eqs, nvars, field, lo, hi),
+        return field.q**nvars
+    solve_var = (
+        _solve_variable(eqs[0], nvars, field.p) if len(eqs) == 1 else None
     )
+    enumerated = nvars if solve_var is None else nvars - 1
+    tuples = field.q**enumerated
+    _check_budget(tuples)
+    if solve_var is None:
+        worker = partial(_grid_zeros, eqs, nvars, field)
+    else:
+        worker = _root_counter(eqs[0], nvars, solve_var, field)
+    return _run_chunks(tuples, threads, worker)
 
 
-def _check_budget(q: int, enumerated: int):
-    planned = q**enumerated
-    if planned > BUDGET:
+def _check_budget(tuples: int):
+    if tuples > BUDGET:
         raise BudgetExceeded(
-            f"{planned} tuples to enumerate, budget is {BUDGET}"
+            f"{tuples} tuples to enumerate, budget is {BUDGET}"
         )
 
 
@@ -260,19 +240,16 @@ def _run_chunks(total: int, threads: int, worker) -> int:
     return sum(parts)
 
 
-def _axis_values(q: int, nvars: int, axis: int, lo: int, hi: int) -> np.ndarray:
-    """Values of one grid variable on the flattened index range [lo, hi)."""
+def _grid(q: int, n: int, lo: int, hi: int) -> list:
+    """Coordinates of the flat grid indices lo..hi-1, the first slowest."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    stride = q ** (nvars - 1 - axis)
-    return (idx // stride) % q
+    return [(idx // q ** (n - 1 - j)) % q for j in range(n)]
 
 
 def _eval_terms(terms: dict, arrays: list, field: GF, size: int) -> np.ndarray:
+    """Values of a reduced polynomial; its coefficients lie in F_p, 1..p-1."""
     acc = None
-    for exps, coeff in terms.items():
-        c = field.from_int(coeff)
-        if c == 0:
-            continue
+    for exps, c in terms.items():
         term = None
         for j, e in enumerate(exps):
             if e:
@@ -289,9 +266,7 @@ def _eval_terms(terms: dict, arrays: list, field: GF, size: int) -> np.ndarray:
 
 
 def _grid_zeros(eqs, nvars: int, field: GF, lo: int, hi: int) -> int:
-    arrays = [
-        _axis_values(field.q, nvars, j, lo, hi) for j in range(nvars)
-    ]
+    arrays = _grid(field.q, nvars, lo, hi)
     good = None
     for terms in eqs:
         mask = _eval_terms(terms, arrays, field, hi - lo) == 0
@@ -301,69 +276,45 @@ def _grid_zeros(eqs, nvars: int, field: GF, lo: int, hi: int) -> int:
     return int(np.count_nonzero(good))
 
 
-def _try_solve_counting(terms: dict, nvars: int, field: GF, threads: int):
-    """Root counting in one variable, or None when no variable qualifies.
+def _solve_variable(terms: dict, nvars: int, p: int):
+    """A variable whose roots can be counted, or None when none qualifies.
 
     For a quadratic a*s^2 + b*s + c the number of roots in s is the number
     of square roots of b^2 - 4ac when a != 0 (characteristic not 2), and
     the linear count otherwise; in characteristic 2 only a missing linear
     term (one root, Frobenius) or a linear equation can be counted this way.
     """
-    degrees = [0] * nvars
-    for exps in terms:
-        for j, e in enumerate(exps):
-            degrees[j] = max(degrees[j], e)
-    solve_var = None
     for j in range(nvars):
-        if degrees[j] == 1:
-            solve_var = j
-            break
-        if degrees[j] == 2:
-            has_linear = any(exps[j] == 1 for exps in terms)
-            if field.p != 2 or not has_linear:
-                solve_var = j
-                break
-    if solve_var is None:
-        return None
-    _check_budget(field.q, nvars - 1)
+        degree = max(exps[j] for exps in terms)
+        if degree == 1:
+            return j
+        if degree == 2 and (p != 2 or all(exps[j] != 1 for exps in terms)):
+            return j
+    return None
 
-    def part(exps):
-        reduced = list(exps)
-        reduced[solve_var] = 0
-        return tuple(reduced)
 
-    coeff_polys = [{}, {}, {}]  # by power of the solve variable
+def _root_counter(terms: dict, nvars: int, s: int, field: GF):
+    """Worker adding up root counts in variable s over the other variables."""
+    coeff_polys = [{}, {}, {}]  # by power of s, keyed without s
     for exps, coeff in terms.items():
-        bucket = coeff_polys[exps[solve_var]]
-        key = part(exps)
-        bucket[key] = bucket.get(key, 0) + coeff
-
+        coeff_polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
+    q = field.q
     quadratic = bool(coeff_polys[2])
-    grid = field.q ** (nvars - 1)
-    # a grid of fewer than q points decides squareness by Euler's criterion
-    # instead of a q-sized table; characteristic 2 needs neither
+    # a one-variable chart enumerates one point, fewer than q, so it decides
+    # squareness by Euler's criterion instead of a q-sized table;
+    # characteristic 2 needs neither
     sqrt_counts = None
-    if quadratic and field.p != 2 and grid >= field.q:
+    if quadratic and field.p != 2 and nvars > 1:
         sqrt_counts = field.square_counts()
     minus_four = np.int64(field.from_int(-4))
 
     def worker(lo: int, hi: int) -> int:
-        size = hi - lo
-        # the solve variable's slot is never read (its exponent is 0 in
-        # every coefficient polynomial) but keeps indexing by variable
-        eval_arrays = []
-        for j in range(nvars):
-            if j == solve_var:
-                eval_arrays.append(np.zeros(size, dtype=np.int64))
-            else:
-                rank = j - (1 if j > solve_var else 0)
-                eval_arrays.append(
-                    _axis_values(field.q, nvars - 1, rank, lo, hi)
-                )
-        a = _eval_terms(coeff_polys[2], eval_arrays, field, size)
-        b = _eval_terms(coeff_polys[1], eval_arrays, field, size)
-        c = _eval_terms(coeff_polys[0], eval_arrays, field, size)
-        linear = np.where(b != 0, 1, np.where(c == 0, field.q, 0))
+        arrays = _grid(q, nvars - 1, lo, hi)
+        a, b, c = (
+            _eval_terms(coeff_polys[e], arrays, field, hi - lo)
+            for e in (2, 1, 0)
+        )
+        linear = np.where(b != 0, 1, np.where(c == 0, q, 0))
         if not quadratic:
             return int(linear.sum())
         if field.p == 2:
@@ -377,8 +328,8 @@ def _try_solve_counting(terms: dict, nvars: int, field: GF, threads: int):
                 quad = sqrt_counts[disc]
             else:
                 # d^((q-1)/2) is 1 on nonzero squares and -1 on the rest
-                euler = field.vec_pow(disc, (field.q - 1) // 2)
+                euler = field.vec_pow(disc, (q - 1) // 2)
                 quad = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
         return int(np.where(a != 0, quad, linear).sum())
 
-    return _run_chunks(grid, threads, worker)
+    return worker

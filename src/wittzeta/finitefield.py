@@ -46,33 +46,22 @@ _LOG_LIMIT = 10**7
 _LOG_TRIGGER = 4096  # vector size that makes building the tables worthwhile
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n by trial division; empty for n below 2."""
+    factors: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        factors[n] = 1  # past sqrt(n), what is left is prime
+    return factors
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
 
 
 def _prime_polys(p: int) -> Poly1Ring:
@@ -183,7 +172,7 @@ class GF(Ring):
     def _find_generator(self) -> int:
         """The least multiplicative generator, testing 64 candidates at a time."""
         n = self.q - 1
-        primes = _prime_divisors(n)
+        primes = list(factorize(n))
         for lo in range(1, self.q, 64):
             cand = np.arange(lo, min(lo + 64, self.q), dtype=np.int64)
             ok = np.ones(cand.size, dtype=bool)

@@ -162,7 +162,11 @@ class Poly1Ring(Ring):
         return self._divide(a, b, self.base.mul, inv)
 
     def gcd(self, a, b):
-        """Monic gcd over a field coefficient ring (zero for two zeros)."""
+        """Monic gcd over a field coefficient ring (zero for two zeros).
+
+        Ben-Or's irreducibility test over F_p calls it; rational functions
+        over QQ cancel by a primitive gcd over ZZ instead.
+        """
         while b:
             _, r = self.divmod(a, b)
             a, b = b, r

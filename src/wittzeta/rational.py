@@ -18,7 +18,8 @@ gives the product pair
 
 Over ZZ and QQ the pair is then reduced to lowest terms with a primitive
 remainder sequence over ZZ[t] (Collins, JACM 1967), so no rational
-coefficient ever grows inside Euclid's algorithm.
+coefficient ever grows inside Euclid's algorithm; the rational function
+field QQ(u) cancels its fractions the same way.
 
 `rationalize` goes the other way: given a truncated series it finds the
 pair with both degrees bounded, or None, in one elimination pass over the
@@ -137,21 +138,29 @@ def rat_mul(f: RatWitt, g: RatWitt) -> RatWitt:
 def _reduce_over_rationals(ring: Ring, num, den):
     """Cancel the common factor, keeping both constant terms at 1.
 
-    Both parts are cleared of denominators by one common multiple m and
-    divided by their primitive gcd g in ZZ[t]; by Gauss's lemma those
-    divisions are exact.  The quotients have constant term m/g(0), so
-    scaling by g(0)/m restores 1.  Over ZZ, m = 1 and g(0) = +-1.
+    The quotients of `_cancel` share the constant term m/g(0), so dividing
+    by it restores 1.  Over ZZ, m = 1 and g(0) = +-1, its own inverse.
     """
     if not (num and den) or num[0] != 1 or den[0] != 1:
         raise ValueError("numerator and denominator need constant term 1")
+    num_z, den_z = _cancel(num, den)
+    scale = num_z[0] if ring is ZZ else Fraction(1, num_z[0])
+    return tuple(c * scale for c in num_z), tuple(c * scale for c in den_z)
+
+
+def _cancel(num, den) -> tuple:
+    """num/den over QQ in lowest terms, as two coprime ZZ[t] polynomials.
+
+    Both nonzero parts are cleared of denominators by one common multiple m
+    and divided by their primitive gcd g in ZZ[t]; by Gauss's lemma those
+    divisions are exact.  The caller normalizes the pair.
+    """
     m = math.lcm(*(c.denominator for c in num + den))
     a = [c.numerator * (m // c.denominator) for c in num]
     b = [c.numerator * (m // c.denominator) for c in den]
     g = _primitive_gcd(a, b)
     zt = Poly1Ring(ZZ, "t")
-    num_z, den_z = zt.exact_div(a, g), zt.exact_div(b, g)
-    scale = g[0] if ring is ZZ else Fraction(g[0], m)
-    return tuple(c * scale for c in num_z), tuple(c * scale for c in den_z)
+    return zt.exact_div(a, g), zt.exact_div(b, g)
 
 
 def _primitive(a: list) -> list:
@@ -194,7 +203,8 @@ class RatFuncRing(Ring):
     """Field of univariate rational functions over the rationals.
 
     Elements are (num, den) pairs of coefficient tuples with a monic,
-    coprime denominator; the zero element is ((), (1,)).
+    coprime denominator; the zero element is ((), (1,)).  Common factors
+    cancel through `_cancel`, the primitive gcd over ZZ[u] of `rat_make`.
     """
 
     torsion_free = True
@@ -228,15 +238,14 @@ class RatFuncRing(Ring):
         num, den = pr.trim(num), pr.trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in a rational function")
-        g = pr.gcd(num, den)
-        if len(g) > 1:
-            num, _ = pr.divmod(num, g)
-            den, _ = pr.divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = pr.scale(1 / lead, num)
-            den = pr.scale(1 / lead, den)
-        return (num, den)
+        if not num:
+            return self.zero
+        num_z, den_z = _cancel(num, den)
+        lead = den_z[-1]  # the denominator is made monic
+        return (
+            tuple(Fraction(c, lead) for c in num_z),
+            tuple(Fraction(c, lead) for c in den_z),
+        )
 
     def from_poly(self, coeffs):
         return self.make(tuple(Fraction(c) for c in coeffs), (Fraction(1),))

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NotPrime, UnsupportedClass
+from .errors import DegreeZero, NotPrime, UnsupportedClass
 from .finitefield import is_prime
 from .parsing import parse_poly
 from .rings import MPolyRing, poly_ring, scaled_term, signed_sum
@@ -167,10 +167,13 @@ def load_variety(source) -> VarietyDesc:
         raise ValueError(f"unknown ambient kind {kind!r}")
     builder = affine_variety if kind == "affine" else projective_variety
     p = int(data.get("p", 0))
-    k = int(data.get("k", 1)) if p else 0
     if p and not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return builder(int(dim), tuple(data.get("equations", ())), p, k)
+    k = int(data.get("k", 1))
+    if k < 1:
+        raise DegreeZero(f'"k" must be at least 1, got {k}')
+    eqs = tuple(data.get("equations", ()))
+    return builder(int(dim), eqs, p, k if p else 0)
 
 
 @dataclass(frozen=True)

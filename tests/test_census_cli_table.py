@@ -353,31 +353,31 @@ TABLE = [
         "count points --variety p1 --q 5 --m 0",
         2,
         "",
-        "error: extension degree must be positive, got 0\n",
+        "error: --m must be at least 1, got 0\n",
     ),
     (
         "count points --variety p1 --q 5 --m -1",
         2,
         "",
-        "error: extension degree must be positive, got -1\n",
+        "error: --m must be at least 1, got -1\n",
     ),
     (
         "count points --variety e5 --m 0",
         2,
         "",
-        "error: extension degree must be positive, got 0\n",
+        "error: --m must be at least 1, got 0\n",
     ),
     (
         "count points --variety gm --q 3 --m -1",
         2,
         "",
-        "error: extension degree must be positive, got -1\n",
+        "error: --m must be at least 1, got -1\n",
     ),
     (
         "count points --variety a2 --q 4 --m 0 --json",
         2,
         "",
-        "error: extension degree must be positive, got 0\n",
+        "error: --m must be at least 1, got 0\n",
     ),
     (
         "count points --variety a1 --q 6",

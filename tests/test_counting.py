@@ -259,6 +259,13 @@ def test_moebius_values():
     assert tuple(moebius(n) for n in range(1, 13)) == expected
 
 
+def test_moebius_sums_over_the_divisors_to_one_at_n_equal_1():
+    # sum_(d|n) mu(d) = [n = 1]
+    for n in range(1, 2001):
+        total = sum(moebius(d) for d in range(1, n + 1) if n % d == 0)
+        assert total == (n == 1), n
+
+
 def test_census_of_the_line():
     # degree-d monic irreducibles over F_2: 2, 1, 2
     assert closed_point_census(affine_space(1), 3, 2) == (2, 1, 2)
@@ -420,6 +427,33 @@ def test_budget_applies_to_the_solved_variable_path():
     v = affine_variety(6, (eq,))
     with pytest.raises(BudgetExceeded):
         count_points(v, 1, 37)  # 37^5 > 10^7 remaining variables
+
+
+def test_budget_refuses_a_quadric_before_its_square_root_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        GF, "square_counts", lambda self: calls.append(self.q)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    eq = "+".join(f"{v}^2" for v in affine_space(10).blocks[0].variables)
+    v = affine_variety(10, (eq + "-1",))
+    message = "^40353607 tuples to enumerate, budget is 10000000$"
+    with pytest.raises(BudgetExceeded, match=message):
+        count_points(v, 1, 7)  # solving for x leaves 7^9 tuples
+    assert calls == []
+
+
+def test_budget_applies_per_chart(monkeypatch):
+    # the charts of e5 over F_(5^3): solve for y at x = 1, then the full
+    # grid in z at (0, 1, z); the constant chart (0, 0, 1) enumerates nothing
+    planned = []
+    real = counting._check_budget
+    monkeypatch.setattr(
+        counting, "_check_budget", lambda n: planned.append(n) or real(n)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    assert count_points(elliptic_f5(), 3) == 108
+    assert planned == [125, 125]
 
 
 def test_closed_forms_bypass_the_budget():

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,3 +47,25 @@ def test_benchmark_traced_names_resolve():
     assert F._log_built is False
     F.vec_mul(np.arange(finitefield._LOG_TRIGGER), 1)
     assert F._log_built is True
+
+
+def test_unthreaded_cli_never_imports_the_thread_pool():
+    # counting imports concurrent.futures only when it splits a grid; at
+    # module level its RSS would show in the peak of every benchmark run
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from wittzeta.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [",
+        "        main(['zeta', 'weil', '--variety', 'e5', '--prec', '6']),",
+        "        main(['rat', 'mul', '--a-num', '1+t', '--b-num', '1-2*t']),",
+        "    ]",
+        "print(codes, 'concurrent.futures' in sys.modules)",
+    ])
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (run.stdout, run.stderr) == ("[0, 0] False\n", "")

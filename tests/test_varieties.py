@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wittzeta.errors import NotPrime, UnsupportedClass
+from wittzeta import cli
+from wittzeta.errors import DegreeZero, NotPrime, UnsupportedClass
 from wittzeta.varieties import (
     Block,
     K0Class,
@@ -81,6 +82,17 @@ def test_load_variety_rejects_bad_input():
         load_variety({"ambient": {"weird": 2}})
     with pytest.raises(NotPrime):
         load_variety({"p": 4, "ambient": {"affine": 1}})
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_load_variety_rejects_an_extension_degree_below_one(capsys, k):
+    data = {"p": 3, "k": k, "ambient": {"affine": 1}}
+    message = f'"k" must be at least 1, got {k}'
+    with pytest.raises(DegreeZero, match=f"^{message}$"):
+        load_variety(data)
+    # the command line names the key, not the degree k*m it would count in
+    assert cli.main(["count", "points", "--variety", json.dumps(data)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_symbolic_atoms():
