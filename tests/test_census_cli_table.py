@@ -391,6 +391,62 @@ TABLE = [
         "{\"value\": \"4161\"}\n",
         "",
     ),
+    # a two-variable full grid over F_(2^10): q^2 elements from q-sized axes
+    (
+        (
+            "count points --variety {\"ambient\":{\"affine\":2},"
+            "\"equations\":[\"x^3+y^3+x*y+1\"]} --q 1024"
+        ),
+        0,
+        "3069\n",
+        "",
+    ),
+    # a four-variable full grid over a prime field
+    (
+        (
+            "count points --variety {\"p\":13,"
+            "\"ambient\":{\"affine\":4},"
+            "\"equations\":[\"x^3+y^3+z^3+w^3+x*y*z*w-1\"]}"
+        ),
+        0,
+        "2820\n",
+        "",
+    ),
+    # a quadric and a cubic in P^3, split across two threads
+    (
+        (
+            "count census --variety {\"p\":37,"
+            "\"ambient\":{\"projective\":3},"
+            "\"equations\":[\"x^2+y^2+y*z+z^2+w^2+x*w\","
+            "\"x^3+y^3+z^3+w^3+x*y*z+y*z*w+x*z^2\"]} --degree 1 --threads 2"
+        ),
+        0,
+        "30\n",
+        "",
+    ),
+    # the same curve over F_7 and F_49, where the F_49 grid is split
+    (
+        (
+            "count census --variety {\"p\":7,"
+            "\"ambient\":{\"projective\":3},"
+            "\"equations\":[\"x^2+y^2+y*z+z^2+w^2+x*w\","
+            "\"x^3+y^3+z^3+w^3+x*y*z+y*z*w+x*z^2\"]} --degree 2 --threads 2"
+        ),
+        0,
+        "11, 28\n",
+        "",
+    ),
+    # a binary cubic form: a one-variable full-grid chart
+    (
+        (
+            "count census --variety {\"p\":5,"
+            "\"ambient\":{\"projective\":1},"
+            "\"equations\":[\"x^3+2*x*y^2+y^3\"]} --degree 8"
+        ),
+        0,
+        "0, 0, 1, 0, 0, 0, 0, 0\n",
+        "",
+    ),
 ]
 
 
