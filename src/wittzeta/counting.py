@@ -6,8 +6,8 @@ no field.  Otherwise it is cut into charts: an affine block is one chart
 with no fixed coordinates, a projective block one chart per first nonzero
 coordinate, normalized to 1.  Every chart goes through one pipeline:
 `_specialize` plugs in the fixed coordinates and reduces the coefficients
-mod p, and `_count_chart` picks one of two strategies, checks the budget
-against what that strategy enumerates, and runs it in chunks:
+mod p, and `_plan_chart` picks one of two strategies and checks the budget
+against what that strategy enumerates:
 
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
@@ -15,15 +15,25 @@ against what that strategy enumerates, and runs it in chunks:
   tuples are enumerated, and off Euler's criterion otherwise;
 * otherwise: enumerate the full grid and test every equation.
 
-The budget is a hard 10^7 tuples per chart, checked before any work
-happens; no field-sized table is built for a grid smaller than the field,
-so the budget bounds those too.  Enumeration runs on numpy arrays of
-encoded field elements; an optional thread count, capped at the CPU count,
-splits the grid into contiguous index ranges whose partial sums are added
-in order, so the result is identical for every thread count.
+The budget is a hard 10^7 tuples per chart.  Every chart of every block of
+a call is planned from p and q alone, and its budget checked, before any
+field is built or anything enumerated; no field-sized table is built for a
+grid smaller than the field, so the budget bounds those too.
+
+Both strategies evaluate polynomials on the grid by `_grid_values`, which
+never materialises the coordinates of the grid.  It groups the terms by
+the exponent of the leading variable, evaluates each group's cofactor once
+on the grid of the remaining variables, and combines the groups by numpy
+broadcasting, x^e laid along the leading axis times the cofactor along the
+others: a Horner scheme over the variables, in which full-size arrays are
+touched about twice per distinct leading exponent rather than several
+times per monomial.  An optional thread count, capped at the CPU count,
+splits the grid into contiguous ranges of whole slabs of the leading
+variable, so every chunk is a grid of its own; partial sums are added in
+order, so the result is identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
-deterministic modulus scan as the base field; only a block with equations
+deterministic modulus scan as the base field; only a chart that enumerates
 builds it, a closed form needs nothing but q^m.  A census counts its
 largest degree first, so the budget of its largest field is checked before
 anything is enumerated.  The zeta series exp(sum_m N_m t^m / m) is the Witt
@@ -79,16 +89,21 @@ def moebius(n: int) -> int:
 def count_points(
     v: VarietyDesc, m: int = 1, p: int = 0, k: int = 0, threads: int = 1
 ) -> int:
-    """Number of F_(q^m)-points, q = p^k."""
+    """Number of F_(q^m)-points, q = p^k.
+
+    Every chart of every block is planned, and its budget checked, before
+    any field is built or any grid enumerated.
+    """
     p, k = resolve_field(v, p, k)
     check_field_params(p, k * m)
     key = (v.blocks, p, k, m)
     cached = _count_cache.get(key)
     if cached is not None:
         return cached
+    plans = [_plan_block(block, p, k * m) for block in v.blocks]
     total = 1
-    for block in v.blocks:
-        total *= _count_block(block, p, k * m, threads)
+    for plan in plans:
+        total *= _count_block(plan, p, k * m, threads)
         if total == 0:
             break
     _count_cache[key] = total
@@ -150,31 +165,32 @@ def sym_product_counts(
 # block-level counting
 
 
-def _count_block(block: Block, p: int, k: int, threads: int) -> int:
-    """Points over F_(p^k); only a block with equations builds the field.
+def _plan_block(block: Block, p: int, k: int) -> list:
+    """The charts of a block over F_(p^k), each a point count or a plan.
 
-    An affine block is one chart with no fixed coordinates; a projective
-    block has one chart per first nonzero coordinate, normalized to 1.
+    A block without equations is one closed-form count.  An affine block is
+    one chart with no fixed coordinates; a projective block has one chart
+    per first nonzero coordinate, normalized to 1.  Planning needs p and q
+    alone and builds no field.
     """
+    q = p**k
     if not block.equations:
-        q = p**k
         if block.kind == "affine":
-            return q**block.dim
-        return sum(q**i for i in range(block.dim + 1))
-    field = make_field(p, k)
+            return [q**block.dim]
+        return [sum(q**i for i in range(block.dim + 1))]
     nvars = block.nvars
     charts = [{}]
     if block.kind == "projective":
         charts = [{**dict.fromkeys(range(i), 0), i: 1} for i in range(nvars)]
-    return sum(
-        _count_chart(
+    return [
+        _plan_chart(
             [_specialize(eq, nvars, fixed, p) for eq in block.equations],
             nvars - len(fixed),
-            field,
-            threads,
+            p,
+            q,
         )
         for fixed in charts
-    )
+    ]
 
 
 def _specialize(eq, nvars: int, fixed: dict, p: int) -> dict:
@@ -193,28 +209,21 @@ def _specialize(eq, nvars: int, fixed: dict, p: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _count_chart(eqs: list, nvars: int, field: GF, threads: int) -> int:
-    """Common zeros of reduced equations on the affine grid of nvars variables.
+def _plan_chart(eqs: list, nvars: int, p: int, q: int):
+    """A chart's point count when nothing needs enumerating, else its plan.
 
-    The one place that picks the strategy, checks the budget against what
-    it enumerates and runs the chunks.
+    The plan is (equations, nvars, solve variable or None); it is the one
+    place that picks the strategy and checks the budget against what that
+    strategy enumerates.
     """
     eqs = [terms for terms in eqs if terms]  # identically zero: no constraint
     if any(set(terms) == {(0,) * nvars} for terms in eqs):
         return 0  # a nonzero constant: the chart is empty
     if not eqs:
-        return field.q**nvars
-    solve_var = (
-        _solve_variable(eqs[0], nvars, field.p) if len(eqs) == 1 else None
-    )
-    enumerated = nvars if solve_var is None else nvars - 1
-    tuples = field.q**enumerated
-    _check_budget(tuples)
-    if solve_var is None:
-        worker = partial(_grid_zeros, eqs, nvars, field)
-    else:
-        worker = _root_counter(eqs[0], nvars, solve_var, field)
-    return _run_chunks(tuples, threads, worker)
+        return q**nvars
+    solve_var = _solve_variable(eqs[0], nvars, p) if len(eqs) == 1 else None
+    _check_budget(q ** (nvars if solve_var is None else nvars - 1))
+    return eqs, nvars, solve_var
 
 
 def _check_budget(tuples: int):
@@ -224,14 +233,44 @@ def _check_budget(tuples: int):
         )
 
 
-def _run_chunks(total: int, threads: int, worker) -> int:
+def _count_block(plan: list, p: int, k: int, threads: int) -> int:
+    """Points of a planned block; a chart that enumerates builds F_(p^k)."""
+    return sum(
+        chart
+        if isinstance(chart, int)
+        else _count_chart(*chart, make_field(p, k), threads)
+        for chart in plan
+    )
+
+
+def _count_chart(
+    eqs: list, nvars: int, solve_var, field: GF, threads: int
+) -> int:
+    """Common zeros of a planned chart, run in chunks of whole slabs.
+
+    A slab is the q^(enumerated - 1) tuples that share the value of the
+    leading enumerated variable, so every chunk is a grid of its own.
+    """
+    if solve_var is None:
+        enumerated = nvars
+        worker = partial(_grid_zeros, eqs, nvars, field)
+    else:
+        enumerated = nvars - 1
+        worker = _root_counter(eqs[0], nvars, solve_var, field)
+    slab = field.q ** max(enumerated - 1, 0)
+    return _run_chunks(field.q**enumerated, threads, worker, slab)
+
+
+def _run_chunks(total: int, threads: int, worker, unit: int = 1) -> int:
+    """Sum of worker(lo, hi) over consecutive ranges of whole units."""
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or total < _CHUNK_MIN:
         return worker(0, total)
     # imported here, so that unthreaded processes skip its 0.5 MB of RSS
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [total * i // threads for i in range(threads + 1)]
+    units = total // unit
+    bounds = [unit * (units * i // threads) for i in range(threads + 1)]
     ranges = [
         (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     ]
@@ -240,40 +279,53 @@ def _run_chunks(total: int, threads: int, worker) -> int:
     return sum(parts)
 
 
-def _grid(q: int, n: int, lo: int, hi: int) -> list:
-    """Coordinates of the flat grid indices lo..hi-1, the first slowest."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return [(idx // q ** (n - 1 - j)) % q for j in range(n)]
+def _grid_values(
+    terms: dict, field: GF, n: int, lo: int, hi: int
+) -> np.ndarray:
+    """Values of a reduced polynomial on the n-variable grid of F_q.
 
-
-def _eval_terms(terms: dict, arrays: list, field: GF, size: int) -> np.ndarray:
-    """Values of a reduced polynomial; its coefficients lie in F_p, 1..p-1."""
-    acc = None
+    The grid is the flat indices lo..hi-1, the first variable slowest, and
+    lo and hi fall on whole slabs of the first variable.  The result has n
+    axes and broadcasts to the grid's shape (rows, q, ..., q).  Terms are
+    grouped by their exponent e of the first variable; each group's
+    cofactor is evaluated once on the grid of the other variables, and
+    x^e, laid along the leading axis, multiplies it by broadcasting.
+    """
+    if n == 0:
+        return np.array(terms.get((), 0), dtype=np.int64)
+    slab = field.q ** (n - 1)
+    rows = np.arange(lo // slab, hi // slab, dtype=np.int64)
+    rows = rows.reshape((-1,) + (1,) * (n - 1))
+    groups: dict = {}
     for exps, c in terms.items():
-        term = None
-        for j, e in enumerate(exps):
+        groups.setdefault(exps[0], {})[exps[1:]] = c
+    acc = None
+    for e, rest in groups.items():
+        if e and rest == {(0,) * (n - 1): 1}:
+            term = field.vec_pow(rows, e)  # x^e times 1: no full-size product
+        else:
+            term = _grid_values(rest, field, n - 1, 0, slab)[None]
             if e:
-                power = field.vec_pow(arrays[j], e)
-                term = power if term is None else field.vec_mul(term, power)
-        if term is None:
-            term = np.full(size, c, dtype=np.int64)
-        elif c != 1:
-            term = field.vec_mul(term, np.int64(c))
+                term = field.vec_mul(field.vec_pow(rows, e), term)
         acc = term if acc is None else field.vec_add(acc, term)
     if acc is None:
-        return np.zeros(size, dtype=np.int64)
+        return np.zeros((1,) * n, dtype=np.int64)
     return acc
 
 
+def _grid_sum(values: np.ndarray, size: int) -> int:
+    """Sum over a grid of `size` points of values that broadcast to it."""
+    return int(values.sum()) * (size // values.size)
+
+
 def _grid_zeros(eqs, nvars: int, field: GF, lo: int, hi: int) -> int:
-    arrays = _grid(field.q, nvars, lo, hi)
     good = None
     for terms in eqs:
-        mask = _eval_terms(terms, arrays, field, hi - lo) == 0
+        mask = _grid_values(terms, field, nvars, lo, hi) == 0
         good = mask if good is None else (good & mask)
         if not good.any():
             return 0
-    return int(np.count_nonzero(good))
+    return _grid_sum(good, hi - lo)
 
 
 def _solve_variable(terms: dict, nvars: int, p: int):
@@ -309,14 +361,13 @@ def _root_counter(terms: dict, nvars: int, s: int, field: GF):
     minus_four = np.int64(field.from_int(-4))
 
     def worker(lo: int, hi: int) -> int:
-        arrays = _grid(q, nvars - 1, lo, hi)
         a, b, c = (
-            _eval_terms(coeff_polys[e], arrays, field, hi - lo)
+            _grid_values(coeff_polys[e], field, nvars - 1, lo, hi)
             for e in (2, 1, 0)
         )
         linear = np.where(b != 0, 1, np.where(c == 0, q, 0))
         if not quadratic:
-            return int(linear.sum())
+            return _grid_sum(linear, hi - lo)
         if field.p == 2:
             quad = 1  # s^2 = d: one root
         else:
@@ -330,6 +381,6 @@ def _root_counter(terms: dict, nvars: int, s: int, field: GF):
                 # d^((q-1)/2) is 1 on nonzero squares and -1 on the rest
                 euler = field.vec_pow(disc, (q - 1) // 2)
                 quad = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
-        return int(np.where(a != 0, quad, linear).sum())
+        return _grid_sum(np.where(a != 0, quad, linear), hi - lo)
 
     return worker

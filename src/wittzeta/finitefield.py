@@ -20,13 +20,14 @@ An extension field has one kernel, the ``vec_*`` methods; scalar `GF.add`
 and `GF.mul` are one-element calls of `GF.vec_add` and `GF.vec_mul`, `GF.neg`
 multiplies by -1 and `GF.try_inverse` raises to the power q - 2.  When
 q <= ``_LOG_LIMIT``, which is the enumeration budget of `counting`, the first
-vector op on at least ``_LOG_TRIGGER`` elements builds exp/log tables for a
-generator g and a Zech table ``zech[e] = log(1 + g^e)``; from then on every
-op, scalar or vector, is a table gather on discrete logarithms.  Without
-the tables (short vectors before the first long one, and fields past the
-budget) the ops decode to base-p digit matrices, add or convolve, and fold
-the overflow digits back with precomputed reduction rows; the table build
-itself runs on these digit products.
+vector op whose operands broadcast to at least ``_LOG_TRIGGER`` elements
+builds exp/log tables for a generator g and a Zech table
+``zech[e] = log(1 + g^e)``; from then on every op, scalar or vector, is a
+table gather on discrete logarithms.  Without the tables (short vectors
+before the first long one, and fields past the budget) the ops decode to
+base-p digit matrices, add or convolve, and fold the overflow digits back
+with precomputed reduction rows; the table build itself runs on these
+digit products.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ class GF(Ring):
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
             return (a + b) % self.p
-        logs = self._log_tables(max(a.size, b.size))
+        logs = self._log_tables(np.broadcast(a, b).size)
         if logs is None:
             return self.vec_encode(self.vec_decode(a) + self.vec_decode(b))
         exp, log, zech = logs
@@ -261,7 +262,7 @@ class GF(Ring):
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
             return (a * b) % self.p
-        logs = self._log_tables(max(a.size, b.size))
+        logs = self._log_tables(np.broadcast(a, b).size)
         if logs is None:
             return self._digit_mul(a, b)
         exp, log, _ = logs

@@ -479,6 +479,43 @@ def test_census_checks_its_largest_field_before_enumerating(monkeypatch):
     assert chunks == []
 
 
+def over_budget_affine_block():
+    """An affine cubic in 15 variables: 3^15 > 10^7 tuples over F_3."""
+    names = affine_space(15).blocks[0].variables
+    return affine_variety(15, ("+".join(f"{v}^3" for v in names) + "+1",))
+
+
+def test_product_plans_every_block_before_counting(monkeypatch):
+    # the circle enumerates F_3, but only after every block passed the
+    # budget; the later block is refused before any field is built
+    built, chunks = [], []
+    monkeypatch.setattr(
+        counting, "make_field", lambda p, k: built.append((p, k))
+    )
+    monkeypatch.setattr(
+        counting, "_run_chunks", lambda *args: chunks.append(args)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    v = variety_product(
+        affine_variety(2, ("x^2 + y^2 - 1",)), over_budget_affine_block()
+    )
+    message = f"^{3**15} tuples to enumerate, budget is 10000000$"
+    with pytest.raises(BudgetExceeded, match=message):
+        count_points(v, 1, 3)
+    assert built == [] and chunks == []
+
+
+def test_product_with_an_empty_block_still_checks_the_budget(monkeypatch):
+    # x^2 + 1 has no root in F_3; this product used to count 0 points
+    # without looking at the over-budget block after it
+    monkeypatch.setattr(counting, "_count_cache", {})
+    empty = affine_variety(1, ("x^2 + 1",))
+    assert count_points(empty, 1, 3) == 0
+    v = variety_product(empty, over_budget_affine_block())
+    with pytest.raises(BudgetExceeded):
+        count_points(v, 1, 3)
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     # an empty count cache before each call, so both calls really count
     v = affine_variety(3, ("x^3 + y^3 + z^3 - 1",), p=37)
@@ -579,6 +616,101 @@ def test_strategies_match_brute_force(monkeypatch, case):
     for threads in (1, 2):
         monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, p, k, threads) == expected, threads
+
+
+# the broadcast grid evaluator against point-by-point reference arithmetic
+
+
+def seeded_polys(rng, n, p, q):
+    """Reduced polynomials in n variables: no terms, a constant, and random
+    ones with exponents up to q and coefficients 1 and other than 1."""
+    yield {}
+    yield {(0,) * n: rng.randrange(1, p)}
+    for _ in range(4):
+        terms = {}
+        for _ in range(rng.randrange(1, 6)):
+            exps = tuple(rng.choice((0, 1, 2, 3, q - 1, q)) for _ in range(n))
+            terms[exps] = rng.choice((1, rng.randrange(1, p)))
+        yield terms
+
+
+def reference_values(terms, n, ref):
+    """Values at every flat index of the n-variable grid, the first slowest."""
+    q = ref.q
+    powers = [[ref.power(x, e) for e in range(q + 1)] for x in range(q)]
+    out = []
+    for idx in range(q**n):
+        point = [(idx // q ** (n - 1 - j)) % q for j in range(n)]
+        total = 0
+        for exps, c in terms.items():
+            term = c
+            for x, e in zip(point, exps):
+                term = ref.mul(term, powers[x][e])
+            total = ref.add(total, term)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 32])
+def test_grid_values_match_reference_on_every_chunk(monkeypatch, q):
+    # every slab-aligned split _run_chunks makes for one to three threads
+    monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    p, k = field_params_from_q(q)
+    field = make_field(p, k)
+    ref = RefField(p, field.modulus)
+    rng = random.Random(q)
+    for n in range(5):
+        if q**n > 2401:
+            break
+        slab = q ** max(n - 1, 0)
+        for terms in seeded_polys(rng, n, p, q):
+            want = reference_values(terms, n, ref)
+            for threads in (1, 2, 3):
+                ranges = []
+
+                def worker(lo, hi):
+                    values = counting._grid_values(terms, field, n, lo, hi)
+                    shape = ((hi - lo) // slab,) + (q,) * (n - 1) if n else ()
+                    got = np.broadcast_to(values, shape).ravel().tolist()
+                    assert got == want[lo:hi], (terms, n, lo, hi)
+                    ranges.append((lo, hi))
+                    return hi - lo
+
+                total = counting._run_chunks(q**n, threads, worker, slab)
+                assert total == q**n
+                ranges.sort()
+                assert ranges[0][0] == 0 and ranges[-1][1] == q**n
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                assert all(lo % slab == 0 for lo, _ in ranges)
+                assert len(ranges) == min(threads, q**n // slab), threads
+
+
+def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
+    monkeypatch,
+):
+    # a census-prime surface: every full-size op is paid per distinct
+    # exponent of x, not per monomial
+    p = 89
+    eq = (
+        "2*x^3 - 3*y^3 + z^3 + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
+        " + 2*x - y + 3*z + 6"
+    )
+    leading = {0, 1, 2, 3}
+    full = []
+    for name in ("vec_add", "vec_mul", "vec_pow"):
+        real = getattr(GF, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            if np.broadcast(*arrays).size == p**3:
+                full.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(GF, name, spy)
+    monkeypatch.setattr(counting, "_count_cache", {})
+    count_points(affine_variety(3, (eq,)), 1, p)
+    assert full and len(full) <= 2 * len(leading) + 2, full
 
 
 def test_one_variable_quadratic_builds_no_field_table(monkeypatch):

@@ -391,6 +391,23 @@ def test_ops_match_reference_arithmetic(p, k):
     check_scalar_ops()  # now on the log tables where the field has them
 
 
+@pytest.mark.parametrize("p,k", [(2, 7), (5, 3)])
+def test_broadcast_operands_build_the_tables(p, k):
+    # a (q, 1) by (1, q) op makes q^2 >= _LOG_TRIGGER elements from two
+    # operands of q < _LOG_TRIGGER elements: it takes the log tables
+    ref = RefField(p, make_field(p, k).modulus)
+    col = np.arange(p**k, dtype=np.int64)
+    for op, scalar in (("vec_mul", ref.mul), ("vec_add", ref.add)):
+        F = GF(p, k, ref.modulus)  # a fresh copy: no tables yet
+        assert F.q < _LOG_TRIGGER <= F.q**2
+        got = getattr(F, op)(col[:, None], col[None, :])
+        assert F._log_built, op
+        assert got.shape == (F.q, F.q)
+        for a in range(F.q):
+            for b in range(F.q):
+                assert got[a, b] == scalar(a, b), (op, a, b)
+
+
 def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
     # census threads share one field; the first long vectors of two
     # workers must not both build its tables
