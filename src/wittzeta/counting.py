@@ -11,8 +11,9 @@ against what that strategy enumerates:
 
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
-  polynomial, reading square roots off a q-sized table when at least q
-  tuples are enumerated, and off Euler's criterion otherwise;
+  polynomial, reading square roots off the parity of a discrete log on
+  log tables, and on codes off a q-sized table when at least q tuples are
+  enumerated and off Euler's criterion otherwise;
 * otherwise: enumerate the full grid and test every equation.
 
 The budget is a hard 10^7 tuples per chart.  Every chart of every block of
@@ -27,10 +28,19 @@ on the grid of the remaining variables, and combines the groups by numpy
 broadcasting, x^e laid along the leading axis times the cofactor along the
 others: a Horner scheme over the variables, in which full-size arrays are
 touched about twice per distinct leading exponent rather than several
-times per monomial.  An optional thread count, capped at the CPU count,
-splits the grid into contiguous ranges of whole slabs of the leading
-variable, so every chunk is a grid of its own; partial sums are added in
-order, so the result is identical for every thread count.
+times per monomial.  The field picks the arithmetic (`GF.grid_domain`).
+Once an extension field has its log tables, every grid value is a
+discrete log to the field's generator g, with -1 for 0: each axis
+enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so x^e along an axis is the
+log times e mod q - 1, a product adds logs, a sum is one Zech gather, and
+the quadratic-solve strategy reads squareness off the parity of the
+discriminant's log.  Prime fields and fields without tables keep codes,
+each axis in code order.  Either order is a bijection of the positions
+onto F_q, so a count, a sum over the grid, does not depend on it.  An
+optional thread count, capped at the CPU count, splits the grid into
+contiguous ranges of whole slabs of the leading variable, so every chunk
+is a grid of its own; partial sums are added in order, so the result is
+identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a chart that enumerates
@@ -52,7 +62,13 @@ from functools import partial
 import numpy as np
 
 from .errors import BudgetExceeded, CensusInconsistent, NotPrime
-from .finitefield import GF, check_field_params, factorize, make_field
+from .finitefield import (
+    GF,
+    LogDomain,
+    check_field_params,
+    factorize,
+    make_field,
+)
 from .rings import ZZ
 from .varieties import Block, VarietyDesc
 from .witt import from_ghost
@@ -251,12 +267,12 @@ def _count_chart(
     A slab is the q^(enumerated - 1) tuples that share the value of the
     leading enumerated variable, so every chunk is a grid of its own.
     """
+    enumerated = nvars if solve_var is None else nvars - 1
+    domain = field.grid_domain(field.q**enumerated)
     if solve_var is None:
-        enumerated = nvars
-        worker = partial(_grid_zeros, eqs, nvars, field)
+        worker = partial(_grid_zeros, eqs, nvars, domain)
     else:
-        enumerated = nvars - 1
-        worker = _root_counter(eqs[0], nvars, solve_var, field)
+        worker = _root_counter(eqs[0], nvars, solve_var, domain)
     slab = field.q ** max(enumerated - 1, 0)
     return _run_chunks(field.q**enumerated, threads, worker, slab)
 
@@ -279,22 +295,22 @@ def _run_chunks(total: int, threads: int, worker, unit: int = 1) -> int:
     return sum(parts)
 
 
-def _grid_values(
-    terms: dict, field: GF, n: int, lo: int, hi: int
-) -> np.ndarray:
+def _grid_values(terms: dict, domain, n: int, lo: int, hi: int) -> np.ndarray:
     """Values of a reduced polynomial on the n-variable grid of F_q.
 
-    The grid is the flat indices lo..hi-1, the first variable slowest, and
-    lo and hi fall on whole slabs of the first variable.  The result has n
-    axes and broadcasts to the grid's shape (rows, q, ..., q).  Terms are
-    grouped by their exponent e of the first variable; each group's
-    cofactor is evaluated once on the grid of the other variables, and
-    x^e, laid along the leading axis, multiplies it by broadcasting.
+    `domain` is a `GF` on codes or a `LogDomain` on logs, which also fixes
+    the order in which each axis enumerates F_q (`axis_values`).  The grid
+    is the flat indices lo..hi-1, the first variable slowest, and lo and hi
+    fall on whole slabs of the first variable.  The result has n axes and
+    broadcasts to the grid's shape (rows, q, ..., q).  Terms are grouped by
+    their exponent e of the first variable; each group's cofactor is
+    evaluated once on the grid of the other variables, and x^e, laid along
+    the leading axis, multiplies it by broadcasting.
     """
     if n == 0:
-        return np.array(terms.get((), 0), dtype=np.int64)
-    slab = field.q ** (n - 1)
-    rows = np.arange(lo // slab, hi // slab, dtype=np.int64)
+        return np.array(domain.from_int(terms.get((), 0)), dtype=np.int64)
+    slab = domain.q ** (n - 1)
+    rows = domain.axis_values(lo // slab, hi // slab)
     rows = rows.reshape((-1,) + (1,) * (n - 1))
     groups: dict = {}
     for exps, c in terms.items():
@@ -302,14 +318,14 @@ def _grid_values(
     acc = None
     for e, rest in groups.items():
         if e and rest == {(0,) * (n - 1): 1}:
-            term = field.vec_pow(rows, e)  # x^e times 1: no full-size product
+            term = domain.vec_pow(rows, e)  # x^e times 1: no full-size product
         else:
-            term = _grid_values(rest, field, n - 1, 0, slab)[None]
+            term = _grid_values(rest, domain, n - 1, 0, slab)[None]
             if e:
-                term = field.vec_mul(field.vec_pow(rows, e), term)
-        acc = term if acc is None else field.vec_add(acc, term)
+                term = domain.vec_mul(domain.vec_pow(rows, e), term)
+        acc = term if acc is None else domain.vec_add(acc, term)
     if acc is None:
-        return np.zeros((1,) * n, dtype=np.int64)
+        return np.full((1,) * n, domain.zero, dtype=np.int64)
     return acc
 
 
@@ -318,10 +334,10 @@ def _grid_sum(values: np.ndarray, size: int) -> int:
     return int(values.sum()) * (size // values.size)
 
 
-def _grid_zeros(eqs, nvars: int, field: GF, lo: int, hi: int) -> int:
+def _grid_zeros(eqs, nvars: int, domain, lo: int, hi: int) -> int:
     good = None
     for terms in eqs:
-        mask = _grid_values(terms, field, nvars, lo, hi) == 0
+        mask = _grid_values(terms, domain, nvars, lo, hi) == domain.zero
         good = mask if good is None else (good & mask)
         if not good.any():
             return 0
@@ -345,42 +361,45 @@ def _solve_variable(terms: dict, nvars: int, p: int):
     return None
 
 
-def _root_counter(terms: dict, nvars: int, s: int, field: GF):
+def _root_counter(terms: dict, nvars: int, s: int, domain):
     """Worker adding up root counts in variable s over the other variables."""
     coeff_polys = [{}, {}, {}]  # by power of s, keyed without s
     for exps, coeff in terms.items():
         coeff_polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
-    q = field.q
+    q, zero = domain.q, domain.zero
     quadratic = bool(coeff_polys[2])
-    # a one-variable chart enumerates one point, fewer than q, so it decides
-    # squareness by Euler's criterion instead of a q-sized table;
-    # characteristic 2 needs neither
+    # on codes, a one-variable chart enumerates one point, fewer than q, so
+    # it decides squareness by Euler's criterion instead of a q-sized table;
+    # logs decide it by parity, and characteristic 2 needs neither
+    on_logs = isinstance(domain, LogDomain)
     sqrt_counts = None
-    if quadratic and field.p != 2 and nvars > 1:
-        sqrt_counts = field.square_counts()
-    minus_four = np.int64(field.from_int(-4))
+    if quadratic and domain.p != 2 and nvars > 1 and not on_logs:
+        sqrt_counts = domain.square_counts()
+    minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
         a, b, c = (
-            _grid_values(coeff_polys[e], field, nvars - 1, lo, hi)
+            _grid_values(coeff_polys[e], domain, nvars - 1, lo, hi)
             for e in (2, 1, 0)
         )
-        linear = np.where(b != 0, 1, np.where(c == 0, q, 0))
+        linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
         if not quadratic:
             return _grid_sum(linear, hi - lo)
-        if field.p == 2:
+        if domain.p == 2:
             quad = 1  # s^2 = d: one root
         else:
-            disc = field.vec_add(
-                field.vec_mul(b, b),
-                field.vec_mul(minus_four, field.vec_mul(a, c)),
+            disc = domain.vec_add(
+                domain.vec_mul(b, b),
+                domain.vec_mul(minus_four, domain.vec_mul(a, c)),
             )
-            if sqrt_counts is not None:
+            if on_logs:
+                quad = domain.square_roots(disc)
+            elif sqrt_counts is not None:
                 quad = sqrt_counts[disc]
             else:
                 # d^((q-1)/2) is 1 on nonzero squares and -1 on the rest
-                euler = field.vec_pow(disc, (q - 1) // 2)
+                euler = domain.vec_pow(disc, (q - 1) // 2)
                 quad = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
-        return _grid_sum(np.where(a != 0, quad, linear), hi - lo)
+        return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
 
     return worker

@@ -22,12 +22,20 @@ multiplies by -1 and `GF.try_inverse` raises to the power q - 2.  When
 q <= ``_LOG_LIMIT``, which is the enumeration budget of `counting`, the first
 vector op whose operands broadcast to at least ``_LOG_TRIGGER`` elements
 builds exp/log tables for a generator g and a Zech table
-``zech[e] = log(1 + g^e)``; from then on every op, scalar or vector, is a
-table gather on discrete logarithms.  Without the tables (short vectors
-before the first long one, and fields past the budget) the ops decode to
-base-p digit matrices, add or convolve, and fold the overflow digits back
-with precomputed reduction rows; the table build itself runs on these
-digit products.
+``zech[e] = log(1 + g^e)``, held by the field's `LogDomain`.  From then on
+every op, scalar or vector, gathers the logs of its operands, runs the
+`LogDomain` kernel and gathers the result back through exp.  Without the
+tables (short vectors before the first long one, and fields past the
+budget) the ops decode to base-p digit matrices, add or convolve, and fold
+the overflow digits back with precomputed reduction rows; the table build
+itself runs on these digit products.
+
+`GF.grid_domain` tells the point counter which arithmetic a grid is
+evaluated in: the `LogDomain` once the field has its tables, where every
+value is a discrete log (0 being -1), and the field itself, on codes,
+otherwise.  The two differ in the order in which a grid axis enumerates
+F_q (`axis_values`): code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  On
+logs, a nonzero value is a square exactly when its log is even (odd p).
 """
 
 from __future__ import annotations
@@ -111,7 +119,7 @@ class GF(Ring):
                 rows.append(rem + (0,) * (k - len(rem)))
         self._red_matrix = np.array(rows, dtype=np.int64).reshape(k - 1, k)
         self._powers = tuple(p**i for i in range(k))
-        self._logs = None  # (exp, log, zech) once built
+        self._logs = None  # the LogDomain once its tables are built
         self._build_lock = threading.Lock()  # census threads share a field
 
     def __repr__(self):
@@ -166,9 +174,7 @@ class GF(Ring):
     def render(self, a) -> str:
         return str(a)
 
-    # discrete-log tables, turning extension-field arithmetic on large
-    # arrays into a few gathers: multiplication adds logarithms, and
-    # addition uses Zech logarithms, g^i + g^j = g^(i + zech[j - i])
+    # discrete-log tables, built once per field and held by its LogDomain
 
     def _find_generator(self) -> int:
         """The least multiplicative generator, testing 64 candidates at a time."""
@@ -186,7 +192,8 @@ class GF(Ring):
     def _build_log_tables(self):
         n = self.q - 1
         g = self._find_generator()
-        exp = np.zeros(2 * n, dtype=np.int64)
+        # exp[e] = g^e for e < n, and exp[n] = exp[-1] = 0, the log of 0
+        exp = np.zeros(n + 1, dtype=np.int64)
         exp[0] = 1
         # exp[filled : filled + shift] = exp[filled - shift : filled] * g^shift,
         # with shift doubling up to a block of 4096 elements
@@ -199,20 +206,34 @@ class GF(Ring):
             filled += take
             if shift < 4096:
                 shift, step = 2 * shift, self._digit_mul(step, step)
-        exp[n:] = exp[:n]
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
         # adding 1 changes only the constant digit of an encoded element
         c, p = exp[:n], self.p
         zech = log[np.where(c % p == p - 1, c - (p - 1), c + 1)]
-        self._logs = (exp, log, zech)
+        self._logs = LogDomain(self, exp, log, zech)
 
     @property
     def _log_built(self) -> bool:
         return self._logs is not None
 
+    def grid_domain(self, size: int):
+        """The arithmetic a grid of `size` points is evaluated in.
+
+        It is this field's `LogDomain` once the field has its tables, which
+        a grid of at least ``_LOG_TRIGGER`` points builds as a vector op of
+        that size would; otherwise it is the field itself, on codes.
+        """
+        logs = self._log_tables(size)
+        return self if logs is None else logs
+
+    def axis_values(self, start: int, stop: int) -> np.ndarray:
+        """The elements at positions start..stop-1 of a grid axis: on codes,
+        an axis enumerates F_q in code order."""
+        return np.arange(start, stop, dtype=np.int64)
+
     def _log_tables(self, size: int):
-        """(exp, log, zech) for this field, or None on the digit path."""
+        """This field's `LogDomain`, or None on the digit path."""
         if (
             self._logs is None
             and self.k > 1
@@ -242,34 +263,28 @@ class GF(Ring):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
-            return (a + b) % self.p
+            out = a + b
+            out %= self.p  # in place: one full-size temporary fewer
+            return out
         logs = self._log_tables(np.broadcast(a, b).size)
         if logs is None:
             return self.vec_encode(self.vec_decode(a) + self.vec_decode(b))
-        exp, log, zech = logs
-        la, lb = log[a], log[b]
-        z = np.take(zech, lb - la, mode="wrap")  # index mod q-1
-        out = np.where(z < 0, 0, exp[la + z])  # z < 0: a == -b
-        out = np.where(la < 0, b, out)
-        return np.where(lb < 0, a, out)
+        return logs.exp[logs.vec_add(logs.log[a], logs.log[b])]
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
-        # with log tables, -1 = g^((q-1)/2) makes this one gather
         return self.vec_mul(a, self.p - 1)
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
-            return (a * b) % self.p
+            out = a * b
+            out %= self.p  # in place: one full-size temporary fewer
+            return out
         logs = self._log_tables(np.broadcast(a, b).size)
         if logs is None:
             return self._digit_mul(a, b)
-        exp, log, _ = logs
-        la, lb = log[a], log[b]
-        vanish = (la < 0) | (lb < 0)
-        out = exp[np.where(vanish, 0, la + lb)]
-        return np.where(vanish, 0, out)
+        return logs.exp[logs.vec_mul(logs.log[a], logs.log[b])]
 
     def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products by convolving base-p digits and folding the overflow back."""
@@ -288,29 +303,82 @@ class GF(Ring):
         if n > 0 and self.k > 1:
             logs = self._log_tables(a.size)
             if logs is not None:
-                exp, log, _ = logs
-                la = log[a]
-                vanish = la < 0
-                idx = (np.where(vanish, 0, la) * n) % (self.q - 1)
-                return np.where(vanish, 0, exp[idx])
+                return logs.exp[logs.vec_pow(logs.log[a], n)]
         # n != 0 here, so binary_power never returns its `one`; for n == 1
         # it returns `a` itself, and no caller writes into a vec_pow result
         return binary_power(self.vec_mul, None, a, n)
 
     def square_counts(self) -> np.ndarray:
         """counts[d] = number of field elements y with y*y == d."""
-        if self.p == 2:
-            return np.ones(self.q, dtype=np.int64)  # squaring is bijective
-        logs = self._log_tables(self.q)
-        if logs is not None:
-            # the nonzero squares are the even powers of the generator
-            counts = np.zeros(self.q, dtype=np.int64)
-            counts[0] = 1
-            counts[logs[0][0 : self.q - 1 : 2]] = 2
-            return counts
         grid = np.arange(self.q, dtype=np.int64)
-        squares = self.vec_mul(grid, grid)
-        return np.bincount(squares, minlength=self.q)
+        return np.bincount(self.vec_mul(grid, grid), minlength=self.q)
+
+
+class LogDomain:
+    """One extension field's arithmetic on discrete logarithms.
+
+    A nonzero element g^e, for the field's generator g, is held as e in
+    [0, q - 1), and 0 as ``zero`` = -1, so a value is 0 exactly when it is
+    negative.  Codes enter through ``log`` and leave through ``exp``, whose
+    last entry, exp[-1], is 0.  The ``vec_*`` kernels keep every result in
+    that range: a product adds logs mod q - 1, a power multiplies the log,
+    and a sum is one gather from the Zech table,
+    g^a + g^b = g^(a + zech[b - a]) with zech[e] = log(1 + g^e).
+    """
+
+    zero = -1
+
+    def __init__(self, field: GF, exp, log, zech):
+        self.p = field.p
+        self.q = field.q
+        self.exp = exp
+        self.log = log
+        self.zech = zech
+
+    def from_int(self, n: int) -> int:
+        return int(self.log[n % self.p])
+
+    def axis_values(self, start: int, stop: int) -> np.ndarray:
+        """The logs at positions start..stop-1 of a grid axis: an axis
+        enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so position r holds
+        log r - 1."""
+        return np.arange(start - 1, stop - 1, dtype=np.int64)
+
+    def vec_add(self, la, lb):
+        n = self.q - 1
+        # b - a lies in [-n, n], so the index lies in [0, n]; it is n only
+        # where a == 0, whose result is overwritten below
+        z = np.take(self.zech, _reduce_once(lb - la + n, n), mode="clip")
+        out = _reduce_once(la + z, n)
+        out = np.where(z < 0, -1, out)  # a == -b
+        out = np.where(la < 0, lb, out)
+        return np.where(lb < 0, la, out)
+
+    def vec_mul(self, la, lb):
+        out = _reduce_once(la + lb, self.q - 1)
+        return np.where((la | lb) < 0, -1, out)
+
+    def vec_pow(self, la, d: int):
+        """Logs of the d-th powers, for d >= 1."""
+        n = self.q - 1
+        if d % n == 1:
+            return la
+        out = la * (d % n)
+        out -= out // n * n  # floor division by a scalar is the fast one
+        return np.where(la < 0, -1, out)
+
+    def square_roots(self, la):
+        """How many y have y^2 equal to each value, for odd p: 1 at 0, and
+        2 at the nonzero squares, which are the even powers of g."""
+        return np.where(la < 0, 1, 2 - 2 * (la & 1))
+
+
+def _reduce_once(r, n: int):
+    """r mod n for r in [0, 2n), as the unsigned minimum of r and r - n,
+    which takes no branch; a negative r comes out negative."""
+    r = np.asarray(r)
+    low = np.asarray(r - n)
+    return np.minimum(r.view(np.uint64), low.view(np.uint64)).view(np.int64)
 
 
 def check_field_params(p: int, k: int) -> None:

@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,15 @@ STRATEGY_CASES = {
     "projective quadratic chart": (
         projective_variety(1, ("x^2 - 2*y^2",)), 3**7
     ),
+    "odd quadratic, q^2-point grid, log tables": (
+        affine_variety(3, ("x^2*y + z^3*x - y*z^2 + 2",)), 25
+    ),
+    "char 2, no linear term, log tables": (
+        affine_variety(3, ("x*y^2 + z*x^3 + z^2 + 1",)), 16
+    ),
+    "full grid, two equations, log tables": (
+        affine_variety(2, ("x^3 + y^3 - 1", "x*y^2 - 2")), 81
+    ),
 }
 
 
@@ -610,6 +620,11 @@ def test_strategies_match_brute_force(monkeypatch, case):
     v, q = STRATEGY_CASES[case]
     p, k = field_params_from_q(q)
     expected = brute_count(v, q)
+    if "log tables" in case:
+        # a field that has its tables evaluates every grid on logs
+        field = GF(p, k, make_field(p, k).modulus)
+        field._log_tables(_LOG_TRIGGER)
+        monkeypatch.setattr(counting, "make_field", lambda p, k: field)
     # split every grid, even one point, across two workers
     monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
@@ -634,43 +649,63 @@ def seeded_polys(rng, n, p, q):
         yield terms
 
 
-def reference_values(terms, n, ref):
-    """Values at every flat index of the n-variable grid, the first slowest."""
+def reference_values(terms, n, ref, element):
+    """Values at every flat index of the n-variable grid, the first slowest;
+    position r of every axis holds the field element element[r]."""
     q = ref.q
-    powers = [[ref.power(x, e) for e in range(q + 1)] for x in range(q)]
+    powers = [[ref.power(x, e) for e in range(q + 1)] for x in element]
     out = []
     for idx in range(q**n):
         point = [(idx // q ** (n - 1 - j)) % q for j in range(n)]
         total = 0
         for exps, c in terms.items():
             term = c
-            for x, e in zip(point, exps):
-                term = ref.mul(term, powers[x][e])
+            for r, e in zip(point, exps):
+                term = ref.mul(term, powers[r][e])
             total = ref.add(total, term)
         out.append(total)
     return out
 
 
-@pytest.mark.parametrize("q", [7, 9, 25, 32])
-def test_grid_values_match_reference_on_every_chunk(monkeypatch, q):
+@pytest.mark.parametrize(
+    "q,logs",
+    [pytest.param(q, False, id=str(q)) for q in (7, 9, 25, 32)]
+    + [pytest.param(q, True, id=f"{q}-logs") for q in (9, 25, 32)],
+)
+def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
     # every slab-aligned split _run_chunks makes for one to three threads
     monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
     p, k = field_params_from_q(q)
-    field = make_field(p, k)
+    field = GF(p, k, make_field(p, k).modulus)  # a fresh copy: no tables yet
     ref = RefField(p, field.modulus)
+    if logs:
+        # on logs an axis enumerates 0, g^0, ..., g^(q-2), and values are
+        # logs: -1 at 0, and e at g^e, read off reference powers of g
+        field._log_tables(_LOG_TRIGGER)
+        g = int(field._logs.exp[1])
+        element = [0] + [ref.power(g, e) for e in range(q - 1)]
+        assert sorted(element) == list(range(q))  # g generates F_q^*
+        encode = {x: r - 1 for r, x in enumerate(element)}.__getitem__
+    else:
+        element = list(range(q))
+        encode = int
+    domain = field.grid_domain(1)
+    assert (domain is not field) == logs
     rng = random.Random(q)
     for n in range(5):
         if q**n > 2401:
             break
         slab = q ** max(n - 1, 0)
         for terms in seeded_polys(rng, n, p, q):
-            want = reference_values(terms, n, ref)
+            want = [
+                encode(x) for x in reference_values(terms, n, ref, element)
+            ]
             for threads in (1, 2, 3):
                 ranges = []
 
                 def worker(lo, hi):
-                    values = counting._grid_values(terms, field, n, lo, hi)
+                    values = counting._grid_values(terms, domain, n, lo, hi)
                     shape = ((hi - lo) // slab,) + (q,) * (n - 1) if n else ()
                     got = np.broadcast_to(values, shape).ravel().tolist()
                     assert got == want[lo:hi], (terms, n, lo, hi)
@@ -686,6 +721,22 @@ def test_grid_values_match_reference_on_every_chunk(monkeypatch, q):
                 assert len(ranges) == min(threads, q**n // slab), threads
 
 
+def spy_vec_ops(monkeypatch, size):
+    """Names of the GF.vec_* calls whose operands broadcast to `size`."""
+    calls = []
+    for name in ("vec_add", "vec_mul", "vec_pow"):
+        real = getattr(GF, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            if arrays and np.broadcast(*arrays).size == size:
+                calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(GF, name, spy)
+    return calls
+
+
 def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
     monkeypatch,
 ):
@@ -697,20 +748,50 @@ def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
         " + 2*x - y + 3*z + 6"
     )
     leading = {0, 1, 2, 3}
-    full = []
-    for name in ("vec_add", "vec_mul", "vec_pow"):
-        real = getattr(GF, name)
-
-        def spy(self, *args, _real=real, _name=name):
-            arrays = [a for a in args if isinstance(a, np.ndarray)]
-            if np.broadcast(*arrays).size == p**3:
-                full.append(_name)
-            return _real(self, *args)
-
-        monkeypatch.setattr(GF, name, spy)
+    full = spy_vec_ops(monkeypatch, p**3)
     monkeypatch.setattr(counting, "_count_cache", {})
     count_points(affine_variety(3, (eq,)), 1, p)
     assert full and len(full) <= 2 * len(leading) + 2, full
+
+
+def test_extension_grids_with_tables_never_leave_the_logs(monkeypatch):
+    # a census-ext curve over F_(5^7): once the field has its tables, no
+    # grid-sized value is ever a code, so no GF.vec_* call is grid-sized
+    q = 5**7
+    grid_sized = spy_vec_ops(monkeypatch, q)  # both charts enumerate q points
+    monkeypatch.setattr(counting, "_count_cache", {})
+    v = projective_variety(2, ("y^2*z - x^3 - 3*x*z^2 - 2*z^3",))
+    got = count_points(v, 7, 5)
+    assert make_field(5, 7)._logs is not None
+    assert grid_sized == []
+    # N_m = 5^m + 1 - s_m, with s_m = a s_(m-1) - 5 s_(m-2) for the trace
+    # a = 5 + 1 - N_1 of Frobenius (Hasse-Weil)
+    a = 6 - brute_count(v, 5)
+    s = [2, a]
+    while len(s) <= 7:
+        s.append(a * s[-1] - 5 * s[-2])
+    assert got == q + 1 - s[7]
+
+
+def test_prime_grid_peaks_near_two_full_grids(monkeypatch):
+    # a cubic surface over F_89: the Horner accumulator and one term are
+    # the full-size arrays alive at once; modular reduction in place adds
+    # no third
+    p = 89
+    eq = (
+        "2*x^3 - 3*y^3 + z^3 + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
+        " + 2*x - y + 3*z + 6"
+    )
+    v = affine_variety(3, (eq,))
+    monkeypatch.setattr(counting, "_count_cache", {})
+    tracemalloc.start()
+    try:
+        count_points(v, 1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = p**3 * np.dtype(np.int64).itemsize
+    assert peak <= 2.25 * grid_bytes, peak / grid_bytes
 
 
 def test_one_variable_quadratic_builds_no_field_table(monkeypatch):

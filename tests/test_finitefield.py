@@ -437,6 +437,55 @@ def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
     assert all(np.array_equal(r, results[0]) for r in results)
 
 
+def ref_power(ref, x, d):
+    """x^d by square-and-multiply on reference products."""
+    result = 1
+    while d:
+        if d & 1:
+            result = ref.mul(result, x)
+        x = ref.mul(x, x)
+        d >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 5), (3, 8), (5, 6)])
+def test_log_kernels_match_reference_arithmetic(p, k):
+    F = GF(p, k, make_field(p, k).modulus)
+    logs = F._log_tables(_LOG_TRIGGER)
+    ref = RefField(p, F.modulus)
+    n = F.q - 1
+    rng = random.Random(10 * p + k)
+    codes = [0, 1, p - 1, F.q - 1] + [rng.randrange(F.q) for _ in range(60)]
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pairs += [(x, ref.neg(x)) for x in codes]  # a = -b
+    pairs += [(x, y) for x in codes[:12] for y in codes[:12]]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(100)]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    la, lb = logs.log[a], logs.log[b]
+
+    def read_back(values):
+        # every value is a canonical log: -1 for 0, else in [0, q - 1)
+        assert values.min() >= logs.zero and values.max() < n
+        return logs.exp[values].tolist()
+
+    assert read_back(logs.vec_add(la, lb)) == [ref.add(x, y) for x, y in pairs]
+    assert read_back(logs.vec_mul(la, lb)) == [ref.mul(x, y) for x, y in pairs]
+    # the same kernels on broadcast operands, as a grid evaluates them
+    col, row = la[:40, None], lb[None, :40]
+    for op, scalar in ((logs.vec_add, ref.add), (logs.vec_mul, ref.mul)):
+        got = read_back(op(col, row).ravel())
+        assert got == [scalar(x, y) for x in a[:40] for y in b[:40]]
+    for d in (1, 2, 3, F.q - 2, F.q - 1, F.q + 3, 3 * F.q + 1):
+        want = [ref_power(ref, int(x), d) for x in a]
+        assert read_back(logs.vec_pow(la, d)) == want, d
+    if p != 2:
+        # Euler's criterion: d^((q-1)/2) is 1 exactly on the nonzero squares
+        euler = [ref_power(ref, int(x), n // 2) for x in a]
+        want = [1 if x == 0 else 2 if e == 1 else 0 for x, e in zip(a, euler)]
+        assert logs.square_roots(la).tolist() == want
+
+
 def test_field_identity_and_render():
     F = make_field(3, 2)
     assert F.is_field
