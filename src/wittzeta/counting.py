@@ -11,15 +11,18 @@ against what that strategy enumerates:
 
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
-  polynomial, reading square roots off the parity of a discrete log on
-  log tables, and on codes off a q-sized table when at least q tuples are
-  enumerated and off Euler's criterion otherwise;
+  polynomial, reading square roots off the parity of a discrete log over
+  an extension field and off a q-sized table over a prime field;
 * otherwise: enumerate the full grid and test every equation.
 
+A chart whose one variable is the solved one enumerates nothing: its
+coefficients lie in F_p, so its root count is a closed form (Euler's
+criterion on the discriminant in F_p) and it builds no field at any q.
 The budget is a hard 10^7 tuples per chart.  Every chart of every block of
 a call is planned from p and q alone, and its budget checked, before any
-field is built or anything enumerated; no field-sized table is built for a
-grid smaller than the field, so the budget bounds those too.
+field is built or anything enumerated.  Every chart that enumerates has at
+least q tuples, so the budget also bounds the field-sized tables: the log
+tables of an extension field and the square-root table of a prime field.
 
 Both strategies evaluate polynomials on the grid by `_grid_values`, which
 never materialises the coordinates of the grid.  It groups the terms by
@@ -29,14 +32,13 @@ broadcasting, x^e laid along the leading axis times the cofactor along the
 others: a Horner scheme over the variables, in which full-size arrays are
 touched about twice per distinct leading exponent rather than several
 times per monomial.  The field picks the arithmetic (`GF.grid_domain`).
-Once an extension field has its log tables, every grid value is a
-discrete log to the field's generator g, with -1 for 0: each axis
-enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so x^e along an axis is the
-log times e mod q - 1, a product adds logs, a sum is one Zech gather, and
-the quadratic-solve strategy reads squareness off the parity of the
-discriminant's log.  Prime fields and fields without tables keep codes,
-each axis in code order.  Either order is a bijection of the positions
-onto F_q, so a count, a sum over the grid, does not depend on it.  An
+Over an extension field every grid value is a discrete log to the field's
+generator g, with -1 for 0: each axis enumerates F_q as 0, g^0, g^1, ...,
+g^(q-2), so x^e along an axis is the log times e mod q - 1, a product adds
+logs, a sum is one Zech gather, and the quadratic-solve strategy reads
+squareness off the parity of the discriminant's log.  Prime fields keep
+codes, each axis in code order.  Either order is a bijection of the
+positions onto F_q, so a count, a sum over the grid, does not depend on it.  An
 optional thread count, capped at the CPU count, splits the grid into
 contiguous ranges of whole slabs of the leading variable, so every chunk
 is a grid of its own; partial sums are added in order, so the result is
@@ -44,7 +46,7 @@ identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a chart that enumerates
-builds it, a closed form needs nothing but q^m.  A census counts its
+builds it, a closed form needs nothing but p and q^m.  A census counts its
 largest degree first, so the budget of its largest field is checked before
 anything is enumerated.  The zeta series exp(sum_m N_m t^m / m) is the Witt
 vector whose ghost coordinates are the counts N_m, so the symmetric-product
@@ -238,8 +240,23 @@ def _plan_chart(eqs: list, nvars: int, p: int, q: int):
     if not eqs:
         return q**nvars
     solve_var = _solve_variable(eqs[0], nvars, p) if len(eqs) == 1 else None
+    if nvars == 1 and solve_var is not None:
+        return _one_variable_roots(eqs[0], p, q)
     _check_budget(q ** (nvars if solve_var is None else nvars - 1))
     return eqs, nvars, solve_var
+
+
+def _one_variable_roots(terms: dict, p: int, q: int) -> int:
+    """Roots in F_q of a*s^2 + b*s + c over F_p, as `_solve_variable` admits
+    it: one if linear or in characteristic 2, else one, two or none as
+    b^2 - 4ac is 0, a nonzero square of F_q (Euler's criterion) or not."""
+    a, b, c = (terms.get((e,), 0) for e in (2, 1, 0))
+    if a == 0 or p == 2:
+        return 1
+    disc = (b * b - 4 * a * c) % p
+    if disc == 0:
+        return 1
+    return 2 if pow(disc, (q - 1) // 2, p) == 1 else 0
 
 
 def _check_budget(tuples: int):
@@ -268,12 +285,12 @@ def _count_chart(
     leading enumerated variable, so every chunk is a grid of its own.
     """
     enumerated = nvars if solve_var is None else nvars - 1
-    domain = field.grid_domain(field.q**enumerated)
+    domain = field.grid_domain()
     if solve_var is None:
         worker = partial(_grid_zeros, eqs, nvars, domain)
     else:
         worker = _root_counter(eqs[0], nvars, solve_var, domain)
-    slab = field.q ** max(enumerated - 1, 0)
+    slab = field.q ** (enumerated - 1)
     return _run_chunks(field.q**enumerated, threads, worker, slab)
 
 
@@ -368,13 +385,15 @@ def _root_counter(terms: dict, nvars: int, s: int, domain):
         coeff_polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
     q, zero = domain.q, domain.zero
     quadratic = bool(coeff_polys[2])
-    # on codes, a one-variable chart enumerates one point, fewer than q, so
-    # it decides squareness by Euler's criterion instead of a q-sized table;
-    # logs decide it by parity, and characteristic 2 needs neither
-    on_logs = isinstance(domain, LogDomain)
-    sqrt_counts = None
-    if quadratic and domain.p != 2 and nvars > 1 and not on_logs:
-        sqrt_counts = domain.square_counts()
+    # square roots: off the parity of a log over an extension field, off a
+    # q-sized table over a prime field, and in characteristic 2 always one
+    square_roots = None
+    if quadratic and domain.p != 2:
+        square_roots = (
+            domain.square_roots
+            if isinstance(domain, LogDomain)
+            else domain.square_counts().__getitem__
+        )
     minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
@@ -385,21 +404,14 @@ def _root_counter(terms: dict, nvars: int, s: int, domain):
         linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
         if not quadratic:
             return _grid_sum(linear, hi - lo)
-        if domain.p == 2:
-            quad = 1  # s^2 = d: one root
-        else:
-            disc = domain.vec_add(
-                domain.vec_mul(b, b),
-                domain.vec_mul(minus_four, domain.vec_mul(a, c)),
+        quad = 1  # s^2 = d in characteristic 2
+        if square_roots is not None:
+            quad = square_roots(
+                domain.vec_add(
+                    domain.vec_mul(b, b),
+                    domain.vec_mul(minus_four, domain.vec_mul(a, c)),
+                )
             )
-            if on_logs:
-                quad = domain.square_roots(disc)
-            elif sqrt_counts is not None:
-                quad = sqrt_counts[disc]
-            else:
-                # d^((q-1)/2) is 1 on nonzero squares and -1 on the rest
-                euler = domain.vec_pow(disc, (q - 1) // 2)
-                quad = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
         return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
 
     return worker

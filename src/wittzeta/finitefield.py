@@ -6,8 +6,7 @@ found by counting ``m = 0, 1, 2, ...`` and reading the ``c_i`` off as the
 base-p digits of ``m``, least significant digit giving ``c_0``.  Two calls
 with the same arguments therefore agree on every bit of the representation.
 Each candidate is tested by Ben-Or's irreducibility test in F_p[x], which is
-`Poly1Ring` over the prime field; the same ring reduces x^(k+i) modulo the
-chosen modulus to give the rows that fold products back into degree < k.
+`Poly1Ring` over the prime field.
 
 Elements are encoded as plain integers in ``[0, p**k)``: the base-p digits of
 the code are the coefficients of the residue polynomial, constant digit
@@ -15,27 +14,28 @@ least significant.  This keeps single elements hashable and lets large
 batches live in numpy integer arrays, which the ``vec_*`` methods act on
 directly.
 
-Over a prime field (k = 1) all arithmetic is integer arithmetic mod p.
-An extension field has one kernel, the ``vec_*`` methods; scalar `GF.add`
-and `GF.mul` are one-element calls of `GF.vec_add` and `GF.vec_mul`, `GF.neg`
-multiplies by -1 and `GF.try_inverse` raises to the power q - 2.  When
-q <= ``_LOG_LIMIT``, which is the enumeration budget of `counting`, the first
-vector op whose operands broadcast to at least ``_LOG_TRIGGER`` elements
-builds exp/log tables for a generator g and a Zech table
-``zech[e] = log(1 + g^e)``, held by the field's `LogDomain`.  From then on
-every op, scalar or vector, gathers the logs of its operands, runs the
-`LogDomain` kernel and gathers the result back through exp.  Without the
-tables (short vectors before the first long one, and fields past the
-budget) the ops decode to base-p digit matrices, add or convolve, and fold
-the overflow digits back with precomputed reduction rows; the table build
-itself runs on these digit products.
+Over a prime field (k = 1) all arithmetic is integer arithmetic mod p.  An
+extension field has one scalar path and one vector path.  Scalar `GF.add`
+and `GF.mul` work on digit tuples in the same F_p[x], reducing products by
+``divmod`` modulo the field's modulus; `GF.neg` multiplies by -1 and
+`GF.try_inverse` raises to the power q - 2.  The ``vec_*`` methods run on
+discrete logarithms: the first one builds exp/log tables for the least
+generator g and a Zech table ``zech[e] = log(1 + g^e)``, held by the field's
+`LogDomain`, and every op then gathers the logs of its operands, runs the
+`LogDomain` kernel and gathers the result back through exp.  Tables are
+built only for q <= ``_LOG_LIMIT``, which is the enumeration budget of
+`counting`; past it a vector op raises `BudgetExceeded` and builds
+nothing.  The build is linear algebra over F_p: multiplication by a fixed
+h is a k x k matrix on digit rows, so ``exp`` is filled in blocks of
+B >= sqrt(q - 1) entries, the digit rows of each block being those of the
+previous one times the matrix of g^B.
 
 `GF.grid_domain` tells the point counter which arithmetic a grid is
-evaluated in: the `LogDomain` once the field has its tables, where every
-value is a discrete log (0 being -1), and the field itself, on codes,
-otherwise.  The two differ in the order in which a grid axis enumerates
-F_q (`axis_values`): code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  On
-logs, a nonzero value is a square exactly when its log is even (odd p).
+evaluated in: the field itself, on codes, when k = 1, and its `LogDomain`
+otherwise, where every value is a discrete log (0 being -1).  The two
+differ in the order in which a grid axis enumerates F_q (`axis_values`):
+code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  On logs, a nonzero value
+is a square exactly when its log is even (odd p).
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeZero, NonIntegral, NotPrime
+from .errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
 from .polynomials import Poly1Ring
 from .rings import Ring, binary_power
 
 # largest q for which discrete-log tables are built: counting.BUDGET, so
 # that every field a budgeted grid can enumerate gets them
 _LOG_LIMIT = 10**7
-_LOG_TRIGGER = 4096  # vector size that makes building the tables worthwhile
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -74,8 +73,18 @@ def is_prime(n: int) -> bool:
 
 
 def _prime_polys(p: int) -> Poly1Ring:
-    """F_p[x], where moduli are tested and reduction rows computed."""
+    """F_p[x], where moduli are tested and extension fields multiply."""
     return Poly1Ring(GF(p, 1, (0, 1)), "x")
+
+
+def _digits(a: int, p: int) -> tuple[int, ...]:
+    """The base-p digits of a, least significant first, without trailing
+    zeros: the residue polynomial of a code as an element of F_p[x]."""
+    out = []
+    while a:
+        a, r = divmod(a, p)
+        out.append(r)
+    return tuple(out)
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
@@ -110,15 +119,7 @@ class GF(Ring):
         self.modulus = modulus  # length k+1, monic, constant term first
         self.characteristic = p
         self.name = f"GF({self.q})"
-        # reduction rows: x^(k+i) mod f as a length-k digit vector, i = 0..k-2
-        rows = []
-        if k > 1:
-            ring = _prime_polys(p)
-            for i in range(k - 1):
-                rem = ring.divmod(ring.monomial(k + i), modulus)[1]
-                rows.append(rem + (0,) * (k - len(rem)))
-        self._red_matrix = np.array(rows, dtype=np.int64).reshape(k - 1, k)
-        self._powers = tuple(p**i for i in range(k))
+        self._polys = _prime_polys(p) if k > 1 else None  # scalar arithmetic
         self._logs = None  # the LogDomain once its tables are built
         self._build_lock = threading.Lock()  # census threads share a field
 
@@ -147,10 +148,14 @@ class GF(Ring):
     def from_int(self, n: int) -> int:
         return n % self.p
 
+    def _code(self, digits) -> int:
+        return sum(c * self.p**i for i, c in enumerate(digits))
+
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        return int(self.vec_add(a, b))
+        p = self.p
+        return self._code(self._polys.add(_digits(a, p), _digits(b, p)))
 
     def neg(self, a: int) -> int:
         return self.mul(a, self.p - 1)
@@ -158,7 +163,9 @@ class GF(Ring):
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        return int(self.vec_mul(a, b))
+        ring, p = self._polys, self.p
+        product = ring.mul(_digits(a, p), _digits(b, p))
+        return self._code(ring.divmod(product, self.modulus)[1])
 
     def try_inverse(self, a: int):
         if a == 0:
@@ -177,39 +184,45 @@ class GF(Ring):
     # discrete-log tables, built once per field and held by its LogDomain
 
     def _find_generator(self) -> int:
-        """The least multiplicative generator, testing 64 candidates at a time."""
+        """The least element of multiplicative order q - 1."""
         n = self.q - 1
         primes = list(factorize(n))
-        for lo in range(1, self.q, 64):
-            cand = np.arange(lo, min(lo + 64, self.q), dtype=np.int64)
-            ok = np.ones(cand.size, dtype=bool)
-            for r in primes:
-                ok &= binary_power(self._digit_mul, None, cand, n // r) != 1
-            if ok.any():
-                return int(cand[ok.argmax()])
-        raise AssertionError("no multiplicative generator found, impossible")
+        return next(
+            c
+            for c in range(1, self.q)
+            if all(self.power(c, n // r) != 1 for r in primes)
+        )
+
+    def _mul_matrix(self, h: int) -> np.ndarray:
+        """The k x k matrix M over F_p with digits(a) @ M = digits(a * h)
+        mod p: row i holds the digits of h * x^i."""
+        p, k = self.p, self.k
+        rows = np.array([self.mul(h, p**i) for i in range(k)], dtype=np.int64)
+        return rows[:, None] // p ** np.arange(k, dtype=np.int64) % p
 
     def _build_log_tables(self):
-        n = self.q - 1
+        p, k, n = self.p, self.k, self.q - 1
         g = self._find_generator()
-        # exp[e] = g^e for e < n, and exp[n] = exp[-1] = 0, the log of 0
+        # digit rows of g^0 .. g^(block-1), doubled until block^2 >= n: the
+        # rows times the matrix of g^block are the next block's
+        rows = np.eye(1, k, dtype=np.int64)  # the digits of g^0 = 1
+        while len(rows) ** 2 < n:
+            double = self._mul_matrix(self.power(g, len(rows)))
+            rows = np.concatenate([rows, rows @ double % p])
+        block = len(rows)
+        # exp[e] = g^e for e < n, and exp[n] = exp[-1] = 0, the log of 0.
+        # Every entry of a product is below k p^2 <= 2 * 10^7, far inside int64
+        jump = self._mul_matrix(self.power(g, block))
+        weights = p ** np.arange(k, dtype=np.int64)
         exp = np.zeros(n + 1, dtype=np.int64)
-        exp[0] = 1
-        # exp[filled : filled + shift] = exp[filled - shift : filled] * g^shift,
-        # with shift doubling up to a block of 4096 elements
-        filled, shift, step = 1, 1, np.int64(g)  # step = g^shift
-        while filled < n:
-            take = min(shift, n - filled)
-            exp[filled : filled + take] = self._digit_mul(
-                exp[filled - shift : filled - shift + take], step
-            )
-            filled += take
-            if shift < 4096:
-                shift, step = 2 * shift, self._digit_mul(step, step)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            exp[lo:hi] = rows[: hi - lo] @ weights
+            rows = rows @ jump % p
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
         # adding 1 changes only the constant digit of an encoded element
-        c, p = exp[:n], self.p
+        c = exp[:n]
         zech = log[np.where(c % p == p - 1, c - (p - 1), c + 1)]
         self._logs = LogDomain(self, exp, log, zech)
 
@@ -217,47 +230,31 @@ class GF(Ring):
     def _log_built(self) -> bool:
         return self._logs is not None
 
-    def grid_domain(self, size: int):
-        """The arithmetic a grid of `size` points is evaluated in.
-
-        It is this field's `LogDomain` once the field has its tables, which
-        a grid of at least ``_LOG_TRIGGER`` points builds as a vector op of
-        that size would; otherwise it is the field itself, on codes.
-        """
-        logs = self._log_tables(size)
-        return self if logs is None else logs
+    def grid_domain(self):
+        """The arithmetic grids over this field are evaluated in: the field
+        itself, on codes, when k = 1, and its `LogDomain` otherwise."""
+        return self if self.k == 1 else self._log_tables()
 
     def axis_values(self, start: int, stop: int) -> np.ndarray:
         """The elements at positions start..stop-1 of a grid axis: on codes,
         an axis enumerates F_q in code order."""
         return np.arange(start, stop, dtype=np.int64)
 
-    def _log_tables(self, size: int):
-        """This field's `LogDomain`, or None on the digit path."""
-        if (
-            self._logs is None
-            and self.k > 1
-            and self.q <= _LOG_LIMIT
-            and size >= _LOG_TRIGGER
-        ):
+    def _log_tables(self) -> LogDomain:
+        """This extension field's `LogDomain`, built on first use; a field
+        past ``_LOG_LIMIT`` raises `BudgetExceeded` instead."""
+        if self._logs is None:
+            if self.q > _LOG_LIMIT:
+                raise BudgetExceeded(
+                    f"{self.name} has more than {_LOG_LIMIT} elements, the"
+                    " limit for its discrete-log tables"
+                )
             with self._build_lock:
                 if self._logs is None:
                     self._build_log_tables()
         return self._logs
 
     # vectorized arithmetic on numpy arrays of encoded elements
-
-    def vec_decode(self, arr: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.int64)
-        digits = np.empty(arr.shape + (self.k,), dtype=np.int64)
-        rest = arr
-        for i in range(self.k):
-            rest, digits[..., i] = np.divmod(rest, self.p)
-        return digits
-
-    def vec_encode(self, digits: np.ndarray) -> np.ndarray:
-        weights = np.array(self._powers, dtype=np.int64)
-        return (digits % self.p) @ weights
 
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -266,9 +263,7 @@ class GF(Ring):
             out = a + b
             out %= self.p  # in place: one full-size temporary fewer
             return out
-        logs = self._log_tables(np.broadcast(a, b).size)
-        if logs is None:
-            return self.vec_encode(self.vec_decode(a) + self.vec_decode(b))
+        logs = self._log_tables()
         return logs.exp[logs.vec_add(logs.log[a], logs.log[b])]
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
@@ -281,32 +276,19 @@ class GF(Ring):
             out = a * b
             out %= self.p  # in place: one full-size temporary fewer
             return out
-        logs = self._log_tables(np.broadcast(a, b).size)
-        if logs is None:
-            return self._digit_mul(a, b)
+        logs = self._log_tables()
         return logs.exp[logs.vec_mul(logs.log[a], logs.log[b])]
-
-    def _digit_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products by convolving base-p digits and folding the overflow back."""
-        da, db = np.broadcast_arrays(self.vec_decode(a), self.vec_decode(b))
-        k = self.k
-        conv = np.zeros(da.shape[:-1] + (2 * k - 1,), dtype=np.int64)
-        for i in range(k):
-            conv[..., i : i + k] += da[..., i, None] * db
-        conv %= self.p
-        return self.vec_encode(conv[..., :k] + conv[..., k:] @ self._red_matrix)
 
     def vec_pow(self, a: np.ndarray, n: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         if n == 0:
             return np.ones_like(a)
-        if n > 0 and self.k > 1:
-            logs = self._log_tables(a.size)
-            if logs is not None:
-                return logs.exp[logs.vec_pow(logs.log[a], n)]
-        # n != 0 here, so binary_power never returns its `one`; for n == 1
-        # it returns `a` itself, and no caller writes into a vec_pow result
-        return binary_power(self.vec_mul, None, a, n)
+        if self.k == 1 or n < 0:
+            # binary_power raises for n < 0; for n == 1 it returns `a`
+            # itself, and no caller writes into a vec_pow result
+            return binary_power(self.vec_mul, None, a, n)
+        logs = self._log_tables()
+        return logs.exp[logs.vec_pow(logs.log[a], n)]
 
     def square_counts(self) -> np.ndarray:
         """counts[d] = number of field elements y with y*y == d."""
@@ -394,12 +376,7 @@ def make_field(p: int, k: int) -> GF:
     """Field with p**k elements; deterministic first-irreducible modulus."""
     check_field_params(p, k)
     for m in range(p**k):
-        digits = []
-        rest = m
-        for _ in range(k):
-            rest, r = divmod(rest, p)
-            digits.append(r)
-        f = tuple(digits) + (1,)
+        f = _digits(p**k + m, p)  # the k digits of m, then the leading 1
         if _is_irreducible(f, p):
             return GF(p, k, f)
     raise AssertionError("no irreducible polynomial found, impossible")

@@ -36,7 +36,7 @@ from wittzeta import (
     variety_product,
 )
 from wittzeta.errors import DegreeZero
-from wittzeta.finitefield import _LOG_LIMIT, _LOG_TRIGGER, is_prime
+from wittzeta.finitefield import _LOG_LIMIT, is_prime
 from wittzeta.varieties import CATALOG
 
 # brute-force reference: evaluate every equation at every point with the
@@ -556,14 +556,10 @@ def test_plane_cubic_census_on_log_tables_ignores_threads(
 def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
     v = projective_variety(2, ("y^2*z - x^3 - 2*x*z^2 - z^3",))
     expected = brute_count(v, 81)
-    # one long vector builds the log tables, so the 81-element vectors
-    # below take the log path as well
-    F = make_field(3, 4)
-    F.vec_mul(np.arange(_LOG_TRIGGER) % F.q, 1)
-    assert F._logs is not None
     for threads in (1, 2):
         monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, 3, 4, threads) == expected
+    assert make_field(3, 4)._logs is not None
 
 
 def test_log_tables_cover_every_field_the_budget_enumerates():
@@ -612,6 +608,16 @@ STRATEGY_CASES = {
     "full grid, two equations, log tables": (
         affine_variety(2, ("x^3 + y^3 - 1", "x*y^2 - 2")), 81
     ),
+    # one-variable charts: closed forms from the F_p coefficients
+    "one variable, discriminant 0": (affine_variety(1, ("x^2 + 4*x + 4",)), 125),
+    "one variable, non-square discriminant, odd k": (
+        affine_variety(1, ("x^2 + x + 1",)), 125
+    ),
+    "one variable, non-square discriminant, even k": (
+        affine_variety(1, ("x^2 + x + 1",)), 25
+    ),
+    "one variable, linear": (affine_variety(1, ("3*x + 2",)), 49),
+    "one variable, char 2, no linear term": (affine_variety(1, ("x^2 + 1",)), 32),
 }
 
 
@@ -620,11 +626,6 @@ def test_strategies_match_brute_force(monkeypatch, case):
     v, q = STRATEGY_CASES[case]
     p, k = field_params_from_q(q)
     expected = brute_count(v, q)
-    if "log tables" in case:
-        # a field that has its tables evaluates every grid on logs
-        field = GF(p, k, make_field(p, k).modulus)
-        field._log_tables(_LOG_TRIGGER)
-        monkeypatch.setattr(counting, "make_field", lambda p, k: field)
     # split every grid, even one point, across two workers
     monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
@@ -669,7 +670,7 @@ def reference_values(terms, n, ref, element):
 
 @pytest.mark.parametrize(
     "q,logs",
-    [pytest.param(q, False, id=str(q)) for q in (7, 9, 25, 32)]
+    [pytest.param(7, False, id="7")]
     + [pytest.param(q, True, id=f"{q}-logs") for q in (9, 25, 32)],
 )
 def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
@@ -679,10 +680,11 @@ def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
     p, k = field_params_from_q(q)
     field = GF(p, k, make_field(p, k).modulus)  # a fresh copy: no tables yet
     ref = RefField(p, field.modulus)
+    domain = field.grid_domain()
+    assert (domain is not field) == logs
     if logs:
         # on logs an axis enumerates 0, g^0, ..., g^(q-2), and values are
         # logs: -1 at 0, and e at g^e, read off reference powers of g
-        field._log_tables(_LOG_TRIGGER)
         g = int(field._logs.exp[1])
         element = [0] + [ref.power(g, e) for e in range(q - 1)]
         assert sorted(element) == list(range(q))  # g generates F_q^*
@@ -690,8 +692,6 @@ def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
     else:
         element = list(range(q))
         encode = int
-    domain = field.grid_domain(1)
-    assert (domain is not field) == logs
     rng = random.Random(q)
     for n in range(5):
         if q**n > 2401:
@@ -796,10 +796,11 @@ def test_prime_grid_peaks_near_two_full_grids(monkeypatch):
 
 def test_one_variable_quadratic_builds_no_field_table(monkeypatch):
     # x^2 = 2 y^2 on P^1 over F_(3^m): 2 is a square exactly for even m.
-    # The chart enumerates one point, so no q-sized table may be built
-    calls = []
+    # A chart solved for its only variable is a closed form in p and q, so
+    # no field, let alone a q-sized table, may be built
+    built = []
     monkeypatch.setattr(
-        GF, "square_counts", lambda self: calls.append(self.q)
+        counting, "make_field", lambda p, k: built.append((p, k))
     )
     monkeypatch.setattr(counting, "_count_cache", {})
     v = projective_variety(1, ("x^2 - 2*y^2",))
@@ -807,7 +808,9 @@ def test_one_variable_quadratic_builds_no_field_table(monkeypatch):
     assert count_points(v, 15, 3) == 0
     assert count_points(v, 16, 3) == 2
     assert time.perf_counter() - start < 1.0
-    assert calls == []
+    assert count_points(affine_variety(1, ("2*x + 1",)), 7, 5) == 1
+    assert count_points(affine_variety(1, ("x^2 + 1",)), 30, 2) == 1
+    assert built == []
 
 
 def test_thread_pool_is_capped_at_the_cpu_count(monkeypatch):

@@ -1,15 +1,16 @@
+import hashlib
 import random
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from reffield import RefField, remainder_mod
 
-from wittzeta.errors import DegreeZero, NonIntegral, NotPrime
+from wittzeta.errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
 from wittzeta.finitefield import (
     _LOG_LIMIT,
-    _LOG_TRIGGER,
     GF,
     _is_irreducible,
     is_prime,
@@ -17,14 +18,8 @@ from wittzeta.finitefield import (
 )
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 1)]
-# extension fields on both sides of _LOG_TRIGGER; each builds its log
-# tables on the first vector of at least _LOG_TRIGGER elements
+# extension fields from 81 to 8192 elements, each on its log tables
 LOG_FIELDS = [(2, 13), (3, 4), (3, 8), (5, 4), (7, 4), (13, 4)]
-
-
-def digit_path_copy(F):
-    """A second copy of F kept on the digit path: feed it short vectors only."""
-    return GF(F.p, F.k, F.modulus)
 
 
 def monic_polys(p, degree):
@@ -33,13 +28,20 @@ def monic_polys(p, degree):
         yield tuple((m // p**i) % p for i in range(degree)) + (1,)
 
 
-def in_short_chunks(op, *arrays):
-    """op applied to slices shorter than _LOG_TRIGGER, concatenated."""
-    step = _LOG_TRIGGER // 2
-    size = len(arrays[0])
-    return np.concatenate(
-        [op(*(x[lo : lo + step] for x in arrays)) for lo in range(0, size, step)]
-    )
+def ref_values(op, *arrays):
+    """op of reffield applied element by element, as an array."""
+    return np.array([op(*map(int, xs)) for xs in zip(*arrays)], dtype=np.int64)
+
+
+def ref_power(ref, x, d):
+    """x^d by square-and-multiply on reference products."""
+    result = 1
+    while d:
+        if d & 1:
+            result = ref.mul(result, x)
+        x = ref.mul(x, x)
+        d >>= 1
+    return result
 
 
 def test_is_prime():
@@ -154,15 +156,15 @@ def test_is_irreducible_against_trial_division():
 
 
 def test_reduction_rows_are_remainders():
-    # row i of _red_matrix is x^(k+i) modulo the modulus, as k digits
+    # the scalar product x^i * x^j is x^(i+j) modulo the modulus, as k digits
     for p, moduli in MODULUS_GOLDENS.items():
         for k, modulus in enumerate(moduli, start=1):
             F = make_field(p, k)
-            rows = tuple(
-                remainder_mod((0,) * (k + i) + (1,), modulus, p) for i in range(k - 1)
-            )
-            assert F._red_matrix.shape == (k - 1, k)
-            assert F._red_matrix.tolist() == [list(r) for r in rows]
+            for i in range(k):
+                for j in range(k):
+                    rem = remainder_mod((0,) * (i + j) + (1,), modulus, p)
+                    want = sum(c * p**e for e, c in enumerate(rem))
+                    assert F.mul(p**i, p**j) == want, (p, k, i, j)
 
 
 def test_prime_field_is_mod_p():
@@ -241,23 +243,20 @@ def test_vector_ops_match_scalar_ops():
 
 
 def test_discrete_log_path_matches_direct_products():
-    # vectors at least as large as the trigger size flip the field to
-    # log/exp tables; results must not change
-    F = make_field(5, 4)  # q = 625, above the dense-table limit
+    # vector products and powers on the log tables, short or long, against
+    # reference products
+    F = GF(5, 4, make_field(5, 4).modulus)  # a fresh copy: no tables yet
+    ref = RefField(5, F.modulus)
     rng = np.random.default_rng(9)
     size = 5000
     a = rng.integers(0, F.q, size=size).astype(np.int64)
     b = rng.integers(0, F.q, size=size).astype(np.int64)
-    small_a, small_b = a[:50], b[:50]
-    before = F.vec_mul(small_a, small_b)
-    big = F.vec_mul(a, b)  # triggers table construction
-    after = F.vec_mul(small_a, small_b)
-    assert np.array_equal(before, after)
-    for i in range(0, size, 97):
-        assert big[i] == F.mul(int(a[i]), int(b[i]))
+    short = ref_values(ref.mul, a[:50], b[:50])
+    assert np.array_equal(F.vec_mul(a[:50], b[:50]), short)
+    assert F._logs is not None  # the first vector op builds the tables
+    assert np.array_equal(F.vec_mul(a, b), ref_values(ref.mul, a, b))
     pow7 = F.vec_pow(a, 7)
-    for i in range(0, size, 211):
-        assert pow7[i] == F.power(int(a[i]), 7)
+    assert np.array_equal(pow7, ref_values(lambda x: ref_power(ref, x, 7), a))
 
 
 def test_vec_pow_zero_exponent():
@@ -268,29 +267,28 @@ def test_vec_pow_zero_exponent():
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (2, 13)])
 def test_vec_pow_matches_repeated_multiplication(p, k):
-    # a fresh copy of the field: short vectors stay on the digit path (or
-    # mod-p arithmetic for k = 1), and the large one then builds the log
-    # tables that the extension fields raise to powers through
+    # a fresh copy of the field: mod-p arithmetic for k = 1, and log tables,
+    # built by the first power, for the extension fields
     F = GF(p, k, make_field(p, k).modulus)
-    ref = digit_path_copy(F)
+    ref = RefField(p, F.modulus)
     rng = np.random.default_rng(10 * p + k)
-    for size in (64, _LOG_TRIGGER):
-        a = rng.integers(0, F.q, size=size).astype(np.int64)
-        a[:2] = 0, 1
-        want = np.ones_like(a)
-        for n in range(21):
-            assert np.array_equal(F.vec_pow(a, n), want), (size, n)
-            want = in_short_chunks(ref.vec_mul, want, a)
-        assert (F._logs is not None) == (k > 1 and size >= _LOG_TRIGGER)
+    a = rng.integers(0, F.q, size=256).astype(np.int64)
+    a[:2] = 0, 1
+    want = np.ones_like(a)
+    for n in range(21):
+        assert np.array_equal(F.vec_pow(a, n), want), n
+        want = ref_values(ref.mul, want, a)
+    assert (F._logs is not None) == (k > 1)
 
 
 def test_vec_pow_negative_exponent_raises():
     with_logs = GF(3, 4, make_field(3, 4).modulus)
-    with_logs._log_tables(_LOG_TRIGGER)
-    for F in (make_field(7, 1), make_field(3, 2), with_logs):
-        assert (F._logs is not None) == (F is with_logs)
+    with_logs._log_tables()
+    without_logs = GF(3, 2, make_field(3, 2).modulus)
+    for F in (make_field(7, 1), without_logs, with_logs):
         with pytest.raises(ValueError):
             F.vec_pow(np.arange(F.q, dtype=np.int64), -1)
+    assert without_logs._logs is None  # refused before building any table
 
 
 def test_square_counts():
@@ -310,32 +308,29 @@ def test_square_counts():
 def test_square_counts_match_digit_squares(p, k):
     F = make_field(p, k)
     counts = F.square_counts()
-    ref = digit_path_copy(F)
-    grid = np.arange(F.q, dtype=np.int64)
-    squares = in_short_chunks(ref.vec_mul, grid, grid)
+    ref = RefField(p, F.modulus)
+    squares = [ref.mul(x, x) for x in range(F.q)]
     assert np.array_equal(counts, np.bincount(squares, minlength=F.q))
-    assert ref._logs is None
 
 
 @pytest.mark.parametrize("p,k", LOG_FIELDS)
 def test_zech_addition_matches_digit_arithmetic(p, k):
     F = make_field(p, k)
-    ref = digit_path_copy(F)
+    ref = RefField(p, F.modulus)
     rng = np.random.default_rng(100 * p + k)
-    size = _LOG_TRIGGER + 1000
+    size = 5096
     a = rng.integers(0, F.q, size=size).astype(np.int64)
     b = rng.integers(0, F.q, size=size).astype(np.int64)
     a[:100] = 0  # zero on the left
     b[100:200] = 0  # zero on the right
     a[200:300] = b[200:300] = 0
-    b[300:400] = in_short_chunks(ref.vec_neg, a[300:400])  # a = -b
+    b[300:400] = ref_values(ref.neg, a[300:400])  # a = -b
     total = F.vec_add(a, b)
     neg = F.vec_neg(a)
     assert F._logs is not None
     assert not total[200:400].any()
-    assert np.array_equal(total, in_short_chunks(ref.vec_add, a, b))
-    assert np.array_equal(neg, in_short_chunks(ref.vec_neg, a))
-    assert ref._logs is None
+    assert np.array_equal(total, ref_values(ref.add, a, b))
+    assert np.array_equal(neg, ref_values(ref.neg, a))
     for i in range(0, size, 7):
         x, y = int(a[i]), int(b[i])
         assert total[i] == F.add(x, y)
@@ -349,8 +344,8 @@ def test_zech_addition_matches_digit_arithmetic(p, k):
             assert left[i] == F.add(x, int(b[i]))
 
 
-# fields below _LOG_TRIGGER, between it and _LOG_LIMIT, and one past the
-# limit, which never gets log tables
+# fields from 16 to 28561 elements, and one past _LOG_LIMIT, which never
+# gets log tables
 REFERENCE_FIELDS = [
     (2, 4), (3, 4), (7, 3), (2, 11), (3, 8), (2, 13), (13, 4), (3, 15)
 ]
@@ -373,33 +368,63 @@ def test_ops_match_reference_arithmetic(p, k):
             assert inv is None if a == 0 else ref.mul(a, inv) == 1, a
 
     check_scalar_ops()
-    assert F._logs is None  # one-element ops never build the tables
+    assert F._logs is None  # scalar ops never build the tables
     nprng = np.random.default_rng(100 * p + k)
-    a = nprng.integers(0, F.q, size=_LOG_TRIGGER).astype(np.int64)
-    b = nprng.integers(0, F.q, size=_LOG_TRIGGER).astype(np.int64)
+    a = nprng.integers(0, F.q, size=4096).astype(np.int64)
+    b = nprng.integers(0, F.q, size=4096).astype(np.int64)
     a[:3] = 0, 1, p - 1
     b[1:4] = 0, F.q - 1, 0
+    if F.q > _LOG_LIMIT:
+        for op in (F.vec_add, F.vec_mul):
+            with pytest.raises(BudgetExceeded, match=f"^GF\\({F.q}\\) has"):
+                op(a, b)
+        with pytest.raises(BudgetExceeded):
+            F.vec_pow(a, 3)
+        assert F._logs is None
+        return
     total, product = F.vec_add(a, b), F.vec_mul(a, b)
     neg, cube = F.vec_neg(a), F.vec_pow(a, 3)
-    assert (F._logs is not None) == (F.q <= _LOG_LIMIT)
-    for i in list(range(8)) + list(range(8, _LOG_TRIGGER, 61)):
+    assert F._logs is not None
+    for i in list(range(8)) + list(range(8, a.size, 61)):
         x, y = int(a[i]), int(b[i])
         assert total[i] == ref.add(x, y), (x, y)
         assert product[i] == ref.mul(x, y), (x, y)
         assert neg[i] == ref.neg(x), x
         assert cube[i] == ref.power(x, 3), x
-    check_scalar_ops()  # now on the log tables where the field has them
+    check_scalar_ops()  # unchanged once the field has its tables
+
+
+def test_vector_ops_past_the_log_limit_raise_before_allocating(monkeypatch):
+    # F_(3^15) has 14348907 elements: its tables would be 115 MB apiece
+    builds = []
+    monkeypatch.setattr(GF, "_build_log_tables", lambda self: builds.append(self))
+    F = GF(3, 15, make_field(3, 15).modulus)
+    a = np.arange(1000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: F.vec_add(a, a),
+            lambda: F.vec_mul(a[:, None], a[None, :]),
+            lambda: F.vec_pow(a, 2),
+            lambda: F.grid_domain(),
+        ):
+            with pytest.raises(BudgetExceeded):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert builds == [] and F._logs is None
+    assert peak < 100_000, peak
 
 
 @pytest.mark.parametrize("p,k", [(2, 7), (5, 3)])
 def test_broadcast_operands_build_the_tables(p, k):
-    # a (q, 1) by (1, q) op makes q^2 >= _LOG_TRIGGER elements from two
-    # operands of q < _LOG_TRIGGER elements: it takes the log tables
+    # a (q, 1) by (1, q) op builds the log tables and broadcasts through
+    # them to the q x q table of sums or products
     ref = RefField(p, make_field(p, k).modulus)
     col = np.arange(p**k, dtype=np.int64)
     for op, scalar in (("vec_mul", ref.mul), ("vec_add", ref.add)):
         F = GF(p, k, ref.modulus)  # a fresh copy: no tables yet
-        assert F.q < _LOG_TRIGGER <= F.q**2
         got = getattr(F, op)(col[:, None], col[None, :])
         assert F._log_built, op
         assert got.shape == (F.q, F.q)
@@ -409,8 +434,8 @@ def test_broadcast_operands_build_the_tables(p, k):
 
 
 def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
-    # census threads share one field; the first long vectors of two
-    # workers must not both build its tables
+    # census threads share one field; the first vectors of two workers
+    # must not both build its tables
     F = GF(3, 8, make_field(3, 8).modulus)
     builds = []
     build = GF._build_log_tables
@@ -421,7 +446,7 @@ def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
         build(self)
 
     monkeypatch.setattr(GF, "_build_log_tables", slow_build)
-    a = np.arange(_LOG_TRIGGER, dtype=np.int64)
+    a = np.arange(F.q, dtype=np.int64)
     results = []
     workers = [
         threading.Thread(target=lambda: results.append(F.vec_mul(a, a)))
@@ -437,21 +462,10 @@ def test_concurrent_long_vectors_build_the_tables_once(monkeypatch):
     assert all(np.array_equal(r, results[0]) for r in results)
 
 
-def ref_power(ref, x, d):
-    """x^d by square-and-multiply on reference products."""
-    result = 1
-    while d:
-        if d & 1:
-            result = ref.mul(result, x)
-        x = ref.mul(x, x)
-        d >>= 1
-    return result
-
-
 @pytest.mark.parametrize("p,k", [(3, 2), (2, 5), (3, 8), (5, 6)])
 def test_log_kernels_match_reference_arithmetic(p, k):
     F = GF(p, k, make_field(p, k).modulus)
-    logs = F._log_tables(_LOG_TRIGGER)
+    logs = F._log_tables()
     ref = RefField(p, F.modulus)
     n = F.q - 1
     rng = random.Random(10 * p + k)
@@ -484,6 +498,40 @@ def test_log_kernels_match_reference_arithmetic(p, k):
         euler = [ref_power(ref, int(x), n // 2) for x in a]
         want = [1 if x == 0 else 2 if e == 1 else 0 for x, e in zip(a, euler)]
         assert logs.square_roots(la).tolist() == want
+
+
+# sha256 of each field's exp table as little-endian int64, q entries with
+# exp[-1] = 0: the generator, the block fill and every entry are pinned
+EXP_GOLDENS = {
+    (5, 8): "daffda5916342c78ebd391c9376584c7c44c5c208737eca69ab20d786addb160",
+    (13, 5): "35706d743fde48bb1f2205839bf4553c5d421adae659e8855b448b2e34c3bbb4",
+    (7, 6): "e6696467bfb0098bbb5dbc7025b8bde98ca2bcdc93d0dee69e673a41a3e4c1a0",
+    (3, 8): "6b79091cbcceccb5cbca135f06e348ed37c3fcca7bfee34a5a3f5c3cd1031ce4",
+    (2, 13): "03a7390e061ffcd932f6328b0f5f004802b12b5799baefa2201ff5308f0b4da3",
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(EXP_GOLDENS))
+def test_log_tables_are_pinned(p, k):
+    F = GF(p, k, make_field(p, k).modulus)  # a fresh copy: no tables yet
+    logs = F._log_tables()
+    digest = hashlib.sha256(logs.exp.astype("<i8").tobytes()).hexdigest()
+    assert digest == EXP_GOLDENS[p, k]
+    ref = RefField(p, F.modulus)
+    n = F.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+
+    def has_full_order(c):
+        return all(ref_power(ref, c, n // r) != 1 for r in primes)
+
+    # g is the least element of order q - 1
+    g = int(logs.exp[1])
+    assert has_full_order(g)
+    assert not any(has_full_order(c) for c in range(1, g))
+    rng = random.Random(p * k)
+    for e in [0, 1, 2, n - 1] + [rng.randrange(n) for _ in range(40)]:
+        assert logs.exp[e] == ref_power(ref, g, e), e
+    assert logs.exp[-1] == 0 and logs.exp.size == F.q
 
 
 def test_field_identity_and_render():
