@@ -48,7 +48,6 @@ from .zeta import (
     kapranov_zeta,
     totaro_check,
     totaro_proof_trace,
-    weil_zeta,
 )
 
 _GIDENT_VARS = ("a", "b", "s")
@@ -132,12 +131,13 @@ def _measure_and_classes(args, **names):
     Under counting each --<flag> names a variety, and the field comes from
     --q or else the first variety, resolved before any later flag is read.
     Under a sigma measure each --<flag>-value gives the class's value.  A
-    flag the chosen measure does not read is a usage error.
+    flag the chosen measure does not read is a usage error; a flag the
+    command does not define counts as absent.
     """
     counting = args.measure == "counting"
     for flag in names:
         unread = f"{flag}-value" if counting else flag
-        if getattr(args, unread.replace("-", "_")) is not None:
+        if getattr(args, unread.replace("-", "_"), None) is not None:
             raise ValueError(f"--{unread} is not read by the {args.measure} measure")
     measure = None if counting else _measure_arg(args)
     classes = []
@@ -157,12 +157,6 @@ def _measure_and_classes(args, **names):
                 )
             classes.append(_value_atom(measure, flag, name, text))
     return (measure, *classes)
-
-
-def _check_prec(n: int) -> int:
-    if n < 1:
-        raise ValueError("precision must be at least 1")
-    return n
 
 
 def _check_flag(flag: str, n: int, least: int) -> None:
@@ -204,43 +198,32 @@ def _emit_verdict(args, verdict) -> int:
 # ---------------------------------------------------------------- witt
 
 
-def _cmd_witt_add(args) -> int:
-    n = _check_prec(args.prec)
-    a = _series_arg(args.a, n, args.inv_a)
-    b = _series_arg(args.b, n, args.inv_b)
-    return _emit_series(args, witt_add(a, b))
+def _cmd_witt_binary(args) -> int:
+    a = _series_arg(args.a, args.prec, args.inv_a)
+    b = _series_arg(args.b, args.prec, args.inv_b)
+    return _emit_series(
+        args, witt_add(a, b) if args.action == "add" else witt_mul(a, b)
+    )
 
 
-def _cmd_witt_mul(args) -> int:
-    n = _check_prec(args.prec)
-    a = _series_arg(args.a, n, args.inv_a)
-    b = _series_arg(args.b, n, args.inv_b)
-    return _emit_series(args, witt_mul(a, b))
-
-
-def _cmd_witt_neg(args) -> int:
-    n = _check_prec(args.prec)
-    a = _series_arg(args.a, n, args.inv_a)
-    return _emit_series(args, a.invert())
+def _cmd_witt_unary(args) -> int:
+    a = _series_arg(args.a, args.prec, args.inv_a)
+    # negation is the series inverse; witt_neg would also refuse a constant
+    # term of -1, with another message
+    return _emit_series(
+        args, a.invert() if args.action == "neg" else lambda_involution(a)
+    )
 
 
 def _cmd_witt_teichmuller(args) -> int:
-    n = _check_prec(args.prec)
-    return _emit_series(args, teichmuller(ZZ, args.a, n))
+    return _emit_series(args, teichmuller(ZZ, args.a, args.prec))
 
 
 def _cmd_witt_ghost(args) -> int:
-    n = _check_prec(args.prec)
-    a = _series_arg(args.a, n, args.inv_a)
+    a = _series_arg(args.a, args.prec, args.inv_a)
     parts = [ZZ.render(p) for p in ghost(a)]
     _emit(args, "(" + ", ".join(parts) + ")", {"ghost": parts})
     return 0
-
-
-def _cmd_witt_iota(args) -> int:
-    n = _check_prec(args.prec)
-    a = _series_arg(args.a, n, args.inv_a)
-    return _emit_series(args, lambda_involution(a))
 
 
 # ----------------------------------------------------------------- rat
@@ -266,59 +249,42 @@ def _cmd_rat_rationalize(args) -> int:
 # ---------------------------------------------------------------- zeta
 
 
-def _zeta_output(args, zeta) -> int:
+def _cmd_zeta(args) -> int:
+    if args.rationalize:
+        _check_flag("dmax", args.dmax, 0)
+    measure, x = _measure_and_classes(args, variety="X")
+    zeta = kapranov_zeta(measure, x, args.prec)
     if args.rationalize:
         return _emit_rationalized(args, zeta.series)
     _emit(args, zeta.render(), zeta.render_json())
     return 0
 
 
-def _cmd_zeta_weil(args) -> int:
-    n = _check_prec(args.prec)
-    if args.rationalize:
-        _check_flag("dmax", args.dmax, 0)
-    variety = _variety_arg(args.variety)
-    p, k = _field_args(args, variety)
-    zeta = weil_zeta(variety, p**k, n, args.threads)
-    return _zeta_output(args, zeta)
-
-
-def _cmd_zeta_kapranov(args) -> int:
-    n = _check_prec(args.prec)
-    if args.rationalize:
-        _check_flag("dmax", args.dmax, 0)
-    measure, x = _measure_and_classes(args, variety="X")
-    return _zeta_output(args, kapranov_zeta(measure, x, n))
-
-
 # --------------------------------------------------------------- check
 
 
 def _cmd_check_expo(args) -> int:
-    n = _check_prec(args.prec)
     measure, x, y = _measure_and_classes(args, x="X", y="Y")
-    return _emit_verdict(args, check_exponentiation(measure, x, y, n))
+    return _emit_verdict(args, check_exponentiation(measure, x, y, args.prec))
 
 
 def _cmd_check_totaro(args) -> int:
-    n = _check_prec(args.prec)
     measure, x = _measure_and_classes(args, variety="X")
     if args.trace:
-        report = totaro_proof_trace(measure, x, args.n, n)
+        report = totaro_proof_trace(measure, x, args.n, args.prec)
         _emit(args, report.render(), report.render_json())
         return 0 if report.holds else 1
-    return _emit_verdict(args, totaro_check(measure, x, args.n, n))
+    return _emit_verdict(args, totaro_check(measure, x, args.n, args.prec))
 
 
 def _cmd_check_bundle(args) -> int:
-    n = _check_prec(args.prec)
     measure, x = _measure_and_classes(args, variety="X")
-    verdict = bundle_zeta_check(measure, x, args.n, n, args.kind)
+    verdict = bundle_zeta_check(measure, x, args.n, args.prec, args.kind)
     return _emit_verdict(args, verdict)
 
 
 def _cmd_check_gident(args) -> int:
-    n = _check_prec(args.prec)
+    n = args.prec
     g = _t_series_arg(args.g, _GIDENT_VARS, n)
     s = parse_poly(args.s, _GIDENT_VARS)
     p_series = _t_series_arg(args.poly, _GIDENT_VARS, n)
@@ -328,7 +294,7 @@ def _cmd_check_gident(args) -> int:
 
 
 def _cmd_check_lambda_axioms(args) -> int:
-    n = _check_prec(args.prec)
+    n = args.prec
     rng = random.Random(args.seed)
     structure = BINOMIAL_Z if args.structure == "binomial" else PLETHYSTIC_ZU
 
@@ -360,34 +326,28 @@ def _cmd_check_lambda_axioms(args) -> int:
 
 
 def _cmd_count_points(args) -> int:
-    variety = _variety_arg(args.variety)
-    p, k = _field_args(args, variety)
+    measure, variety = _measure_and_classes(args, variety="X")
     _check_flag("m", args.m, 1)
-    value = count_points(variety, args.m, p, k, args.threads)
+    value = count_points(
+        variety, args.m, measure.p, measure.k, measure.threads
+    )
     _emit(args, str(value), {"value": str(value)})
     return 0
 
 
-def _counts_output(args, values) -> int:
+def _cmd_count_series(args) -> int:
+    """count census|sym: one count per degree 0..D or 1..D."""
+    measure, variety = _measure_and_classes(args, variety="X")
+    _check_flag("degree", args.degree, 0)
+    counts = (
+        closed_point_census if args.action == "census" else sym_product_counts
+    )
+    values = counts(
+        variety, args.degree, measure.p, measure.k, measure.threads
+    )
     parts = [str(v) for v in values]
     _emit(args, ", ".join(parts), {"counts": parts})
     return 0
-
-
-def _cmd_count_census(args) -> int:
-    variety = _variety_arg(args.variety)
-    p, k = _field_args(args, variety)
-    _check_flag("degree", args.degree, 0)
-    census = closed_point_census(variety, args.degree, p, k, args.threads)
-    return _counts_output(args, census)
-
-
-def _cmd_count_sym(args) -> int:
-    variety = _variety_arg(args.variety)
-    p, k = _field_args(args, variety)
-    _check_flag("degree", args.degree, 0)
-    counts = sym_product_counts(variety, args.degree, p, k, args.threads)
-    return _counts_output(args, counts)
 
 
 # ------------------------------------------------------------- parser
@@ -464,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = witt_sub.add_parser("add", help="Witt sum (series product)")
     _add_series_a(p, with_b=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_witt_add)
+    p.set_defaults(func=_cmd_witt_binary)
     p = witt_sub.add_parser("mul", help="Witt product (ghost coordinates)")
     _add_series_a(p, with_b=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_witt_mul)
+    p.set_defaults(func=_cmd_witt_binary)
     p = witt_sub.add_parser("neg", help="Witt negation (series inverse)")
     _add_series_a(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_witt_neg)
+    p.set_defaults(func=_cmd_witt_unary)
     p = witt_sub.add_parser(
         "teichmuller", help="the class [a] = (1 - a*t)^(-1)"
     )
@@ -486,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = witt_sub.add_parser("iota", help="the involution g(t) -> g(-t)^(-1)")
     _add_series_a(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_witt_iota)
+    p.set_defaults(func=_cmd_witt_unary)
 
     rat = groups.add_parser("rat", help="rational Witt vectors")
     rat_sub = rat.add_subparsers(dest="action", required=True)
@@ -519,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the rational form instead of the series",
     )
     _add_common(p, dmax=True, threads=True)
-    p.set_defaults(func=_cmd_zeta_weil)
+    p.set_defaults(func=_cmd_zeta, measure="counting")
     p = zeta_sub.add_parser("kapranov", help="zeta series of a chosen measure")
     _add_measure(p)
     _add_variety(p, required=False)
@@ -534,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the rational form instead of the series",
     )
     _add_common(p, dmax=True, threads=True)
-    p.set_defaults(func=_cmd_zeta_kapranov)
+    p.set_defaults(func=_cmd_zeta)
 
     check = groups.add_parser("check", help="identity checkers")
     check_sub = check.add_subparsers(dest="action", required=True)
@@ -614,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     p.add_argument("--m", type=int, default=1, help="extension degree")
     _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_points)
+    p.set_defaults(func=_cmd_count_points, measure="counting")
     p = count_sub.add_parser(
         "census", help="closed points of degrees 1..D"
     )
@@ -622,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     p.add_argument("--degree", type=int, default=8, help="largest degree D")
     _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_census)
+    p.set_defaults(func=_cmd_count_series, measure="counting")
     p = count_sub.add_parser(
         "sym", help="points of symmetric powers Sym^0..Sym^D"
     )
@@ -630,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(p)
     p.add_argument("--degree", type=int, default=8, help="largest power D")
     _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_sym)
+    p.set_defaults(func=_cmd_count_series, measure="counting")
 
     return parser
 
@@ -646,6 +606,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "threads"):
             _check_flag("threads", args.threads, 1)
+        if getattr(args, "prec", 1) < 1:
+            raise ValueError("precision must be at least 1")
         return args.func(args)
     except (WittzetaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,6 +65,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CensusInconsistent, NotPrime
 from .finitefield import (
+    BUDGET,
     GF,
     LogDomain,
     check_field_params,
@@ -75,7 +76,6 @@ from .rings import ZZ
 from .varieties import Block, VarietyDesc
 from .witt import from_ghost
 
-BUDGET = 10**7
 _CHUNK_MIN = 1 << 15  # grids below this size are never split across threads
 
 _count_cache: dict = {}

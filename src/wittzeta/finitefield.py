@@ -23,7 +23,7 @@ discrete logarithms: the first one builds exp/log tables for the least
 generator g and a Zech table ``zech[e] = log(1 + g^e)``, held by the field's
 `LogDomain`, and every op then gathers the logs of its operands, runs the
 `LogDomain` kernel and gathers the result back through exp.  Tables are
-built only for q <= ``_LOG_LIMIT``, which is the enumeration budget of
+built only for q <= ``BUDGET``, which is also the enumeration budget of
 `counting`; past it a vector op raises `BudgetExceeded` and builds
 nothing.  The build is linear algebra over F_p: multiplication by a fixed
 h is a k x k matrix on digit rows, so ``exp`` is filled in blocks of
@@ -49,9 +49,10 @@ from .errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
 from .polynomials import Poly1Ring
 from .rings import Ring, binary_power
 
-# largest q for which discrete-log tables are built: counting.BUDGET, so
-# that every field a budgeted grid can enumerate gets them
-_LOG_LIMIT = 10**7
+# tuples one counting call may enumerate, and the largest q for which
+# discrete-log tables are built, so every field a budgeted grid can
+# enumerate gets them
+BUDGET = 10**7
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -110,14 +111,12 @@ class GF(Ring):
     """The finite field with p**k elements, encoded-integer representation."""
 
     torsion_free = False
-    is_field = True
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus  # length k+1, monic, constant term first
-        self.characteristic = p
         self.name = f"GF({self.q})"
         self._polys = _prime_polys(p) if k > 1 else None  # scalar arithmetic
         self._logs = None  # the LogDomain once its tables are built
@@ -221,10 +220,11 @@ class GF(Ring):
             rows = rows @ jump % p
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
-        # adding 1 changes only the constant digit of an encoded element
-        c = exp[:n]
-        zech = log[np.where(c % p == p - 1, c - (p - 1), c + 1)]
-        self._logs = LogDomain(self, exp, log, zech)
+        # adding 1 changes only the constant digit of an encoded element:
+        # where it wraps from p - 1 to 0, take the carry back
+        zech = exp[:n] + 1
+        zech[zech % p == 0] -= p
+        self._logs = LogDomain(self, exp, log, log[zech])
 
     @property
     def _log_built(self) -> bool:
@@ -242,11 +242,11 @@ class GF(Ring):
 
     def _log_tables(self) -> LogDomain:
         """This extension field's `LogDomain`, built on first use; a field
-        past ``_LOG_LIMIT`` raises `BudgetExceeded` instead."""
+        past ``BUDGET`` raises `BudgetExceeded` instead."""
         if self._logs is None:
-            if self.q > _LOG_LIMIT:
+            if self.q > BUDGET:
                 raise BudgetExceeded(
-                    f"{self.name} has more than {_LOG_LIMIT} elements, the"
+                    f"{self.name} has more than {BUDGET} elements, the"
                     " limit for its discrete-log tables"
                 )
             with self._build_lock:

@@ -129,8 +129,8 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r} at position {pos}")
 
 
-def parse_poly(text: str, variables: tuple[str, ...], rational: bool = False):
+def parse_poly(text: str, variables: tuple[str, ...]):
     """Parse `text` into an element of the polynomial ring in `variables`."""
-    ring = poly_ring(tuple(variables), rational)
+    ring = poly_ring(tuple(variables))
     parser = _Parser(tokenize(text), ring)
     return parser.parse()

@@ -25,14 +25,11 @@ from .rings import Ring, scaled_term, signed_sum
 class Poly1Ring(Ring):
     """Polynomials in one variable over `base`, tuple-of-coefficients values."""
 
-    is_field = False
-
     def __init__(self, base: Ring, var: str = "t"):
         self.base = base
         self.var = var
         self.name = f"{base.name}[{var}]"
         self.torsion_free = base.torsion_free
-        self.characteristic = base.characteristic
 
     def __repr__(self):
         return self.name

@@ -208,8 +208,6 @@ class RatFuncRing(Ring):
     """
 
     torsion_free = True
-    is_field = True
-    characteristic = 0
 
     def __init__(self, var: str = "u"):
         self.var = var
@@ -303,13 +301,11 @@ def fraction_field(ring: Ring):
             num, den = x
             if den != (Fraction(1),):
                 return None
-            if not ring.rational and any(c.denominator != 1 for c in num):
+            if any(c.denominator != 1 for c in num):
                 return None
-            terms = {}
-            for i, c in enumerate(num):
-                if c:
-                    terms[(i,)] = c if ring.rational else int(c)
-            return ring.from_terms(terms)
+            return ring.from_terms(
+                {(i,): int(c) for i, c in enumerate(num) if c}
+            )
 
         return field, embed, retract
     raise ValueError(f"no fraction field support for {ring.name}")

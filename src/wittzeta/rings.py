@@ -1,7 +1,7 @@
 """Exact commutative coefficient rings.
 
-Supported rings: the integers, the rationals, integer/rational polynomial
-rings in finitely many named variables, and finite fields (see
+Supported rings: the integers, the rationals, integer polynomial rings in
+finitely many named variables, and finite fields (see
 :mod:`wittzeta.finitefield` for the field construction itself).
 
 Elements are plain immutable Python values interpreted by their ring object:
@@ -44,8 +44,6 @@ class Ring:
 
     name: str
     torsion_free: bool
-    is_field: bool
-    characteristic: int
 
     @property
     def zero(self):
@@ -149,8 +147,6 @@ def signed_sum(parts) -> str:
 class IntegerRing(Ring):
     name = "ZZ"
     torsion_free = True
-    is_field = False
-    characteristic = 0
 
     zero = 0
     one = 1
@@ -186,8 +182,6 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     name = "QQ"
     torsion_free = True
-    is_field = True
-    characteristic = 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -224,7 +218,7 @@ QQ = RationalRing()
 
 
 class MPolyRing(Ring):
-    """Polynomials in named variables over ZZ (or QQ when rational=True).
+    """Polynomials in named variables over ZZ.
 
     Terms are stored as a tuple of (exponents, coefficient) pairs ordered by
     ascending total degree, ties broken so that earlier variables come first;
@@ -232,29 +226,20 @@ class MPolyRing(Ring):
     """
 
     torsion_free = True
-    is_field = False
-    characteristic = 0
 
-    def __init__(self, variables: tuple[str, ...], rational: bool = False):
+    def __init__(self, variables: tuple[str, ...]):
         if not variables:
             raise ValueError("polynomial ring needs at least one variable")
         self.vars = tuple(variables)
-        self.rational = rational
-        self.base = QQ if rational else ZZ
-        base_name = "QQ" if rational else "ZZ"
-        self.name = f"{base_name}[{','.join(self.vars)}]"
+        self.name = f"ZZ[{','.join(self.vars)}]"
         self._zero_exps = (0,) * len(self.vars)
         self._univariate = len(self.vars) == 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MPolyRing)
-            and self.vars == other.vars
-            and self.rational == other.rational
-        )
+        return isinstance(other, MPolyRing) and self.vars == other.vars
 
     def __hash__(self):
-        return hash((self.vars, self.rational))
+        return hash(self.vars)
 
     def __repr__(self):
         return self.name
@@ -265,10 +250,10 @@ class MPolyRing(Ring):
 
     @property
     def one(self):
-        return ((self._zero_exps, self.base.one),)
+        return ((self._zero_exps, 1),)
 
     def _canon(self, terms: dict):
-        items = [(e, c) for e, c in terms.items() if c != self.base.zero]
+        items = [(e, c) for e, c in terms.items() if c]
         if len(items) > 1:
             if self._univariate:
                 items.sort()
@@ -280,8 +265,8 @@ class MPolyRing(Ring):
         return self._canon(dict(terms))
 
     def monomial(self, exps, coeff=None):
-        coeff = self.base.one if coeff is None else coeff
-        if coeff == self.base.zero:
+        coeff = 1 if coeff is None else coeff
+        if not coeff:
             return ()
         return ((tuple(exps), coeff),)
 
@@ -293,8 +278,8 @@ class MPolyRing(Ring):
     def add(self, a, b):
         terms = dict(a)
         for e, c in b:
-            s = terms.get(e, self.base.zero) + c
-            if s == self.base.zero:
+            s = terms.get(e, 0) + c
+            if not s:
                 terms.pop(e, None)
             else:
                 terms[e] = s
@@ -315,10 +300,7 @@ class MPolyRing(Ring):
                     e = xa + xb
                     prev = get(e)
                     terms[e] = ca * cb if prev is None else prev + ca * cb
-            zero = self.base.zero
-            return tuple(
-                ((e,), c) for e, c in sorted(terms.items()) if c != zero
-            )
+            return tuple(((e,), c) for e, c in sorted(terms.items()) if c)
         for ea, ca in a:
             for eb, cb in b:
                 e = tuple(map(int.__add__, ea, eb))
@@ -327,7 +309,7 @@ class MPolyRing(Ring):
         return self._canon(terms)
 
     def from_int(self, n):
-        return self.monomial(self._zero_exps, self.base.from_int(n))
+        return self.monomial(self._zero_exps, n)
 
     def total_degree(self, a) -> int:
         return max((sum(e) for e, _ in a), default=-1)
@@ -338,7 +320,7 @@ class MPolyRing(Ring):
         e, c = a[0]
         if e != self._zero_exps:
             return None
-        inv = self.base.try_inverse(c)
+        inv = ZZ.try_inverse(c)
         if inv is None:
             return None
         return self.monomial(self._zero_exps, inv)
@@ -349,8 +331,6 @@ class MPolyRing(Ring):
             raise NonIntegral("division by the zero polynomial")
         if len(b) == 1 and b[0][0] == self._zero_exps:
             cb = b[0][1]
-            if self.rational:
-                return self._canon({e: c / cb for e, c in a})
             return self._canon({e: ZZ.exact_div(c, cb) for e, c in a})
         quotient: dict = {}
         rem = a
@@ -360,11 +340,8 @@ class MPolyRing(Ring):
             exps = tuple(x - y for x, y in zip(ea, eb))
             if any(x < 0 for x in exps):
                 raise NonIntegral("inexact polynomial division (monomials)")
-            if self.rational:
-                coeff = ca / cb
-            else:
-                coeff = ZZ.exact_div(ca, cb)
-            quotient[exps] = quotient.get(exps, self.base.zero) + coeff
+            coeff = ZZ.exact_div(ca, cb)
+            quotient[exps] = quotient.get(exps, 0) + coeff
             rem = self.sub(rem, self.mul(self.monomial(exps, coeff), b))
         return self._canon(quotient)
 
@@ -373,7 +350,7 @@ class MPolyRing(Ring):
 
         The zero polynomial gives the empty list.
         """
-        out = [self.base.zero] * (self.total_degree(a) + 1)
+        out = [0] * (self.total_degree(a) + 1)
         for (d,), c in a:
             out[d] = c
         return out
@@ -391,10 +368,5 @@ class MPolyRing(Ring):
 
 
 @lru_cache(maxsize=None)
-def poly_ring(variables: tuple[str, ...], rational: bool = False) -> MPolyRing:
-    return MPolyRing(variables, rational)
-
-
-def int_poly_ring(*variables: str) -> MPolyRing:
-    """Integer polynomial ring in the given variables (default single 'u')."""
-    return poly_ring(variables or ("u",))
+def poly_ring(variables: tuple[str, ...]) -> MPolyRing:
+    return MPolyRing(variables)

@@ -407,6 +407,24 @@ def test_measure_and_class_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "weil", "--prec", "3"),
+        ("zeta", "kapranov", "--prec", "3"),
+        ("count", "points", "--q", "3"),
+        ("count", "census", "--q", "3"),
+        ("count", "sym", "--q", "3"),
+        ("check", "totaro", "--q", "3"),
+        ("check", "bundle", "--q", "3"),
+    ],
+)
+def test_empty_variety_names_its_flag(capsys, argv):
+    code, out, err = run(capsys, *argv[:2], "--variety", "", *argv[2:])
+    assert (code, out) == (2, "")
+    assert err == "error: --variety is required for the counting measure\n"
+
+
 def test_unknown_variety_name(capsys):
     code, _, err = run(capsys, "count", "points", "--variety", "nosuch", "--q", "2")
     assert code == 2

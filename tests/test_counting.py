@@ -36,7 +36,7 @@ from wittzeta import (
     variety_product,
 )
 from wittzeta.errors import DegreeZero
-from wittzeta.finitefield import _LOG_LIMIT, is_prime
+from wittzeta.finitefield import is_prime
 from wittzeta.varieties import CATALOG
 
 # brute-force reference: evaluate every equation at every point with the
@@ -560,10 +560,6 @@ def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
         monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, 3, 4, threads) == expected
     assert make_field(3, 4)._logs is not None
-
-
-def test_log_tables_cover_every_field_the_budget_enumerates():
-    assert _LOG_LIMIT >= counting.BUDGET
 
 
 # every counting strategy against the brute-force counter; (variety, q)

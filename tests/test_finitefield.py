@@ -10,7 +10,7 @@ from reffield import RefField, remainder_mod
 
 from wittzeta.errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
 from wittzeta.finitefield import (
-    _LOG_LIMIT,
+    BUDGET,
     GF,
     _is_irreducible,
     is_prime,
@@ -344,7 +344,7 @@ def test_zech_addition_matches_digit_arithmetic(p, k):
             assert left[i] == F.add(x, int(b[i]))
 
 
-# fields from 16 to 28561 elements, and one past _LOG_LIMIT, which never
+# fields from 16 to 28561 elements, and one past BUDGET, which never
 # gets log tables
 REFERENCE_FIELDS = [
     (2, 4), (3, 4), (7, 3), (2, 11), (3, 8), (2, 13), (13, 4), (3, 15)
@@ -374,7 +374,7 @@ def test_ops_match_reference_arithmetic(p, k):
     b = nprng.integers(0, F.q, size=4096).astype(np.int64)
     a[:3] = 0, 1, p - 1
     b[1:4] = 0, F.q - 1, 0
-    if F.q > _LOG_LIMIT:
+    if F.q > BUDGET:
         for op in (F.vec_add, F.vec_mul):
             with pytest.raises(BudgetExceeded, match=f"^GF\\({F.q}\\) has"):
                 op(a, b)
@@ -509,14 +509,26 @@ EXP_GOLDENS = {
     (3, 8): "6b79091cbcceccb5cbca135f06e348ed37c3fcca7bfee34a5a3f5c3cd1031ce4",
     (2, 13): "03a7390e061ffcd932f6328b0f5f004802b12b5799baefa2201ff5308f0b4da3",
 }
+# the same for each field's Zech table, q - 1 entries
+ZECH_GOLDENS = {
+    (5, 8): "44340ecc23f72f3df9341a82dcbf4adb745c02ee4f28a23a4f5177fd0bf7f4ba",
+    (13, 5): "b8f6b9c2955d2fde9e022a81f691859e979875e01fb7b3c85e942ede4418ac68",
+    (7, 6): "49abfb29fca819b111f348aafcb5eb21c00287e3585c273514c551bd4c4988e6",
+    (3, 8): "b4320c10ed445f30fc903217866e8d1f4b9b929eb8988fad380ffc961c913c44",
+    (2, 13): "0ec76ca6f16012a5f39f5874ae75875bf4c63a5148bdc1145b1bc04b73b9b4f0",
+}
+
+
+def _sha256(table) -> str:
+    return hashlib.sha256(table.astype("<i8").tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("p,k", sorted(EXP_GOLDENS))
 def test_log_tables_are_pinned(p, k):
     F = GF(p, k, make_field(p, k).modulus)  # a fresh copy: no tables yet
     logs = F._log_tables()
-    digest = hashlib.sha256(logs.exp.astype("<i8").tobytes()).hexdigest()
-    assert digest == EXP_GOLDENS[p, k]
+    assert _sha256(logs.exp) == EXP_GOLDENS[p, k]
+    assert _sha256(logs.zech) == ZECH_GOLDENS[p, k]
     ref = RefField(p, F.modulus)
     n = F.q - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
@@ -534,10 +546,21 @@ def test_log_tables_are_pinned(p, k):
     assert logs.exp[-1] == 0 and logs.exp.size == F.q
 
 
+def test_log_table_build_peaks_near_the_tables_it_keeps():
+    # the Zech index is built in one q-sized temporary, not four
+    F = GF(5, 8, make_field(5, 8).modulus)  # a fresh copy: no tables yet
+    tracemalloc.start()
+    try:
+        logs = F._log_tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = logs.exp.nbytes + logs.log.nbytes + logs.zech.nbytes
+    assert peak < 1.45 * kept
+
+
 def test_field_identity_and_render():
     F = make_field(3, 2)
-    assert F.is_field
-    assert F.characteristic == 3
     assert not F.torsion_free
     assert F.render(5) == "5"
     assert F == make_field(3, 2)

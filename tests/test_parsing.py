@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -43,13 +42,6 @@ def test_power_binds_tighter_than_product():
 def test_multivariate():
     p = parse_poly("x^2*y - 3*y + 1", ("x", "y"))
     assert dict(p) == {(2, 1): 1, (0, 1): -3, (0, 0): 1}
-
-
-def test_rational_coefficients():
-    S = poly_ring(("t",), rational=True)
-    p = parse_poly("2*t", ("t",), rational=True)
-    assert dict(p) == {(1,): Fraction(2)}
-    assert S.exact_div(p, S.from_int(4)) == S.from_terms({(1,): Fraction(1, 2)})
 
 
 def test_unknown_variable_rejected():

@@ -6,7 +6,7 @@ import pytest
 from wittzeta.errors import NonIntegral
 from wittzeta.finitefield import make_field
 from wittzeta.polynomials import Poly1Ring, determinant, resultant
-from wittzeta.rings import QQ, ZZ, int_poly_ring
+from wittzeta.rings import QQ, ZZ, poly_ring
 
 Zt = Poly1Ring(ZZ, "t")
 Qt = Poly1Ring(QQ, "t")
@@ -111,7 +111,7 @@ def test_render():
     assert Zt.render((-1, 0, 1)) == "-1 + t^2"
     coeffs = (Fraction(-1, 2), Fraction(1, 3), Fraction(-1), Fraction(-3, 4))
     assert Qt.render(coeffs) == "-1/2 + 1/3*t - t^2 - 3/4*t^3"
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     u = R.variable("u")
     Rt = Poly1Ring(R, "t")
     a = (R.from_int(-1), R.add(u, R.one), R.neg(u), R.mul_int(u, -5), R.one)

@@ -7,7 +7,7 @@ from wittzeta.errors import (
     PrecisionMismatch,
     RingMismatch,
 )
-from wittzeta.rings import QQ, ZZ, int_poly_ring
+from wittzeta.rings import QQ, ZZ, poly_ring
 from wittzeta.series import TruncSeries
 
 
@@ -84,7 +84,7 @@ def test_pow_int():
 
 
 def test_pow_int_matches_repeated_multiplication(monkeypatch):
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     u = R.variable("u")
     for s in [S(1, -2, 3, 0, 5, -1), TruncSeries.make(R, [R.one, u, R.neg(u)], 4)]:
         one = TruncSeries.one(s.ring, s.precision)
@@ -141,7 +141,7 @@ def test_render():
 
 
 def test_render_polynomial_coefficients_are_parenthesized():
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     u = R.variable("u")
     s = TruncSeries.make(R, (R.one, R.add(R.one, u)), 1)
     assert s.render() == "1 + (1 + u)*t + O(t^2)"

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from wittzeta import cli
 from wittzeta.errors import DegreeZero, NotPrime, UnsupportedClass
 from wittzeta.varieties import (
+    CATALOG,
     Block,
     K0Class,
     SymbolicAtom,
@@ -73,6 +75,18 @@ def test_load_variety_from_dict_text_and_file(tmp_path):
     assert v1 == v2 == v3
     assert v1.p == 3 and v1.k == 1
     assert v1.blocks[0].kind == "affine"
+
+
+VARIETY_FILES = sorted((Path(__file__).parent.parent / "varieties").glob("*.json"))
+
+
+def test_every_catalog_variety_has_a_file():
+    assert sorted(path.stem for path in VARIETY_FILES) == sorted(CATALOG)
+
+
+@pytest.mark.parametrize("path", VARIETY_FILES, ids=lambda p: p.stem)
+def test_variety_file_loads_to_its_catalog_entry(path):
+    assert load_variety(path) == CATALOG[path.stem]()
 
 
 def test_load_variety_rejects_bad_input():

@@ -4,7 +4,7 @@ import pytest
 
 from wittzeta.errors import NonIntegral, TorsionUnsupported
 from wittzeta.finitefield import make_field
-from wittzeta.rings import ZZ, int_poly_ring
+from wittzeta.rings import ZZ, poly_ring
 from wittzeta.series import TruncSeries
 from wittzeta.witt import (
     from_ghost,
@@ -33,7 +33,7 @@ def random_wv(rng, prec):
 
 def random_wv_u(rng, prec):
     """Random Witt vector over ZZ[u], coefficients of u-degree at most 2."""
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     coeffs = [R.one] + [
         R.from_terms({(d,): rng.randint(-3, 3) for d in range(3)})
         for _ in range(prec)
@@ -85,7 +85,7 @@ def test_from_ghost_roundtrip():
     for _ in range(10):
         a = random_wv(rng, 8)
         assert from_ghost(ZZ, ghost(a)).coeffs == a.coeffs
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     for _ in range(10):
         a = random_wv_u(rng, 6)
         assert from_ghost(R, ghost(a)).coeffs == a.coeffs
@@ -159,7 +159,7 @@ def test_witt_pow():
 
 
 def test_witt_mul_over_polynomials():
-    R = int_poly_ring("u")
+    R = poly_ring(("u",))
     u = R.variable("u")
     lhs = witt_mul(teichmuller(R, u, 5), teichmuller(R, u, 5))
     assert lhs.coeffs == teichmuller(R, R.mul(u, u), 5).coeffs
