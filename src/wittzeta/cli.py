@@ -336,13 +336,13 @@ def _cmd_count_points(args) -> int:
 
 
 def _cmd_count_series(args) -> int:
-    """count census|sym: one count per degree 0..D or 1..D."""
+    """count census (degrees 1..D) and count sym (Sym^0..Sym^D)."""
     measure, variety = _measure_and_classes(args, variety="X")
     _check_flag("degree", args.degree, 0)
-    counts = (
+    counter = (
         closed_point_census if args.action == "census" else sym_product_counts
     )
-    values = counts(
+    values = counter(
         variety, args.degree, measure.p, measure.k, measure.threads
     )
     parts = [str(v) for v in values]

@@ -221,10 +221,15 @@ class GF(Ring):
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n)
         # adding 1 changes only the constant digit of an encoded element:
-        # where it wraps from p - 1 to 0, take the carry back
-        zech = exp[:n] + 1
-        zech[zech % p == 0] -= p
-        self._logs = LogDomain(self, exp, log, log[zech])
+        # where it wraps from p - 1 to 0, take the carry back.  One block at
+        # a time, so that no temporary is q-sized
+        zech = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            c = exp[lo:hi] + 1
+            c[c % p == 0] -= p
+            zech[lo:hi] = log[c]
+        self._logs = LogDomain(self, exp, log, zech)
 
     @property
     def _log_built(self) -> bool:

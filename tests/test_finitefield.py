@@ -547,7 +547,7 @@ def test_log_tables_are_pinned(p, k):
 
 
 def test_log_table_build_peaks_near_the_tables_it_keeps():
-    # the Zech index is built in one q-sized temporary, not four
+    # the Zech index is built a block at a time, with no q-sized temporary
     F = GF(5, 8, make_field(5, 8).modulus)  # a fresh copy: no tables yet
     tracemalloc.start()
     try:
