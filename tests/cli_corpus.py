@@ -21,6 +21,8 @@ With ``--threads 2`` every call whose command reads ``--threads`` (and
 does not set it already) gets ``--threads 2`` appended, and
 ``counting._CHUNK_MIN`` is patched to 1 so that every grid splits; the
 digests must not change.  ``tests/test_cli_corpus.py`` runs a fixed slice.
+Argparse's usage errors are part of the pinned output, so the digests hold
+for the Python version they were written with (3.11).
 """
 
 from __future__ import annotations
