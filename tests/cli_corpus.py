@@ -43,7 +43,7 @@ SEED = 20141
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "cli_corpus.sha256"
 
-PRIMES = (2, 3, 5, 7, 11, 13)
+FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3)]
 CATALOG_NAMES = ("pt", "a1", "a2", "gm", "p1", "p2", "e5")
 # grid variables each catalog variety enumerates per field element
 CATALOG_VARS = {"pt": 0, "a1": 1, "a2": 2, "gm": 2, "p1": 1, "p2": 2, "e5": 2}
@@ -131,10 +131,6 @@ def _random_variety(rng, p: int, k: int, declare: bool):
     return json.dumps(data), dim
 
 
-def _fields():
-    return [(p, k) for p in PRIMES for k in (1, 2, 3)]
-
-
 def _json(rng) -> tuple:
     return ("--json",) if rng.random() < 0.5 else ()
 
@@ -173,7 +169,7 @@ def catalog_calls(rng):
     calls = []
     for name in CATALOG_NAMES:
         nvars = CATALOG_VARS[name]
-        for p, k in _fields():
+        for p, k in FIELDS:
             if rng.random() < 0.4:
                 continue
             q = p**k
@@ -200,7 +196,7 @@ def catalog_calls(rng):
 
 def random_variety_calls(rng):
     calls = []
-    for p, k in _fields():
+    for p, k in FIELDS:
         for _ in range(3):
             declare = rng.random() < 0.5
             variety, nvars = _random_variety(rng, p, k, declare)
