@@ -53,12 +53,17 @@ class TruncSeries:
         return TruncSeries.constant(ring, ring.one, precision)
 
     @staticmethod
-    def geometric(ring: Ring, a, precision: int) -> "TruncSeries":
-        """(1 - a*t)^(-1) = 1 + a*t + a^2*t^2 + ..."""
+    def geometric(ring: Ring, a, precision: int, c: int = 1) -> "TruncSeries":
+        """(1 - a*t)^(-c): C(c+n-1, n) * a^n at t^n, 0 past n = -c if c <= 0."""
         coeffs = [ring.one]
-        for _ in range(precision):
-            coeffs.append(ring.mul(coeffs[-1], a))
-        return TruncSeries(ring, tuple(coeffs))
+        b, power = 1, ring.one
+        for n in range(1, precision + 1):
+            b = b * (c + n - 1) // n
+            if b == 0:
+                break
+            power = ring.mul(power, a)
+            coeffs.append(ring.mul_int(power, b))
+        return TruncSeries.make(ring, coeffs, precision)
 
     # helpers
 

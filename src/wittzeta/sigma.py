@@ -5,11 +5,11 @@ series sigma_t(a) with sigma^0 = 1 and sigma^1 = a, landing in the Witt
 ring of R.  The opposite lambda series is obtained through the involution
 g(t) -> g(-t)^(-1), so lambda^n values come for free.
 
-Two structures are provided.  On the integers, sigma_t(m) = (1-t)^(-m),
-making lambda^n(m) the binomial coefficient C(m, n).  On integer
-polynomials in u, sigma_t of sum c_r u^r is the product of geometric
-factors (1 - u^r t)^(-c_r); negative coefficients turn factors into
-polynomial powers, so virtual classes stay exact.
+Two structures are provided, each fixed by its line elements x, those with
+sigma_t(x) = (1 - x*t)^(-1).  On the integers the one line element is 1, so
+sigma_t(m) = (1-t)^(-m) and lambda^n(m) is C(m, n).  On integer polynomials
+in u they are the powers u^r, so sigma_t of sum c_r u^r is the product of the
+factors (1 - u^r t)^(-c_r); negative c_r give polynomial factors.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import CrossCheckFailed, RingMismatch
-from .rings import MPolyRing, Ring, ZZ, poly_ring
+from .errors import RingMismatch
+from .rings import Ring, ZZ, poly_ring
 from .series import TruncSeries
 from .verdict import Verdict, compare_series
 from .witt import lambda_involution, witt_add, witt_mul
@@ -26,19 +26,18 @@ from .witt import lambda_involution, witt_add, witt_mul
 
 @dataclass(frozen=True)
 class SigmaStructure:
+    """sigma_t on `ring`; `lines(a)` lists the line elements x of a with their
+    multiplicities c, and sigma_t(a) is the product of (1 - x*t)^(-c)."""
+
     name: str
     ring: Ring
-    rule: Callable[[object, int], TruncSeries] = field(compare=False)
+    lines: Callable[[object], list] = field(compare=False)
 
     def sigma_series(self, a, precision: int) -> TruncSeries:
         """sigma_t(a) truncated; coefficient of t^n is sigma^n(a)."""
-        out = self.rule(a, precision)
-        if out.ring != self.ring or out.precision != precision:
-            raise CrossCheckFailed(
-                f"sigma rule {self.name!r} returned a series over "
-                f"{out.ring.name} at precision {out.precision}, expected "
-                f"{self.ring.name} at precision {precision}"
-            )
+        out = TruncSeries.one(self.ring, precision)
+        for x, c in self.lines(a):
+            out = out.mul(TruncSeries.geometric(self.ring, x, precision, c))
         return out
 
     def lambda_series(self, a, precision: int) -> TruncSeries:
@@ -46,35 +45,26 @@ class SigmaStructure:
         return lambda_involution(self.sigma_series(a, precision))
 
 
-def _binomial_rule(m, precision: int) -> TruncSeries:
+def _integer_lines(m) -> list:
     if not isinstance(m, int):
         raise RingMismatch(f"expected an integer, got {m!r}")
-    one_minus_t = TruncSeries.make(ZZ, (1, -1), precision)
-    return one_minus_t.pow_int(-m)
+    return [(1, m)]
 
 
-BINOMIAL_Z = SigmaStructure("binomial", ZZ, _binomial_rule)
+BINOMIAL_Z = SigmaStructure("binomial", ZZ, _integer_lines)
 
 ZU = poly_ring(("u",))
 
 
-def _plethystic_rule(f, precision: int) -> TruncSeries:
-    ring = ZU
+def _monomial_lines(f) -> list:
     if not isinstance(f, tuple) or not all(
         isinstance(term, tuple) and len(term) == 2 for term in f
     ):
         raise RingMismatch(f"expected a polynomial in u, got {f!r}")
-    result = TruncSeries.one(ring, precision)
-    for exps, c in f:
-        u_r = ring.monomial(exps)
-        factor = TruncSeries.make(
-            ring, (ring.one, ring.neg(u_r)), precision
-        )
-        result = result.mul(factor.pow_int(-c))
-    return result
+    return [(ZU.monomial(exps), c) for exps, c in f]
 
 
-PLETHYSTIC_ZU = SigmaStructure("plethystic", ZU, _plethystic_rule)
+PLETHYSTIC_ZU = SigmaStructure("plethystic", ZU, _monomial_lines)
 
 
 def check_lambda_additivity(
