@@ -20,7 +20,8 @@ Run from the repository root::
 With ``--threads 2`` every call whose command reads ``--threads`` (and
 does not set it already) gets ``--threads 2`` appended, and
 ``counting._CHUNK_MIN`` is patched to 1 so that every grid splits; the
-digests must not change.  ``tests/test_cli_corpus.py`` runs a fixed slice.
+digests must not change.  Each call that does not match is printed with
+both digests and its new exit code, stdout and stderr.  ``tests/test_cli_corpus.py`` runs a fixed slice.
 Argparse's usage errors are part of the pinned output, so the digests hold
 for the Python version they were written with (3.11).
 """
@@ -450,10 +451,9 @@ def run_call(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(argv) -> str:
-    code, out, err = run_call(argv)
-    blob = json.dumps([code, out, err]).encode()
-    return hashlib.sha256(blob).hexdigest()
+def digest(result: tuple[int, str, str]) -> str:
+    """sha256 of one call's exit code, stdout and stderr."""
+    return hashlib.sha256(json.dumps(list(result)).encode()).hexdigest()
 
 
 @contextlib.contextmanager
@@ -488,16 +488,22 @@ def pinned() -> list[str]:
 
 
 def mismatches(indices, threads: int = 1) -> list[str]:
-    """Pinned lines the given calls no longer reproduce, with the new line."""
+    """Pinned lines the given calls no longer reproduce, with the new line
+    and the new exit code, stdout and stderr (at most 200 characters each)."""
     calls, lines = corpus(), pinned()
     bad = []
     with corpus_env(threads):
         for i in indices:
             argv = calls[i]
             run = argv if threads == 1 else with_threads(argv, threads)
-            got = line(argv, digest(run))
+            code, out, err = run_call(run)
+            got = line(argv, digest((code, out, err)))
             if got != lines[i]:
-                bad.append(f"call {i}: pinned {lines[i]}\n    got {got}")
+                bad.append(
+                    f"call {i}: pinned {lines[i]}\n    got {got}\n"
+                    f"    exit {code}\n    stdout {out[:200]!r}\n"
+                    f"    stderr {err[:200]!r}"
+                )
     if len(lines) != len(calls):
         bad.append(f"{len(lines)} pinned lines for {len(calls)} calls")
     return bad
@@ -512,7 +518,7 @@ def main(argv=None) -> int:
     calls = corpus()
     if args.write:
         with corpus_env():
-            text = "".join(line(c, digest(c)) + "\n" for c in calls)
+            text = "".join(line(c, digest(run_call(c))) + "\n" for c in calls)
         DIGESTS.write_text(text)
         print(f"wrote {len(calls)} digests to {DIGESTS.name}")
         return 0
