@@ -80,11 +80,17 @@ def _t_series_arg(text: str, variables: tuple, precision: int) -> TruncSeries:
     return TruncSeries.make(ring, coeffs, precision)
 
 
-def _variety_arg(text: str):
+def _variety_arg(flag: str, text: str):
     builder = CATALOG.get(text)
     if builder is not None:
         return builder()
-    return load_variety(text)
+    try:
+        return load_variety(text)
+    except (FileNotFoundError, IsADirectoryError):
+        raise ValueError(
+            f"--{flag} {text!r} is not a catalog name ({' '.join(CATALOG)}), "
+            "inline JSON or an existing file"
+        ) from None
 
 
 def _field_args(args, variety=None) -> tuple[int, int]:
@@ -146,7 +152,7 @@ def _measure_and_classes(args, **names):
             text = getattr(args, flag)
             if not text:
                 raise ValueError(f"--{flag} is required for the counting measure")
-            classes.append(_variety_arg(text))
+            classes.append(_variety_arg(flag, text))
             if measure is None:
                 measure = _measure_arg(args, classes[0])
         else:

@@ -136,9 +136,6 @@ class GF(Ring):
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
 
-    def elements(self):
-        return range(self.q)
-
     # ring interface
 
     zero = 0

@@ -24,13 +24,20 @@ from .varieties import K0Class, SymbolicAtom, VarietyDesc, k0_atom
 @dataclass(frozen=True)
 class Measure:
     name: str
-    ring: Ring
-    policy: str  # "census" | "sigma"
-    structure: SigmaStructure | None = None
+    structure: SigmaStructure | None = None  # None for the census policy
     p: int = 0  # census field parameters
     k: int = 0
     lefschetz: object = None  # value of the affine line
     threads: int = 1
+
+    @property
+    def ring(self) -> Ring:
+        return ZZ if self.structure is None else self.structure.ring
+
+    @property
+    def policy(self) -> str:
+        """Symmetric-power policy: "census" or "sigma"."""
+        return "census" if self.structure is None else "sigma"
 
     @property
     def q(self) -> int:
@@ -41,8 +48,6 @@ def counting_measure(p: int, k: int = 1, threads: int = 1) -> Measure:
     """Point counting over F_(p^k); values in the integers."""
     return Measure(
         name="counting",
-        ring=ZZ,
-        policy="census",
         p=p,
         k=k,
         lefschetz=p**k,
@@ -54,8 +59,6 @@ def euler_measure() -> Measure:
     """Compactly supported Euler characteristic; the affine line has value 1."""
     return Measure(
         name="euler",
-        ring=ZZ,
-        policy="sigma",
         structure=BINOMIAL_Z,
         lefschetz=1,
     )
@@ -66,8 +69,6 @@ def poincare_measure() -> Measure:
     u = ZU.variable("u")
     return Measure(
         name="poincare",
-        ring=ZU,
-        policy="sigma",
         structure=PLETHYSTIC_ZU,
         lefschetz=ZU.mul(u, u),
     )

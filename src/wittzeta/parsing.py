@@ -36,6 +36,10 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _where(pos) -> str:
+    return "at end of input" if pos is None else f"at position {pos}"
+
+
 class _Parser:
     """Recursive-descent parser producing elements of a polynomial ring."""
 
@@ -47,7 +51,7 @@ class _Parser:
     def peek(self):
         if self.index < len(self.tokens):
             return self.tokens[self.index]
-        return (None, None, -1)
+        return (None, None, None)
 
     def take(self):
         token = self.peek()
@@ -57,7 +61,7 @@ class _Parser:
     def expect_op(self, symbol: str):
         kind, value, pos = self.take()
         if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r} at position {pos}")
+            raise ParseError(f"expected {symbol!r} {_where(pos)}")
 
     def parse(self):
         result = self.expression()
@@ -106,7 +110,7 @@ class _Parser:
                 kind, value, pos = self.take()
                 if kind != "int":
                     raise ParseError(
-                        f"exponent must be an integer literal at position {pos}"
+                        f"exponent must be an integer literal {_where(pos)}"
                     )
                 result = self.ring.power(result, int(value))
             else:

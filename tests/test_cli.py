@@ -426,9 +426,13 @@ def test_empty_variety_names_its_flag(capsys, argv):
 
 
 def test_unknown_variety_name(capsys):
-    code, _, err = run(capsys, "count", "points", "--variety", "nosuch", "--q", "2")
-    assert code == 2
-    assert err.startswith("error:")
+    why = ("'nosuch' is not a catalog name (pt a1 a2 gm p1 p2 e5), "
+           "inline JSON or an existing file")
+    code, out, err = run(capsys, "count", "points", "--variety", "nosuch", "--q", "2")
+    assert (code, out, err) == (2, "", f"error: --variety {why}\n")
+    code, out, err = run(capsys, "check", "expo", "--x", "nosuch", "--y", "a1",
+                         "--q", "2")
+    assert (code, out, err) == (2, "", f"error: --x {why}\n")
 
 
 def test_missing_field(capsys):

@@ -55,6 +55,15 @@ def test_malformed_inputs_rejected():
             parse_poly(bad, ("t",))
 
 
+def test_errors_at_end_of_input_say_so():
+    with pytest.raises(ParseError) as exc:
+        parse_poly("t^", ("t",))
+    assert str(exc.value) == "exponent must be an integer literal at end of input"
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(1-t", ("t",))
+    assert str(exc.value) == "expected ')' at end of input"
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ParseError):
         parse_poly("2t", ("t",))
