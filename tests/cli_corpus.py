@@ -9,7 +9,7 @@ The corpus covers ``count points|census|sym``, ``zeta weil|kapranov``
 (with ``--rationalize``), ``check totaro|bundle|expo|gident|lambda-axioms``,
 ``witt *`` and ``rat *``, on catalog varieties and random inline varieties
 over F_(p^k) for p = 2..13 and k = 1, 2, 3, in text and in ``--json``, plus
-usage and input errors.
+usage and input errors and every subcommand's ``--help`` text.
 
 Run from the repository root::
 
@@ -54,6 +54,15 @@ THREADED = {
     ("check", "expo"), ("check", "totaro"), ("check", "bundle"),
     ("count", "points"), ("count", "census"), ("count", "sym"),
 }
+SUBCOMMANDS = (
+    *(("witt", a) for a in ("add", "mul", "neg", "teichmuller", "ghost",
+                            "iota")),
+    ("rat", "mul"), ("rat", "rationalize"),
+    ("zeta", "weil"), ("zeta", "kapranov"),
+    *(("check", a) for a in ("expo", "totaro", "bundle", "gident",
+                             "lambda-axioms")),
+    ("count", "points"), ("count", "census"), ("count", "sym"),
+)
 GRID_CURVE = json.dumps(
     {"ambient": {"affine": 2}, "equations": ["x^3*y+y^3+x+1"]}
 )
@@ -418,6 +427,10 @@ def error_calls():
                   "--m", "4"))
     calls.append(("witt", "neg", "--a", "2-t", "--prec", "3"))
     calls.append(("witt", "iota", "--a", "2-t", "--prec", "3"))
+    # the parser itself: every subcommand's help text and its usage error
+    for command in SUBCOMMANDS:
+        calls.append((*command, "--help"))
+        calls.append((*command, "--bogus"))
     return calls
 
 
