@@ -35,7 +35,7 @@ from .measures import (
     poincare_measure,
 )
 from .parsing import parse_poly
-from .rational import RatWitt, rat_make, rat_mul, rationalize
+from .rational import rat_make, rat_mul, rationalize
 from .rings import ZZ, poly_ring
 from .series import TruncSeries
 from .sigma import BINOMIAL_Z, PLETHYSTIC_ZU, ZU, check_lambda_additivity
@@ -93,27 +93,21 @@ def _variety_arg(flag: str, text: str):
         ) from None
 
 
-def _field_args(args, variety=None) -> tuple[int, int]:
-    q = getattr(args, "q", None)
-    if q is not None:
-        return field_params_from_q(q)
-    if variety is not None and variety.p:
-        return variety.p, variety.k
-    raise ValueError(
-        "no finite field given; pass --q or a variety that declares p, k"
-    )
-
-
 def _measure_arg(args, variety=None) -> Measure:
-    name = args.measure
-    if name == "counting":
-        p, k = _field_args(args, variety)
-        return counting_measure(p, k, getattr(args, "threads", 1))
-    if name == "euler":
+    """The chosen measure; counting is over --q, else over `variety`'s field."""
+    if args.measure == "euler":
         return euler_measure()
-    if name == "poincare":
+    if args.measure == "poincare":
         return poincare_measure()
-    raise ValueError(f"unknown measure {name!r}")
+    if args.q is not None:
+        p, k = field_params_from_q(args.q)
+    elif variety.p:
+        p, k = variety.p, variety.k
+    else:
+        raise ValueError(
+            "no finite field given; pass --q or a variety that declares p, k"
+        )
+    return counting_measure(p, k, args.threads)
 
 
 def _value_atom(measure: Measure, flag: str, name: str, text: str) -> SymbolicAtom:
@@ -131,23 +125,24 @@ def _value_atom(measure: Measure, flag: str, name: str, text: str) -> SymbolicAt
     return SymbolicAtom.make(name, {measure.name: value})
 
 
-def _measure_and_classes(args, **names):
-    """The measure and one class per flag of `names` (flag -> atom name).
+def _measure_and_classes(args):
+    """The measure and one class per flag of `args.classes` (flag -> atom
+    name), as `_add_classes` declared them.
 
     Under counting each --<flag> names a variety, and the field comes from
     --q or else the first variety, resolved before any later flag is read.
     Under a sigma measure each --<flag>-value gives the class's value.  A
-    flag the chosen measure does not read is a usage error; a flag the
-    command does not define counts as absent.
+    flag the chosen measure does not read is a usage error; a command
+    without --measure has no --<flag>-value twins.
     """
     counting = args.measure == "counting"
-    for flag in names:
+    for flag in args.classes:
         unread = f"{flag}-value" if counting else flag
         if getattr(args, unread.replace("-", "_"), None) is not None:
             raise ValueError(f"--{unread} is not read by the {args.measure} measure")
     measure = None if counting else _measure_arg(args)
     classes = []
-    for flag, name in names.items():
+    for flag, name in args.classes.items():
         if counting:
             text = getattr(args, flag)
             if not text:
@@ -177,13 +172,9 @@ def _emit(args, text: str, data: dict) -> None:
         print(text)
 
 
-def _emit_series(args, series: TruncSeries) -> int:
-    _emit(args, series.render(), series.render_json())
-    return 0
-
-
-def _emit_rat(args, rat: RatWitt) -> int:
-    _emit(args, rat.render(), rat.render_json())
+def _emit_value(args, value) -> int:
+    """Print a series, a rational form or a zeta series."""
+    _emit(args, value.render(), value.render_json())
     return 0
 
 
@@ -193,7 +184,7 @@ def _emit_rationalized(args, series: TruncSeries) -> int:
         data = {"found": False, "dmax": args.dmax}
         _emit(args, f"NOT FOUND (dmax {args.dmax})", data)
         return 1
-    return _emit_rat(args, rat)
+    return _emit_value(args, rat)
 
 
 def _emit_verdict(args, verdict) -> int:
@@ -207,7 +198,7 @@ def _emit_verdict(args, verdict) -> int:
 def _cmd_witt_binary(args) -> int:
     a = _series_arg(args.a, args.prec, args.inv_a)
     b = _series_arg(args.b, args.prec, args.inv_b)
-    return _emit_series(
+    return _emit_value(
         args, witt_add(a, b) if args.action == "add" else witt_mul(a, b)
     )
 
@@ -216,13 +207,13 @@ def _cmd_witt_unary(args) -> int:
     a = _series_arg(args.a, args.prec, args.inv_a)
     # negation is the series inverse; witt_neg would also refuse a constant
     # term of -1, with another message
-    return _emit_series(
+    return _emit_value(
         args, a.invert() if args.action == "neg" else lambda_involution(a)
     )
 
 
 def _cmd_witt_teichmuller(args) -> int:
-    return _emit_series(args, teichmuller(ZZ, args.a, args.prec))
+    return _emit_value(args, teichmuller(ZZ, args.a, args.prec))
 
 
 def _cmd_witt_ghost(args) -> int:
@@ -238,7 +229,7 @@ def _cmd_witt_ghost(args) -> int:
 def _cmd_rat_mul(args) -> int:
     a = rat_make(ZZ, _poly_coeffs(args.a_num), _poly_coeffs(args.a_den))
     b = rat_make(ZZ, _poly_coeffs(args.b_num), _poly_coeffs(args.b_den))
-    return _emit_rat(args, rat_mul(a, b))
+    return _emit_value(args, rat_mul(a, b))
 
 
 def _cmd_rat_rationalize(args) -> int:
@@ -255,36 +246,28 @@ def _cmd_rat_rationalize(args) -> int:
 # ---------------------------------------------------------------- zeta
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args, measure, x) -> int:
     if args.rationalize:
         _check_flag("dmax", args.dmax, 0)
-    measure, x = _measure_and_classes(args, variety="X")
     zeta = kapranov_zeta(measure, x, args.prec)
     if args.rationalize:
         return _emit_rationalized(args, zeta.series)
-    _emit(args, zeta.render(), zeta.render_json())
-    return 0
+    return _emit_value(args, zeta)
 
 
 # --------------------------------------------------------------- check
 
 
-def _cmd_check_expo(args) -> int:
-    measure, x, y = _measure_and_classes(args, x="X", y="Y")
+def _cmd_check_expo(args, measure, x, y) -> int:
     return _emit_verdict(args, check_exponentiation(measure, x, y, args.prec))
 
 
-def _cmd_check_totaro(args) -> int:
-    measure, x = _measure_and_classes(args, variety="X")
-    if args.trace:
-        report = totaro_proof_trace(measure, x, args.n, args.prec)
-        _emit(args, report.render(), report.render_json())
-        return 0 if report.holds else 1
-    return _emit_verdict(args, totaro_check(measure, x, args.n, args.prec))
+def _cmd_check_totaro(args, measure, x) -> int:
+    check = totaro_proof_trace if args.trace else totaro_check
+    return _emit_verdict(args, check(measure, x, args.n, args.prec))
 
 
-def _cmd_check_bundle(args) -> int:
-    measure, x = _measure_and_classes(args, variety="X")
+def _cmd_check_bundle(args, measure, x) -> int:
     verdict = bundle_zeta_check(measure, x, args.n, args.prec, args.kind)
     return _emit_verdict(args, verdict)
 
@@ -331,8 +314,7 @@ def _cmd_check_lambda_axioms(args) -> int:
 # --------------------------------------------------------------- count
 
 
-def _cmd_count_points(args) -> int:
-    measure, variety = _measure_and_classes(args, variety="X")
+def _cmd_count_points(args, measure, variety) -> int:
     _check_flag("m", args.m, 1)
     value = count_points(
         variety, args.m, measure.p, measure.k, measure.threads
@@ -341,9 +323,8 @@ def _cmd_count_points(args) -> int:
     return 0
 
 
-def _cmd_count_series(args) -> int:
+def _cmd_count_series(args, measure, variety) -> int:
     """count census (degrees 1..D) and count sym (Sym^0..Sym^D)."""
-    measure, variety = _measure_and_classes(args, variety="X")
     _check_flag("degree", args.degree, 0)
     counter = (
         closed_point_census if args.action == "census" else sym_product_counts
@@ -393,28 +374,35 @@ def _add_series_a(p, with_b=False):
         )
 
 
-def _add_variety(p, flag="--variety", required=True):
-    p.add_argument(
-        flag, required=required,
-        help="catalog name (pt a1 a2 gm p1 p2 e5), JSON file path, "
-        "or inline JSON",
-    )
-
-
-def _add_field(p):
+def _add_classes(p, measure: bool, **classes):
+    """Class flags (flag -> atom name), with --measure and each flag's
+    --<flag>-value twin when `measure`, and --q; `main` resolves them."""
+    if measure:
+        p.add_argument(
+            "--measure", default="counting",
+            choices=("counting", "euler", "poincare"),
+            help="motivic measure (default counting)",
+        )
+    for flag in classes:
+        p.add_argument(
+            f"--{flag}", required=not measure,
+            help="catalog name (pt a1 a2 gm p1 p2 e5), JSON file path, "
+            "or inline JSON",
+        )
+    for flag, name in classes.items() if measure else ():
+        p.add_argument(
+            f"--{flag}-value",
+            help=f"measure value of {name}, for euler/poincare "
+            "(an integer, or a polynomial in u)",
+        )
     p.add_argument(
         "--q", type=int,
         help="finite field size, a prime power; defaults to the "
         "variety's declared field",
     )
-
-
-def _add_measure(p):
-    p.add_argument(
-        "--measure", default="counting",
-        choices=("counting", "euler", "poincare"),
-        help="motivic measure (default counting)",
-    )
+    p.set_defaults(classes=classes)
+    if not measure:
+        p.set_defaults(measure="counting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,51 +465,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     zeta = groups.add_parser("zeta", help="zeta series of measures")
     zeta_sub = zeta.add_subparsers(dest="action", required=True)
-    p = zeta_sub.add_parser("weil", help="counting-measure zeta over F_q")
-    _add_variety(p)
-    _add_field(p)
-    p.add_argument(
-        "--rationalize", action="store_true",
-        help="report the rational form instead of the series",
-    )
-    _add_common(p, dmax=True, threads=True)
-    p.set_defaults(func=_cmd_zeta, measure="counting")
-    p = zeta_sub.add_parser("kapranov", help="zeta series of a chosen measure")
-    _add_measure(p)
-    _add_variety(p, required=False)
-    p.add_argument(
-        "--variety-value",
-        help="measure value of the class, for euler/poincare "
-        "(an integer, or a polynomial in u)",
-    )
-    _add_field(p)
-    p.add_argument(
-        "--rationalize", action="store_true",
-        help="report the rational form instead of the series",
-    )
-    _add_common(p, dmax=True, threads=True)
-    p.set_defaults(func=_cmd_zeta)
+    for action, summary, measure in (
+        ("weil", "counting-measure zeta over F_q", False),
+        ("kapranov", "zeta series of a chosen measure", True),
+    ):
+        p = zeta_sub.add_parser(action, help=summary)
+        _add_classes(p, measure, variety="X")
+        p.add_argument(
+            "--rationalize", action="store_true",
+            help="report the rational form instead of the series",
+        )
+        _add_common(p, dmax=True, threads=True)
+        p.set_defaults(func=_cmd_zeta)
 
     check = groups.add_parser("check", help="identity checkers")
     check_sub = check.add_subparsers(dest="action", required=True)
     p = check_sub.add_parser(
         "expo", help="zeta(X x Y) = zeta(X) * zeta(Y) in the Witt ring"
     )
-    _add_measure(p)
-    _add_variety(p, flag="--x", required=False)
-    _add_variety(p, flag="--y", required=False)
-    p.add_argument("--x-value", help="measure value of X (sigma measures)")
-    p.add_argument("--y-value", help="measure value of Y (sigma measures)")
-    _add_field(p)
+    _add_classes(p, True, x="X", y="Y")
     _add_common(p, threads=True)
     p.set_defaults(func=_cmd_check_expo)
     p = check_sub.add_parser(
         "totaro", help="zeta(X x A^n; t) = zeta(X; mu(L)^n t)"
     )
-    _add_measure(p)
-    _add_variety(p, required=False)
-    p.add_argument("--variety-value", help="measure value of X (sigma measures)")
-    _add_field(p)
+    _add_classes(p, True, variety="X")
     p.add_argument("--n", type=int, default=1, help="affine factor dimension")
     p.add_argument(
         "--trace", action="store_true",
@@ -532,10 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser(
         "bundle", help="trivial fiber/projective bundle zeta formulas"
     )
-    _add_measure(p)
-    _add_variety(p, required=False)
-    p.add_argument("--variety-value", help="measure value of X (sigma measures)")
-    _add_field(p)
+    _add_classes(p, True, variety="X")
     p.add_argument("--n", type=int, default=1, help="fiber dimension")
     p.add_argument(
         "--kind", default="fiber", choices=("fiber", "projective"),
@@ -576,27 +541,19 @@ def build_parser() -> argparse.ArgumentParser:
     count = groups.add_parser("count", help="point counting over F_q")
     count_sub = count.add_subparsers(dest="action", required=True)
     p = count_sub.add_parser("points", help="rational points over F_(q^m)")
-    _add_variety(p)
-    _add_field(p)
+    _add_classes(p, False, variety="X")
     p.add_argument("--m", type=int, default=1, help="extension degree")
     _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_points, measure="counting")
-    p = count_sub.add_parser(
-        "census", help="closed points of degrees 1..D"
-    )
-    _add_variety(p)
-    _add_field(p)
-    p.add_argument("--degree", type=int, default=8, help="largest degree D")
-    _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_series, measure="counting")
-    p = count_sub.add_parser(
-        "sym", help="points of symmetric powers Sym^0..Sym^D"
-    )
-    _add_variety(p)
-    _add_field(p)
-    p.add_argument("--degree", type=int, default=8, help="largest power D")
-    _add_common(p, prec=False, threads=True)
-    p.set_defaults(func=_cmd_count_series, measure="counting")
+    p.set_defaults(func=_cmd_count_points)
+    for action, summary, degree in (
+        ("census", "closed points of degrees 1..D", "largest degree D"),
+        ("sym", "points of symmetric powers Sym^0..Sym^D", "largest power D"),
+    ):
+        p = count_sub.add_parser(action, help=summary)
+        _add_classes(p, False, variety="X")
+        p.add_argument("--degree", type=int, default=8, help=degree)
+        _add_common(p, prec=False, threads=True)
+        p.set_defaults(func=_cmd_count_series)
 
     return parser
 
@@ -614,6 +571,8 @@ def main(argv=None) -> int:
             _check_flag("threads", args.threads, 1)
         if getattr(args, "prec", 1) < 1:
             raise ValueError("precision must be at least 1")
+        if hasattr(args, "classes"):
+            return args.func(args, *_measure_and_classes(args))
         return args.func(args)
     except (WittzetaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
