@@ -87,9 +87,7 @@ def affine_variety(
     dim: int, equations=(), p: int = 0, k: int = 0
 ) -> VarietyDesc:
     names = default_variables(dim)
-    eqs = tuple(
-        parse_poly(e, names) if isinstance(e, str) else e for e in equations
-    )
+    eqs = tuple(parse_poly(e, names) for e in equations)
     return VarietyDesc((Block("affine", dim, eqs),), p, k)
 
 
@@ -97,9 +95,7 @@ def projective_variety(
     dim: int, equations=(), p: int = 0, k: int = 0
 ) -> VarietyDesc:
     names = default_variables(dim + 1)
-    eqs = tuple(
-        parse_poly(e, names) if isinstance(e, str) else e for e in equations
-    )
+    eqs = tuple(parse_poly(e, names) for e in equations)
     return VarietyDesc((Block("projective", dim, eqs),), p, k)
 
 
@@ -149,8 +145,20 @@ CATALOG = {
 }
 
 
+def _json_int(data: dict, key: str, default: int) -> int:
+    """The integer under `key`; a bool, a float or a string is refused."""
+    value = data.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f'"{key}" must be an integer, got {json.dumps(value)}')
+    return value
+
+
 def load_variety(source) -> VarietyDesc:
-    """Variety from a JSON object, JSON text, or a path to a JSON file."""
+    """Variety from a JSON object, JSON text, or a path to a JSON file.
+
+    The object has "ambient", {"affine": n} or {"projective": n}, and may
+    have "p" and "k" (integers) and "equations" (a list of strings).
+    """
     if isinstance(source, (str, Path)):
         text = str(source)
         if text.lstrip().startswith("{"):
@@ -159,21 +167,31 @@ def load_variety(source) -> VarietyDesc:
             data = json.loads(Path(source).read_text())
     else:
         data = source
-    ambient = data.get("ambient", {})
-    if len(ambient) != 1:
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a variety must be a JSON object, got {json.dumps(data)}"
+        )
+    ambient = data.get("ambient")
+    if not isinstance(ambient, dict) or len(ambient) != 1:
         raise ValueError('expected "ambient" with one of affine/projective')
-    (kind, dim), = ambient.items()
+    (kind,) = ambient
     if kind not in ("affine", "projective"):
         raise ValueError(f"unknown ambient kind {kind!r}")
     builder = affine_variety if kind == "affine" else projective_variety
-    p = int(data.get("p", 0))
+    p = _json_int(data, "p", 0)
     if p and not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    k = int(data.get("k", 1))
+    k = _json_int(data, "k", 1)
     if k < 1:
         raise DegreeZero(f'"k" must be at least 1, got {k}')
-    eqs = tuple(data.get("equations", ()))
-    return builder(int(dim), eqs, p, k if p else 0)
+    eqs = data.get("equations", [])
+    if not isinstance(eqs, (list, tuple)) or not all(
+        isinstance(e, str) for e in eqs
+    ):
+        raise ValueError(
+            f'"equations" must be a list of strings, got {json.dumps(eqs)}'
+        )
+    return builder(_json_int(ambient, kind, 0), eqs, p, k if p else 0)
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,17 @@ def error_calls():
     calls.append(("count", "points", "--variety",
                   '{"ambient": {"projective": 1}, "equations": ["x^2-y"]}',
                   "--q", "3"))
+    # variety JSON of the wrong shape or with keys of the wrong type
+    for bad in ('{"ambient": 3}',
+                *('{"ambient": {"affine": 1}, "equations": %s}' % eqs
+                  for eqs in ('[1]', '[["x"]]', 'null', '"x^2-2"', '"x"',
+                              '{"x": 1}')),
+                '{"p": 5, "k": 2.7, "ambient": {"affine": 1}}',
+                '{"p": 5.0, "ambient": {"affine": 1}}',
+                '{"ambient": {"affine": "2"}}',
+                '{"p": true, "ambient": {"affine": 1}}',
+                '{"p": "5x", "ambient": {"affine": 1}}'):
+        calls.append(("count", "points", "--variety", bad, "--q", "5"))
     # a flag the chosen measure does not read
     calls.append(("zeta", "kapranov", "--variety", "a1", "--variety-value",
                   "2", "--q", "5", "--prec", "3"))

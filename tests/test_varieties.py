@@ -109,6 +109,48 @@ def test_load_variety_rejects_an_extension_degree_below_one(capsys, k):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+AFFINE_LINE = '{"ambient": {"affine": 1}, "equations": %s}'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"ambient": 3}', 'expected "ambient" with one of affine/projective'),
+    (AFFINE_LINE % "[1]", '"equations" must be a list of strings, got [1]'),
+    (AFFINE_LINE % '[["x"]]',
+     '"equations" must be a list of strings, got [["x"]]'),
+    (AFFINE_LINE % "null", '"equations" must be a list of strings, got null'),
+    (AFFINE_LINE % '"x^2-2"',
+     '"equations" must be a list of strings, got "x^2-2"'),
+    (AFFINE_LINE % '"x"', '"equations" must be a list of strings, got "x"'),
+    (AFFINE_LINE % '{"x": 1}',
+     '"equations" must be a list of strings, got {"x": 1}'),
+    ('{"p": 5, "k": 2.7, "ambient": {"affine": 1}}',
+     '"k" must be an integer, got 2.7'),
+    ('{"p": 5.0, "ambient": {"affine": 1}}', '"p" must be an integer, got 5.0'),
+    ('{"ambient": {"affine": "2"}}', '"affine" must be an integer, got "2"'),
+    ('{"p": true, "ambient": {"affine": 1}}',
+     '"p" must be an integer, got true'),
+    ('{"p": "5x", "ambient": {"affine": 1}}',
+     '"p" must be an integer, got "5x"'),
+])
+def test_load_variety_checks_each_key(capsys, text, message):
+    with pytest.raises(ValueError) as info:
+        load_variety(text)
+    assert str(info.value) == message
+    argv = ["count", "points", "--variety", text, "--q", "5"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_load_variety_refuses_a_json_value_that_is_no_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    message = r"^a variety must be a JSON object, got \[1, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        load_variety(path)
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        load_variety(["ambient"])
+
+
 def test_symbolic_atoms():
     a = SymbolicAtom.make("X", {"euler": 2, "counting": 5})
     assert a.value_for("euler") == 2
