@@ -216,10 +216,14 @@ class SymbolicAtom:
 
 
 def _product_value(a, b):
+    """Product of two values: integers, or polynomials in u, where an
+    integer factor of a polynomial is lifted to ZZ[u] as `atom_value` does."""
     if isinstance(a, int) and isinstance(b, int):
         return a * b
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return poly_ring(("u",)).mul(a, b)
+    if isinstance(a, (int, tuple)) and isinstance(b, (int, tuple)):
+        ring = poly_ring(("u",))
+        a, b = (ring.from_int(v) if isinstance(v, int) else v for v in (a, b))
+        return ring.mul(a, b)
     raise UnsupportedClass("measure values of incompatible kinds")
 
 

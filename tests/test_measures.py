@@ -117,6 +117,15 @@ def test_poincare_linear_combinations():
     assert ZU.render(measure_value(mu, cls)) == "u^2"
 
 
+def test_poincare_product_of_an_integer_and_a_polynomial_value():
+    mu = poincare_measure()
+    a = k0_atom(SymbolicAtom.make("A", {"poincare": 2}))
+    b = k0_atom(poincare_atom("B", [1, 0, 1]))
+    assert ZU.render(measure_value(mu, k0_add(a, b))) == "3 + u^2"
+    for product in (k0_mul(a, b), k0_mul(b, a)):
+        assert measure_value(mu, product) == ZU.from_terms({(0,): 2, (2,): 2})
+
+
 def test_lefschetz_powers():
     assert lefschetz_power(counting_measure(2), 5) == 32
     assert lefschetz_power(euler_measure(), 7) == 1
