@@ -109,19 +109,11 @@ def from_ghost(ring: Ring, ghosts: tuple) -> TruncSeries:
     return TruncSeries(ring, tuple(cs))
 
 
-def _require_torsion_free(ring: Ring) -> None:
-    if not ring.torsion_free:
-        raise TorsionUnsupported(
-            f"Witt multiplication needs a torsion-free ring, got {ring.name}"
-        )
-
-
 def witt_mul(g: TruncSeries, h: TruncSeries) -> TruncSeries:
     """The Witt product, pointwise multiplication in ghost coordinates."""
     require_witt(g)
     require_witt(h)
     g.check_compatible(h)
-    _require_torsion_free(g.ring)
     pg = ghost(g)
     ph = ghost(h)
     r = g.ring
@@ -140,6 +132,5 @@ def witt_pow(g: TruncSeries, n: int) -> TruncSeries:
     if n == 0:
         return witt_unit(g.ring, g.precision)
     require_witt(g)
-    _require_torsion_free(g.ring)
     r = g.ring
     return from_ghost(r, tuple(r.power(p, n) for p in ghost(g)))
