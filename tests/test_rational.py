@@ -321,6 +321,26 @@ def test_rationalize_over_polynomial_coefficients():
     assert rat.den == (R.one, R.neg(u))
 
 
+def test_rationalize_over_integers_answers_over_rationals():
+    rat = rationalize(TruncSeries.make(ZZ, (1, 4, 2, 1), 3), 1)
+    assert rat.ring is QQ
+    assert rat.num == (1, Fraction(7, 2)) and rat.den == (1, Fraction(-1, 2))
+    assert rat.render() == "(1 + 7/2*t)/(1 - 1/2*t)"
+
+
+def test_rationalize_over_polynomials_answers_over_rational_functions():
+    # 1 + u^2*t + u*t^2 + t^3 = (1 + (u^2 - 1/u)*t)/(1 - t/u) to t^3
+    R = poly_ring(("u",))
+    u = R.variable("u")
+    g = TruncSeries.make(R, (R.one, R.mul(u, u), u, R.one), 3)
+    rat = rationalize(g, 1)
+    K = rat.ring
+    assert isinstance(K, RatFuncRing) and K.name == "QQ(u)"
+    inv_u = K.try_inverse(K.from_poly((0, 1)))
+    assert rat.den == (K.one, K.neg(inv_u))
+    assert rat.num == (K.one, K.sub(K.from_poly((0, 0, 1)), inv_u))
+
+
 def _solve_by_gauss_jordan(field, rows, unknowns):
     """One solution of the system, free unknowns set to 0; None if none."""
     m = [list(r) for r in rows]  # each row: unknowns coefficients + rhs
