@@ -389,12 +389,13 @@ def _add_classes(p, measure: bool, **classes):
             help="catalog name (pt a1 a2 gm p1 p2 e5), JSON file path, "
             "or inline JSON",
         )
-    for flag, name in classes.items() if measure else ():
-        p.add_argument(
-            f"--{flag}-value",
-            help=f"measure value of {name}, for euler/poincare "
-            "(an integer, or a polynomial in u)",
-        )
+    if measure:
+        for flag, name in classes.items():
+            p.add_argument(
+                f"--{flag}-value",
+                help=f"measure value of {name}, for euler/poincare "
+                "(an integer, or a polynomial in u)",
+            )
     p.add_argument(
         "--q", type=int,
         help="finite field size, a prime power; defaults to the "
