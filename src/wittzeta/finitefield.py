@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
+from .errors import BudgetExceeded, DegreeZero, NotPrime
 from .polynomials import Poly1Ring
 from .rings import Ring, binary_power
 
@@ -122,9 +122,6 @@ class GF(Ring):
         self._logs = None  # the LogDomain once its tables are built
         self._build_lock = threading.Lock()  # census threads share a field
 
-    def __repr__(self):
-        return self.name
-
     def __eq__(self, other):
         return (
             isinstance(other, GF)
@@ -167,15 +164,6 @@ class GF(Ring):
         if a == 0:
             return None
         return self.power(a, self.q - 2)
-
-    def exact_div(self, a: int, b: int) -> int:
-        inv = self.try_inverse(b)
-        if inv is None:
-            raise NonIntegral("division by zero in a finite field")
-        return self.mul(a, inv)
-
-    def render(self, a) -> str:
-        return str(a)
 
     # discrete-log tables, built once per field and held by its LogDomain
 

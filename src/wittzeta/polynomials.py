@@ -31,19 +31,6 @@ class Poly1Ring(Ring):
         self.name = f"{base.name}[{var}]"
         self.torsion_free = base.torsion_free
 
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly1Ring)
-            and self.base == other.base
-            and self.var == other.var
-        )
-
-    def __hash__(self):
-        return hash((Poly1Ring, id(type(self.base)), self.base.name, self.var))
-
     @property
     def zero(self):
         return ()

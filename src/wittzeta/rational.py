@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionTooLow
+from .errors import NonIntegral, PrecisionTooLow
 from .polynomials import Poly1Ring
 from .rings import MPolyRing, QQ, Ring, ZZ
 from .series import TruncSeries
@@ -214,15 +214,6 @@ class RatFuncRing(Ring):
         self.poly = Poly1Ring(QQ, var)
         self.name = f"QQ({var})"
 
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, RatFuncRing) and self.var == other.var
-
-    def __hash__(self):
-        return hash((RatFuncRing, self.var))
-
     @property
     def zero(self):
         return ((), (Fraction(1),))
@@ -235,7 +226,7 @@ class RatFuncRing(Ring):
         pr = self.poly
         num, den = pr.trim(num), pr.trim(den)
         if not den:
-            raise ZeroDivisionError("zero denominator in a rational function")
+            raise NonIntegral("zero denominator in a rational function")
         if not num:
             return self.zero
         num_z, den_z = _cancel(num, den)
@@ -267,12 +258,6 @@ class RatFuncRing(Ring):
         if not a[0]:
             return None
         return self.make(a[1], a[0])
-
-    def exact_div(self, a, b):
-        inv = self.try_inverse(b)
-        if inv is None:
-            raise ZeroDivisionError("division by zero rational function")
-        return self.mul(a, inv)
 
     def render(self, a) -> str:
         pr = self.poly

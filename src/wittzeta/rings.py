@@ -65,10 +65,21 @@ class Ring:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    def render(self, a) -> str:
-        raise NotImplementedError
-
     # derived helpers
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return other is self or (
+            type(other) is type(self) and other.name == self.name
+        )
+
+    def __hash__(self):
+        return hash((type(self), self.name))
+
+    def render(self, a) -> str:
+        return str(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -87,8 +98,15 @@ class Ring:
         raise NotImplementedError
 
     def exact_div(self, a, b):
-        """Quotient a/b when it exists in the ring; raises NonIntegral otherwise."""
-        raise NotImplementedError
+        """Quotient a/b when it exists in the ring; raises NonIntegral otherwise.
+
+        This is the field case, a times the inverse of b; rings with
+        non-units other than zero override it.
+        """
+        inv = self.try_inverse(b)
+        if inv is None:
+            raise NonIntegral(f"{self.render(b)} has no inverse in {self.name}")
+        return self.mul(a, inv)
 
 
 def binary_power(mul, one, base, n: int):
@@ -163,20 +181,16 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return n
 
-    def render(self, a):
-        return str(a)
-
     def try_inverse(self, a):
         return a if a in (1, -1) else None
 
     def exact_div(self, a, b):
+        if not b:
+            raise NonIntegral(f"division of {a} by zero")
         q, r = divmod(a, b)
         if r:
             raise NonIntegral(f"{a} is not divisible by {b}")
         return q
-
-    def __repr__(self):
-        return "ZZ"
 
 
 class RationalRing(Ring):
@@ -198,19 +212,8 @@ class RationalRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def render(self, a):
-        return str(a)
-
     def try_inverse(self, a):
         return 1 / a if a else None
-
-    def exact_div(self, a, b):
-        if not b:
-            raise NonIntegral("division by zero")
-        return a / b
-
-    def __repr__(self):
-        return "QQ"
 
 
 ZZ = IntegerRing()
@@ -234,15 +237,6 @@ class MPolyRing(Ring):
         self.name = f"ZZ[{','.join(self.vars)}]"
         self._zero_exps = (0,) * len(self.vars)
         self._univariate = len(self.vars) == 1
-
-    def __eq__(self, other):
-        return isinstance(other, MPolyRing) and self.vars == other.vars
-
-    def __hash__(self):
-        return hash(self.vars)
-
-    def __repr__(self):
-        return self.name
 
     @property
     def zero(self):

@@ -162,3 +162,80 @@ def test_poly_dense_coefficients():
     R = poly_ring(("u",))
     assert R.dense(R.zero) == []
     assert R.dense(R.from_terms({(3,): -2, (0,): 5})) == [5, 0, 0, -2]
+
+
+def _rings():
+    from wittzeta.finitefield import GF
+    from wittzeta.polynomials import Poly1Ring
+    from wittzeta.rational import RatFuncRing
+
+    return {
+        "ZZ": ZZ,
+        "QQ": QQ,
+        "ZZ[u]": poly_ring(("u",)),
+        "ZZ[t]": Poly1Ring(ZZ, "t"),
+        "QQ(u)": RatFuncRing("u"),
+        "GF(3)": make_field(3, 1),
+        "GF(9)": make_field(3, 2),
+        "GF(9) other modulus": GF(3, 2, (2, 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("label", list(_rings()))
+def test_exact_div_by_zero_raises_nonintegral(label):
+    ring = _rings()[label]
+    with pytest.raises(NonIntegral):
+        ring.exact_div(ring.one, ring.zero)
+    with pytest.raises(NonIntegral):
+        ring.exact_div(ring.zero, ring.zero)
+
+
+def test_rational_function_with_zero_denominator_is_nonintegral():
+    from wittzeta.rational import RatFuncRing
+
+    with pytest.raises(NonIntegral):
+        RatFuncRing("u").make((Fraction(1),), ())
+    with pytest.raises(NonIntegral):
+        RatFuncRing("u").make((), (Fraction(0),))
+
+
+def test_ring_identity_is_class_and_name():
+    from wittzeta.finitefield import GF
+    from wittzeta.polynomials import Poly1Ring
+    from wittzeta.rational import RatFuncRing
+    from wittzeta.rings import IntegerRing, MPolyRing, RationalRing
+
+    twins = [  # a second, separately built ring of the same class and name
+        (ZZ, IntegerRing()),
+        (QQ, RationalRing()),
+        (poly_ring(("u",)), MPolyRing(("u",))),
+        (Poly1Ring(ZZ, "t"), Poly1Ring(ZZ, "t")),
+        (Poly1Ring(make_field(3, 2), "x"), Poly1Ring(make_field(3, 2), "x")),
+        (RatFuncRing("u"), RatFuncRing("u")),
+        (make_field(3, 2), GF(3, 2, (1, 0, 1))),
+    ]
+    for a, b in twins:
+        assert a is not b
+        assert a == b and b == a and hash(a) == hash(b)
+    rings = [b for _, b in twins] + [
+        poly_ring(("v",)),
+        Poly1Ring(ZZ, "u"),
+        Poly1Ring(QQ, "t"),
+        RatFuncRing("v"),
+        make_field(3, 1),
+        make_field(5, 1),
+    ]
+    for a in rings:
+        assert repr(a) == a.name
+        for b in rings:
+            same = type(a) is type(b) and a.name == b.name
+            assert (a == b) is same and (a != b) is not same
+            if same:
+                assert hash(a) == hash(b)
+    # GF(9) does not name its modulus, so two moduli are two fields
+    other = GF(3, 2, (2, 1, 1))
+    assert other.name == make_field(3, 2).name
+    assert other != make_field(3, 2)
+    assert hash(other) != hash(make_field(3, 2))
+    # a ring never equals a non-ring that prints like it
+    assert ZZ != "ZZ" and QQ != 0
