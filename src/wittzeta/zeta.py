@@ -12,7 +12,7 @@ offending degree instead of returning a bare boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .counting import field_params_from_q, sym_product_counts
 from .errors import CrossCheckFailed, NotRationalAtBound, UnsupportedClass
@@ -212,14 +212,11 @@ def bundle_zeta_check(
     fiber: zeta(X x A^n) = zeta(X; mu(L)^n t).
     projective: zeta(X x P^n) = Witt sum of zeta(X; mu(L)^i t), i = 0..n.
     """
-    zx = _zeta(measure, x, precision)
-    if kind == "fiber":
-        lhs = _zeta(
-            measure, atom_product(x, _affine_factor(measure, n)), precision
-        )
-        rhs = twist(zx, lefschetz_power(measure, n))
-        return compare_series(lhs, rhs, "fiber bundle")
+    if kind == "fiber":  # Totaro's identity, under the bundle's label
+        verdict = totaro_check(measure, x, n, precision)
+        return replace(verdict, label="fiber bundle")
     if kind == "projective":
+        zx = _zeta(measure, x, precision)
         lhs = _zeta(
             measure, atom_product(x, _projective_factor(measure, n)), precision
         )

@@ -1,5 +1,7 @@
 """Zeta series and the identity checkers layered on them."""
 
+from dataclasses import replace
+
 import pytest
 
 import wittzeta.zeta as zeta_module
@@ -195,6 +197,26 @@ def test_totaro_trace_json_and_agreement():
 def test_fiber_bundle_matches_twist():
     assert bundle_zeta_check(F3, projective_space(1), 1, 5, "fiber").holds
     assert bundle_zeta_check(F2, multiplicative_group(), 2, 5, "fiber").holds
+
+
+def test_fiber_bundle_is_totaros_verdict_relabelled(monkeypatch):
+    cases = [
+        (F3, projective_space(1), 1, 5),
+        (euler_measure(), euler_atom("X", 3), 2, 6),
+        (poincare_measure(), poincare_atom("P1", [1, 0, 1]), 1, 4),
+    ]
+    for case in cases:
+        fiber = bundle_zeta_check(*case, "fiber")
+        assert fiber.label == "fiber bundle"
+        assert fiber == replace(totaro_check(*case), label="fiber bundle")
+    # and so is a failure: an untwisted right-hand side fails at t^1 where
+    # mu(L) is not 1 (it is 1 under the euler measure)
+    monkeypatch.setattr(zeta_module, "twist", lambda series, c: series)
+    for case in cases:
+        fiber = bundle_zeta_check(*case, "fiber")
+        assert fiber == replace(totaro_check(*case), label="fiber bundle")
+        want = (True, -1) if case[0].name == "euler" else (False, 1)
+        assert (fiber.holds, fiber.fail_index) == want
 
 
 def test_projective_bundle_is_a_witt_sum_of_twists():
