@@ -58,6 +58,7 @@ negative.
 
 from __future__ import annotations
 
+import itertools
 import os
 from functools import partial
 
@@ -70,6 +71,7 @@ from .finitefield import (
     LogDomain,
     check_field_params,
     factorize,
+    is_prime,
     make_field,
 )
 from .rings import ZZ
@@ -81,12 +83,39 @@ _CHUNK_MIN = 1 << 15  # grids below this size are never split across threads
 _count_cache: dict = {}
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def field_params_from_q(q: int) -> tuple[int, int]:
-    """Split a prime power into (p, k); rejects everything else."""
-    factors = factorize(q)
-    if len(factors) != 1:
+    """Split a prime power into (p, k); rejects everything else.
+
+    While p is a perfect j-th power for a prime j it is replaced by its
+    root, so p ends as no perfect power and q = p^k; q is a prime power
+    exactly when that p is prime.  A composite j needs no try: a j-th
+    power is a power of each prime factor of j.  Before a root is taken,
+    p must be a j-th power residue modulo the least prime l = 1 (mod j),
+    which only one p in j passes by chance.
+    """
+    p, k, j = q, 1, 2
+    while p >> j > 0:  # a j-th root of p would be at least 2
+        ell = next(m for m in itertools.count(2 * j + 1, 2 * j) if is_prime(m))
+        if pow(p, (ell - 1) // j, ell) < 2:
+            r = _integer_root(p, j)
+            if r**j == p:
+                p, k = r, k * j
+                continue
+        j += 1
+        while not is_prime(j):
+            j += 1
+    if p < 2 or not is_prime(p):
         raise NotPrime(f"{q} is not a prime power")
-    ((p, k),) = factors.items()
     return p, k
 
 

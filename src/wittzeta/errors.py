@@ -36,10 +36,10 @@ class TorsionUnsupported(WittzetaError):
 class NonIntegral(WittzetaError):
     """An exact division has no quotient in the ring.
 
-    Raised by `exact_div` of ZZ, QQ, the polynomial rings and finite fields
-    (division by zero included), by `Poly1Ring.divmod` on a non-invertible
-    leading coefficient, and by `from_ghost` when a ghost vector has no
-    preimage over the base ring.
+    Raised by `exact_div` of every ring (division by zero included), by
+    `RatFuncRing.make` on a zero denominator, by `Poly1Ring.divmod` on a
+    non-invertible leading coefficient, and by `from_ghost` when a ghost
+    vector has no preimage over the base ring.
     """
 
 
@@ -48,7 +48,9 @@ class PrecisionTooLow(WittzetaError):
 
 
 class BudgetExceeded(WittzetaError):
-    """Point enumeration would exceed the 10^7 tuple budget."""
+    """An input passes a documented limit: point enumeration would exceed
+    the 10^7 tuple budget, or a primality test would be asked of a number
+    at or past psi_13, below which `is_prime` is exact."""
 
 
 class CensusInconsistent(WittzetaError):

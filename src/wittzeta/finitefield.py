@@ -53,10 +53,16 @@ from .rings import Ring, binary_power
 # discrete-log tables are built, so every field a budgeted grid can
 # enumerate gets them
 BUDGET = 10**7
+# is_prime decides primality exactly below this bound, psi_13
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of n by trial division; empty for n below 2."""
+    """{prime: exponent} of n by trial division; empty for n below 2.
+
+    For the small n it is asked about: the degrees of `moebius` and the
+    order q - 1 <= BUDGET of a field's multiplicative group.
+    """
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -70,7 +76,34 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    return factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin test with the first 13 primes as bases.
+
+    It is exact below psi_13 = 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 86, 2017); an n at or past it raises
+    BudgetExceeded.
+    """
+    if n >= PRIME_TEST_BOUND:
+        raise BudgetExceeded(
+            f"{n} is not below {PRIME_TEST_BOUND}, the bound of the exact"
+            " primality test"
+        )
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    return True
 
 
 def _prime_polys(p: int) -> Poly1Ring:

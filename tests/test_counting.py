@@ -36,7 +36,7 @@ from wittzeta import (
     variety_product,
 )
 from wittzeta.errors import DegreeZero
-from wittzeta.finitefield import is_prime
+from wittzeta.finitefield import factorize, is_prime
 from wittzeta.varieties import CATALOG
 
 # brute-force reference: evaluate every equation at every point with the
@@ -234,6 +234,41 @@ def test_field_params_of_a_large_prime_are_found_quickly():
     for q in (2 * 1000000007, 101 * 1000000007):
         with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
             field_params_from_q(q)
+
+
+def test_field_params_of_large_prime_powers():
+    p = 2**61 - 1
+    assert field_params_from_q(p) == (p, 1)
+    assert field_params_from_q(p**2) == (p, 2)
+    assert field_params_from_q(10**18 + 3) == (10**18 + 3, 1)
+    assert field_params_from_q(2**100) == (2, 100)
+    assert field_params_from_q(3**(2 * 3 * 5 * 7)) == (3, 210)
+    assert field_params_from_q(101**97) == (101, 97)
+    semiprime = (10**9 + 7) * (10**9 + 9)
+    for q in (2 * (10**18 + 3), 6**40, semiprime, semiprime**3):
+        with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
+            field_params_from_q(q)
+    rng = random.Random(1412)
+    for _ in range(500):
+        base, k = rng.randrange(2, 10**4), rng.randrange(1, 60)
+        factors = factorize(base)  # trial division
+        if len(factors) == 1:
+            ((r, e),) = factors.items()
+            assert field_params_from_q(base**k) == (r, e * k)
+        else:
+            with pytest.raises(NotPrime):
+                field_params_from_q(base**k)
+
+
+def test_field_params_past_the_prime_test_bound_are_refused_quickly():
+    # a root that would need a primality test at or past psi_13 is refused
+    # by BudgetExceeded, also for q of thousands of digits
+    bound = 3317044064679887385961981
+    start = time.perf_counter()
+    for q in (bound, 10**2000 + 1, 3**4000 * 5, (2**61 - 1) * (2**31 - 1)):
+        with pytest.raises(BudgetExceeded, match=f"not below {bound}"):
+            field_params_from_q(q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_params_agree_with_prime_powers_up_to_5000():

@@ -54,6 +54,57 @@ def test_is_prime():
     assert is_prime(2**31 - 1)
 
 
+def _sieve(n):
+    """flags[m] is 1 exactly when m <= n is prime, by trial division's
+    sieve, which shares no code with is_prime."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for d in range(2, int(n**0.5) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytearray(len(flags[d * d :: d]))
+    return flags
+
+
+def test_is_prime_agrees_with_trial_division_up_to_100000():
+    flags = _sieve(10**5)
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+        n for n in range(10**5 + 1) if flags[n]
+    ]
+
+
+def test_is_prime_refuses_carmichael_numbers_and_semiprimes():
+    flags = _sieve(10**6)
+    primes = [n for n in range(10**6) if flags[n]]
+    rng = random.Random(1412)
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all
+    # three factors are prime: a Fermat test to every coprime base passes it
+    carmichael = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, 10**6 // 18)
+        if all(flags[f * k + 1] for f in (6, 12, 18))
+    ]
+    assert carmichael[:3] == [1729, 294409, 56052361]
+    for n in carmichael:
+        assert not is_prime(n), n
+    for _ in range(2000):
+        a, b = rng.choice(primes), rng.choice(primes)
+        assert not is_prime(a * b), (a, b)
+        assert is_prime(a) and is_prime(b)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (2**61 - 1, 10**18 + 3, 2**31 - 1):
+        assert is_prime(n), n
+
+
+def test_is_prime_refuses_a_number_past_its_bound():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)
+    for n in (bound, bound + 2, 10**40):
+        with pytest.raises(BudgetExceeded, match=f"not below {bound}"):
+            is_prime(n)
+
+
 def test_make_field_validation():
     with pytest.raises(NotPrime):
         make_field(4, 1)
