@@ -16,6 +16,7 @@ standard error).  Output is deterministic; --threads never changes it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -91,6 +92,8 @@ def _variety_arg(flag: str, text: str):
             f"--{flag} {text!r} is not a catalog name ({' '.join(CATALOG)}), "
             "inline JSON or an existing file"
         ) from None
+    except (WittzetaError, ValueError, OSError) as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
 
 
 def _measure_arg(args, variety=None) -> Measure:
@@ -132,14 +135,16 @@ def _measure_and_classes(args):
     Under counting each --<flag> names a variety, and the field comes from
     --q or else the first variety, resolved before any later flag is read.
     Under a sigma measure each --<flag>-value gives the class's value.  A
-    flag the chosen measure does not read is a usage error; a command
-    without --measure has no --<flag>-value twins.
+    flag the chosen measure does not read, --q included, is a usage error;
+    a command without --measure has no --<flag>-value twins.
     """
     counting = args.measure == "counting"
-    for flag in args.classes:
-        unread = f"{flag}-value" if counting else flag
-        if getattr(args, unread.replace("-", "_"), None) is not None:
-            raise ValueError(f"--{unread} is not read by the {args.measure} measure")
+    unread = [f"{flag}-value" if counting else flag for flag in args.classes]
+    if not counting:
+        unread.append("q")
+    for flag in unread:
+        if getattr(args, flag.replace("-", "_"), None) is not None:
+            raise ValueError(f"--{flag} is not read by the {args.measure} measure")
     measure = None if counting else _measure_arg(args)
     classes = []
     for flag, name in args.classes.items():
@@ -565,19 +570,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+@contextlib.contextmanager
+def _integers_of_any_size():
+    """Lift Python's limit on int/str conversion (4300 digits by default)
+    for one call and give the caller's setting back; Python 3.10.0-3.10.6
+    has no limit to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        if hasattr(args, "threads"):
-            _check_flag("threads", args.threads, 1)
-        if getattr(args, "prec", 1) < 1:
-            raise ValueError("precision must be at least 1")
-        if hasattr(args, "classes"):
-            return args.func(args, *_measure_and_classes(args))
-        return args.func(args)
-    except (WittzetaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv=None) -> int:
+    with _integers_of_any_size():
+        args = _parser().parse_args(argv)
+        try:
+            if hasattr(args, "threads"):
+                _check_flag("threads", args.threads, 1)
+            if getattr(args, "prec", 1) < 1:
+                raise ValueError("precision must be at least 1")
+            if hasattr(args, "classes"):
+                return args.func(args, *_measure_and_classes(args))
+            return args.func(args)
+        except (WittzetaError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -403,6 +403,9 @@ def error_calls():
                 '{"p": true, "ambient": {"affine": 1}}',
                 '{"p": "5x", "ambient": {"affine": 1}}'):
         calls.append(("count", "points", "--variety", bad, "--q", "5"))
+    # with two classes, the error names the flag of the malformed one
+    calls.append(("check", "expo", "--x", '{"p": 5.0, "ambient": {"affine": 1}}',
+                  "--y", "a1", "--q", "5"))
     # a flag the chosen measure does not read
     calls.append(("zeta", "kapranov", "--variety", "a1", "--variety-value",
                   "2", "--q", "5", "--prec", "3"))
@@ -411,6 +414,10 @@ def error_calls():
     calls.append(("check", "expo", "--measure", "poincare", "--x-value", "u",
                   "--y", "a1", "--y-value", "u", "--prec", "3"))
     calls.append(("check", "totaro", "--variety-value", "2", "--q", "5"))
+    calls.append(("zeta", "kapranov", "--measure", "euler", "--variety-value",
+                  "2", "--q", "6", "--prec", "3"))
+    calls.append(("check", "expo", "--measure", "poincare", "--x-value",
+                  "1+u", "--y-value", "u", "--q", "5", "--prec", "3"))
     calls.append(("zeta", "kapranov", "--measure", "euler",
                   "--variety-value", "x", "--prec", "3"))
     calls.append(("zeta", "kapranov", "--measure", "poincare",

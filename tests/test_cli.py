@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from wittzeta import cli
+from wittzeta.verdict import Verdict
 
 
 def run(capsys, *argv):
@@ -246,6 +248,35 @@ def test_check_lambda_axioms(capsys):
     assert json.loads(out) == {"holds": True, "precision": 5, "trials": 5}
 
 
+def test_check_lambda_axioms_reports_its_first_failing_trial(capsys, monkeypatch):
+    real = cli.check_lambda_additivity
+    calls = []
+
+    def fails_on_trial_2(structure, a, b, n):
+        calls.append((a, b))
+        verdict = real(structure, a, b, n)
+        if len(calls) == 3:
+            return Verdict(False, n, "lambda", 3, "7", "8")
+        return verdict
+
+    monkeypatch.setattr(cli, "check_lambda_additivity", fails_on_trial_2)
+    code, out, err = run(
+        capsys, "check", "lambda-axioms", "--trials", "5", "--prec", "4"
+    )
+    assert (code, out, err) == (1, "trial 2: FAILS at t^3: lhs=7, rhs=8\n", "")
+    assert len(calls) == 3
+    calls.clear()
+    code, out, err = run(
+        capsys, "check", "lambda-axioms", "--trials", "5", "--prec", "4",
+        "--json",
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "trial": 2, "holds": False, "precision": 4, "label": "lambda",
+        "fail_index": 3, "lhs": "7", "rhs": "8",
+    }
+
+
 # count group
 
 
@@ -382,6 +413,13 @@ def test_missing_counterpart_variety(capsys):
         (("check", "expo", "--x", "a1", "--y", "a1", "--y-value", "3",
           "--q", "5"),
          "--y-value is not read by the counting measure"),
+        # nor --q, which only the counting measure reads
+        (("zeta", "kapranov", "--measure", "euler", "--variety-value", "2",
+          "--q", "6"),
+         "--q is not read by the euler measure"),
+        (("check", "expo", "--measure", "poincare", "--x-value", "1+u",
+          "--y-value", "u", "--q", "5"),
+         "--q is not read by the poincare measure"),
         # euler values are integers, and a bad one names its flag
         (("zeta", "kapranov", "--measure", "euler", "--variety-value", "x"),
          "--variety-value must be an integer for the euler measure, got 'x'"),
@@ -433,6 +471,74 @@ def test_unknown_variety_name(capsys):
     code, out, err = run(capsys, "check", "expo", "--x", "nosuch", "--y", "a1",
                          "--q", "2")
     assert (code, out, err) == (2, "", f"error: --x {why}\n")
+
+
+def test_a_malformed_variety_names_its_flag(capsys):
+    bad = '{"p": 5.0, "ambient": {"affine": 1}}'
+    why = '"p" must be an integer, got 5.0'
+    for argv, flag in (
+        (("--x", bad, "--y", "a1"), "x"),
+        (("--x", "a1", "--y", bad), "y"),
+    ):
+        code, out, err = run(capsys, "check", "expo", *argv, "--q", "5")
+        assert (code, out, err) == (2, "", f"error: --{flag}: {why}\n")
+    code, out, err = run(capsys, "zeta", "weil", "--variety", "{", "--q", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --variety: Expecting property name")
+
+
+def test_a_field_size_past_trial_division_is_read_at_once(capsys):
+    q = 1000000000000000003  # prime; trial division took minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "points", "--variety", "a1", "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, f"{q}\n", "")
+    code, out, err = run(capsys, "count", "points", "--variety", "a1",
+                         "--q", str(2 * q))
+    assert (code, out, err) == (2, "", f"error: {2 * q} is not a prime power\n")
+
+
+def _digits_of(n):
+    """str(n) whatever the interpreter's int/str digit limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_integers_of_any_size_are_printed(capsys):
+    get = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get()
+    want = _digits_of(5**7000)
+    assert len(want) == 4893  # past Python's default limit of 4300 digits
+    argv = ["count", "points", "--variety", "a1", "--q", "5", "--m", "7000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, f"{want}\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out, err) == (0, json.dumps({"value": want}) + "\n", "")
+    assert get() == before
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="Python before 3.10.7 has no digit limit",
+)
+def test_the_callers_digit_limit_is_given_back(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        argv = ["count", "points", "--variety", "a1", "--q", "5", "--m", "9000"]
+        assert run(capsys, *argv)[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            cli.main(["witt", "mul", "--bogus"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_missing_field(capsys):

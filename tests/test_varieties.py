@@ -104,9 +104,10 @@ def test_load_variety_rejects_an_extension_degree_below_one(capsys, k):
     message = f'"k" must be at least 1, got {k}'
     with pytest.raises(DegreeZero, match=f"^{message}$"):
         load_variety(data)
-    # the command line names the key, not the degree k*m it would count in
+    # the command line names the flag and the key, not the degree k*m it
+    # would count in
     assert cli.main(["count", "points", "--variety", json.dumps(data)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: --variety: {message}\n")
 
 
 AFFINE_LINE = '{"ambient": {"affine": 1}, "equations": %s}'
@@ -138,7 +139,7 @@ def test_load_variety_checks_each_key(capsys, text, message):
     assert str(info.value) == message
     argv = ["count", "points", "--variety", text, "--q", "5"]
     assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: --variety: {message}\n")
 
 
 def test_load_variety_refuses_a_json_value_that_is_no_object(tmp_path):
