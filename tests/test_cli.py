@@ -413,13 +413,6 @@ def test_missing_counterpart_variety(capsys):
         (("check", "expo", "--x", "a1", "--y", "a1", "--y-value", "3",
           "--q", "5"),
          "--y-value is not read by the counting measure"),
-        # nor --q, which only the counting measure reads
-        (("zeta", "kapranov", "--measure", "euler", "--variety-value", "2",
-          "--q", "6"),
-         "--q is not read by the euler measure"),
-        (("check", "expo", "--measure", "poincare", "--x-value", "1+u",
-          "--y-value", "u", "--q", "5"),
-         "--q is not read by the poincare measure"),
         # euler values are integers, and a bad one names its flag
         (("zeta", "kapranov", "--measure", "euler", "--variety-value", "x"),
          "--variety-value must be an integer for the euler measure, got 'x'"),
@@ -436,6 +429,13 @@ def test_missing_counterpart_variety(capsys):
         (("zeta", "kapranov", "--measure", "poincare", "--variety-value", "1+v"),
          "--variety-value must be a polynomial in u for the poincare measure, "
          "got '1+v': unknown variable 'v' at position 2"),
+        # nor --q, which only the counting measure reads
+        (("zeta", "kapranov", "--measure", "euler", "--variety-value", "2",
+          "--q", "6"),
+         "--q is not read by the euler measure"),
+        (("check", "expo", "--measure", "poincare", "--x-value", "1+u",
+          "--y-value", "u", "--q", "5"),
+         "--q is not read by the poincare measure"),
     ],
 )
 def test_measure_and_class_usage_errors(capsys, argv, message):

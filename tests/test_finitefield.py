@@ -44,19 +44,9 @@ def ref_power(ref, x, d):
     return result
 
 
-def test_is_prime():
-    def reference(n):
-        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-    for n in range(-2, 200):
-        assert is_prime(n) == reference(n)
-    assert not is_prime(91)  # 7 * 13
-    assert is_prime(2**31 - 1)
-
-
 def _sieve(n):
-    """flags[m] is 1 exactly when m <= n is prime, by trial division's
-    sieve, which shares no code with is_prime."""
+    """flags[m] is 1 exactly when m <= n is prime: the sieve of
+    Eratosthenes, which shares no code with is_prime."""
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
     for d in range(2, int(n**0.5) + 1):
@@ -65,11 +55,13 @@ def _sieve(n):
     return flags
 
 
-def test_is_prime_agrees_with_trial_division_up_to_100000():
+def test_is_prime():
     flags = _sieve(10**5)
-    assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+    assert [n for n in range(-2, 10**5 + 1) if is_prime(n)] == [
         n for n in range(10**5 + 1) if flags[n]
     ]
+    assert not is_prime(91)  # 7 * 13
+    assert is_prime(2**31 - 1)
 
 
 def test_is_prime_refuses_carmichael_numbers_and_semiprimes():
