@@ -53,7 +53,8 @@ from .rings import Ring, binary_power
 # discrete-log tables are built, so every field a budgeted grid can
 # enumerate gets them
 BUDGET = 10**7
-# is_prime decides primality exactly below this bound, psi_13
+# psi_13, the least strong pseudoprime to the first 13 prime bases: below
+# it, is_prime decides primality exactly
 PRIME_TEST_BOUND = 3317044064679887385961981
 
 
@@ -78,9 +79,8 @@ def factorize(n: int) -> dict[int, int]:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test with the first 13 primes as bases.
 
-    It is exact below psi_13 = 3317044064679887385961981 (Sorenson and
-    Webster, Math. Comp. 86, 2017); an n at or past it raises
-    BudgetExceeded.
+    It is exact below ``PRIME_TEST_BOUND`` (Sorenson and Webster, Math.
+    Comp. 86, 2017); an n at or past it raises BudgetExceeded.
     """
     if n >= PRIME_TEST_BOUND:
         raise BudgetExceeded(

@@ -3,10 +3,15 @@ from fractions import Fraction
 import pytest
 
 from wittzeta.errors import NonIntegral
-from wittzeta.finitefield import make_field
+from wittzeta.finitefield import GF, make_field
+from wittzeta.polynomials import Poly1Ring
+from wittzeta.rational import RatFuncRing
 from wittzeta.rings import (
     QQ,
     ZZ,
+    IntegerRing,
+    MPolyRing,
+    RationalRing,
     binary_power,
     poly_ring,
     scaled_term,
@@ -165,10 +170,6 @@ def test_poly_dense_coefficients():
 
 
 def _rings():
-    from wittzeta.finitefield import GF
-    from wittzeta.polynomials import Poly1Ring
-    from wittzeta.rational import RatFuncRing
-
     return {
         "ZZ": ZZ,
         "QQ": QQ,
@@ -191,8 +192,6 @@ def test_exact_div_by_zero_raises_nonintegral(label):
 
 
 def test_rational_function_with_zero_denominator_is_nonintegral():
-    from wittzeta.rational import RatFuncRing
-
     with pytest.raises(NonIntegral):
         RatFuncRing("u").make((Fraction(1),), ())
     with pytest.raises(NonIntegral):
@@ -200,11 +199,6 @@ def test_rational_function_with_zero_denominator_is_nonintegral():
 
 
 def test_ring_identity_is_class_and_name():
-    from wittzeta.finitefield import GF
-    from wittzeta.polynomials import Poly1Ring
-    from wittzeta.rational import RatFuncRing
-    from wittzeta.rings import IntegerRing, MPolyRing, RationalRing
-
     twins = [  # a second, separately built ring of the same class and name
         (ZZ, IntegerRing()),
         (QQ, RationalRing()),
