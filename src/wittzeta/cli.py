@@ -26,6 +26,7 @@ from .counting import (
     closed_point_census,
     count_points,
     field_params_from_q,
+    resolve_field,
     sym_product_counts,
 )
 from .errors import WittzetaError
@@ -102,15 +103,8 @@ def _measure_arg(args, variety=None) -> Measure:
         return euler_measure()
     if args.measure == "poincare":
         return poincare_measure()
-    if args.q is not None:
-        p, k = field_params_from_q(args.q)
-    elif variety.p:
-        p, k = variety.p, variety.k
-    else:
-        raise ValueError(
-            "no finite field given; pass --q or a variety that declares p, k"
-        )
-    return counting_measure(p, k, args.threads)
+    p, k = (0, 0) if args.q is None else field_params_from_q(args.q)
+    return counting_measure(*resolve_field(variety, p, k), args.threads)
 
 
 def _value_atom(measure: Measure, flag: str, name: str, text: str) -> SymbolicAtom:

@@ -1,18 +1,18 @@
 """Exact point counting over finite fields, and the derived censuses.
 
 Counts are taken blockwise (blocks of a product are independent, so their
-counts multiply).  A block without equations has a closed form and builds
-no field.  Otherwise it is cut into charts: an affine block is one chart
-with no fixed coordinates, a projective block one chart per first nonzero
-coordinate, normalized to 1.  Every chart goes through one pipeline:
-`_specialize` plugs in the fixed coordinates and reduces the coefficients
-mod p, and `_plan_chart` picks one of two strategies and checks the budget
-against what that strategy enumerates:
+counts multiply).  Each block is cut into charts: an affine block is one
+chart with no fixed coordinates, a projective block one chart per first
+nonzero coordinate, normalized to 1.  Every chart goes through one
+pipeline: `_specialize` plugs in the fixed coordinates and reduces the
+coefficients mod p, and `_plan_chart` counts q^n for a chart with no
+equations left (so A^n and P^n are closed forms and build no field), or
+picks one of two strategies and checks the budget against what that
+strategy enumerates:
 
 * one equation with some variable of degree at most 2: enumerate the other
   variables and add up root counts of the resulting quadratic or linear
-  polynomial, reading square roots off the parity of a discrete log over
-  an extension field and off a q-sized table over a prime field;
+  polynomial, square roots counted by the grid domain's `square_roots`;
 * otherwise: enumerate the full grid and test every equation.
 
 A chart whose one variable is the solved one enumerates nothing: its
@@ -68,7 +68,6 @@ from .errors import BudgetExceeded, CensusInconsistent, NotPrime
 from .finitefield import (
     BUDGET,
     GF,
-    LogDomain,
     check_field_params,
     factorize,
     is_prime,
@@ -125,7 +124,9 @@ def resolve_field(v: VarietyDesc, p: int = 0, k: int = 0) -> tuple[int, int]:
         return p, k or 1
     if v.p:
         return v.p, v.k or 1
-    raise ValueError("no finite field specified for counting")
+    raise ValueError(
+        "no finite field given; pass --q or a variety that declares p, k"
+    )
 
 
 def moebius(n: int) -> int:
@@ -215,16 +216,11 @@ def sym_product_counts(
 def _plan_block(block: Block, p: int, k: int) -> list:
     """The charts of a block over F_(p^k), each a point count or a plan.
 
-    A block without equations is one closed-form count.  An affine block is
-    one chart with no fixed coordinates; a projective block has one chart
-    per first nonzero coordinate, normalized to 1.  Planning needs p and q
-    alone and builds no field.
+    An affine block is one chart with no fixed coordinates; a projective
+    block has one chart per first nonzero coordinate, normalized to 1.
+    Planning needs p and q alone and builds no field.
     """
     q = p**k
-    if not block.equations:
-        if block.kind == "affine":
-            return [q**block.dim]
-        return [sum(q**i for i in range(block.dim + 1))]
     nvars = block.nvars
     charts = [{}]
     if block.kind == "projective":
@@ -414,15 +410,6 @@ def _root_counter(terms: dict, nvars: int, s: int, domain):
         coeff_polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
     q, zero = domain.q, domain.zero
     quadratic = bool(coeff_polys[2])
-    # square roots: off the parity of a log over an extension field, off a
-    # q-sized table over a prime field, and in characteristic 2 always one
-    square_roots = None
-    if quadratic and domain.p != 2:
-        square_roots = (
-            domain.square_roots
-            if isinstance(domain, LogDomain)
-            else domain.square_counts().__getitem__
-        )
     minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
@@ -433,9 +420,9 @@ def _root_counter(terms: dict, nvars: int, s: int, domain):
         linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
         if not quadratic:
             return _grid_sum(linear, hi - lo)
-        quad = 1  # s^2 = d in characteristic 2
-        if square_roots is not None:
-            quad = square_roots(
+        quad = 1  # s^2 = d has one root in characteristic 2
+        if domain.p != 2:
+            quad = domain.square_roots(
                 domain.vec_add(
                     domain.vec_mul(b, b),
                     domain.vec_mul(minus_four, domain.vec_mul(a, c)),

@@ -34,8 +34,10 @@ previous one times the matrix of g^B.
 evaluated in: the field itself, on codes, when k = 1, and its `LogDomain`
 otherwise, where every value is a discrete log (0 being -1).  The two
 differ in the order in which a grid axis enumerates F_q (`axis_values`):
-code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  On logs, a nonzero value
-is a square exactly when its log is even (odd p).
+code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  Both answer
+`square_roots`: on codes from the q-sized table `square_counts`, and on
+logs from parity, a nonzero value being a square exactly when its log is
+even (odd p).
 """
 
 from __future__ import annotations
@@ -150,21 +152,14 @@ class GF(Ring):
         self.k = k
         self.q = p**k
         self.modulus = modulus  # length k+1, monic, constant term first
-        self.name = f"GF({self.q})"
         self._polys = _prime_polys(p) if k > 1 else None  # scalar arithmetic
+        # the name, and so the ring's identity, includes the modulus when it
+        # shapes the arithmetic
+        self.name = f"GF({self.q})"
+        if k > 1:
+            self.name = f"GF({self.q}, {self._polys.render(modulus)})"
         self._logs = None  # the LogDomain once its tables are built
         self._build_lock = threading.Lock()  # census threads share a field
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     # ring interface
 
@@ -269,7 +264,7 @@ class GF(Ring):
         if self._logs is None:
             if self.q > BUDGET:
                 raise BudgetExceeded(
-                    f"{self.name} has more than {BUDGET} elements, the"
+                    f"GF({self.q}) has more than {BUDGET} elements, the"
                     " limit for its discrete-log tables"
                 )
             with self._build_lock:
@@ -288,9 +283,6 @@ class GF(Ring):
             return out
         logs = self._log_tables()
         return logs.exp[logs.vec_add(logs.log[a], logs.log[b])]
-
-    def vec_neg(self, a: np.ndarray) -> np.ndarray:
-        return self.vec_mul(a, self.p - 1)
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -317,6 +309,11 @@ class GF(Ring):
         """counts[d] = number of field elements y with y*y == d."""
         grid = np.arange(self.q, dtype=np.int64)
         return np.bincount(self.vec_mul(grid, grid), minlength=self.q)
+
+    def square_roots(self, values):
+        """How many y have y^2 equal to each of the codes `values`, read
+        off a q-sized table."""
+        return self.square_counts()[values]
 
 
 class LogDomain:

@@ -39,10 +39,6 @@ class Measure:
         """Symmetric-power policy: "census" or "sigma"."""
         return "census" if self.structure is None else "sigma"
 
-    @property
-    def q(self) -> int:
-        return self.p**self.k
-
 
 def counting_measure(p: int, k: int = 1, threads: int = 1) -> Measure:
     """Point counting over F_(p^k); values in the integers."""

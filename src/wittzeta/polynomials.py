@@ -58,9 +58,6 @@ class Poly1Ring(Ring):
     def degree(self, a) -> int:
         return len(a) - 1
 
-    def coefficient(self, a, i: int):
-        return a[i] if 0 <= i < len(a) else self.base.zero
-
     def add(self, a, b):
         n = max(len(a), len(b))
         z = self.base.zero
@@ -94,13 +91,6 @@ class Poly1Ring(Ring):
 
     def from_int(self, n):
         return self.constant(self.base.from_int(n))
-
-    def evaluate(self, a, x):
-        """Value of the polynomial at an element of the base ring."""
-        acc = self.base.zero
-        for c in reversed(a):
-            acc = self.base.add(self.base.mul(acc, x), c)
-        return acc
 
     def try_inverse(self, a):
         if len(a) != 1:

@@ -206,7 +206,8 @@ def test_resolve_field_prefers_explicit_parameters():
 
 
 def test_resolve_field_requires_some_field():
-    with pytest.raises(ValueError):
+    message = "^no finite field given; pass --q or a variety that declares p, k$"
+    with pytest.raises(ValueError, match=message):
         resolve_field(point())
 
 
@@ -418,6 +419,33 @@ def test_closed_forms_build_no_field(monkeypatch):
         want = tuple(size(25**m) for m in range(1, 81))
         assert point_counts(v, 80, 5, 2) == want
         assert sym_product_counts(v, 80, 5, 2)[1] == want[0]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 25, 343])
+def test_equationless_blocks_count_as_closed_forms(monkeypatch, q):
+    # the chart planner counts q^n for a chart with no equations, so an
+    # equationless block needs no field, also beside a block that does
+    built = []
+    real = counting.make_field
+    monkeypatch.setattr(
+        counting, "make_field", lambda p, k: built.append((p, k)) or real(p, k)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    p, k = field_params_from_q(q)
+    curve = affine_variety(2, ("x^3*y+y^3+x+1",))  # a full-grid chart
+    curve_count = count_points(curve, 1, p, k)
+    assert built == [(p, k)]
+    for dim in range(7):
+        for space, closed in (
+            (affine_space, q**dim),
+            (projective_space, sum(q**i for i in range(dim + 1))),
+        ):
+            built.clear()
+            assert count_points(space(dim), 1, p, k) == closed
+            assert built == []
+            product = variety_product(space(dim), curve)
+            assert count_points(product, 1, p, k) == closed * curve_count
+            assert built == [(p, k)]
 
 
 def test_field_checks_hold_for_closed_forms():

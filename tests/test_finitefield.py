@@ -249,7 +249,8 @@ def test_field_axioms_exhaustive(p, k):
     one = np.full(q, F.one, dtype=np.int64)
     assert np.array_equal(F.vec_mul(els, one), els)
     assert np.array_equal(
-        F.vec_add(els, F.vec_neg(els)), np.zeros(q, dtype=np.int64)
+        F.vec_add(els, F.vec_mul(els, F.from_int(-1))),
+        np.zeros(q, dtype=np.int64),
     )
 
 
@@ -347,6 +348,22 @@ def test_square_counts():
         assert set(make_field(2, k).square_counts().tolist()) == {1}
 
 
+def test_square_roots_read_the_square_counts():
+    for p in (2, 3, 5, 7, 13, 101):
+        F = make_field(p, 1)
+        codes = np.arange(p, dtype=np.int64)
+        assert np.array_equal(F.square_roots(codes), F.square_counts())
+        grid = F.vec_mul(codes[:, None], codes[None, :])
+        assert np.array_equal(F.square_roots(grid), F.square_counts()[grid])
+    # an extension field's LogDomain answers the same counts on logs
+    for p, k in ((3, 2), (5, 3), (7, 2)):
+        F = make_field(p, k)
+        logs = F.grid_domain()
+        codes = np.arange(F.q, dtype=np.int64)
+        got = logs.square_roots(logs.log[codes])
+        assert np.array_equal(got, F.square_counts())
+
+
 @pytest.mark.parametrize("p,k", [(3, 8), (2, 13), (5, 4)])
 def test_square_counts_match_digit_squares(p, k):
     F = make_field(p, k)
@@ -369,7 +386,7 @@ def test_zech_addition_matches_digit_arithmetic(p, k):
     a[200:300] = b[200:300] = 0
     b[300:400] = ref_values(ref.neg, a[300:400])  # a = -b
     total = F.vec_add(a, b)
-    neg = F.vec_neg(a)
+    neg = F.vec_mul(a, F.from_int(-1))
     assert F._logs is not None
     assert not total[200:400].any()
     assert np.array_equal(total, ref_values(ref.add, a, b))
@@ -426,7 +443,7 @@ def test_ops_match_reference_arithmetic(p, k):
         assert F._logs is None
         return
     total, product = F.vec_add(a, b), F.vec_mul(a, b)
-    neg, cube = F.vec_neg(a), F.vec_pow(a, 3)
+    neg, cube = F.vec_mul(a, F.from_int(-1)), F.vec_pow(a, 3)
     assert F._logs is not None
     for i in list(range(8)) + list(range(8, a.size, 61)):
         x, y = int(a[i]), int(b[i])

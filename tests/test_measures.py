@@ -29,10 +29,10 @@ from wittzeta import (
 
 def test_counting_measure_parameters():
     mu = counting_measure(5)
-    assert (mu.p, mu.k, mu.q) == (5, 1, 5)
+    assert (mu.p, mu.k) == (5, 1)
     assert mu.policy == "census"
     assert mu.lefschetz == 5
-    assert counting_measure(2, 3).q == 8
+    assert counting_measure(2, 3).lefschetz == 8
 
 
 def test_counting_measure_values_varieties():

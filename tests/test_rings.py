@@ -218,6 +218,8 @@ def test_ring_identity_is_class_and_name():
         RatFuncRing("v"),
         make_field(3, 1),
         make_field(5, 1),
+        GF(3, 2, (2, 1, 1)),
+        Poly1Ring(GF(3, 2, (2, 1, 1)), "x"),
     ]
     for a in rings:
         assert repr(a) == a.name
@@ -226,10 +228,20 @@ def test_ring_identity_is_class_and_name():
             assert (a == b) is same and (a != b) is not same
             if same:
                 assert hash(a) == hash(b)
-    # GF(9) does not name its modulus, so two moduli are two fields
-    other = GF(3, 2, (2, 1, 1))
-    assert other.name == make_field(3, 2).name
-    assert other != make_field(3, 2)
-    assert hash(other) != hash(make_field(3, 2))
     # a ring never equals a non-ring that prints like it
     assert ZZ != "ZZ" and QQ != 0
+
+
+def test_a_field_is_named_by_its_size_and_modulus():
+    # two moduli of F_9 are two models of it, and so two rings, also as
+    # the base of a polynomial ring
+    a, b = GF(3, 2, (1, 0, 1)), GF(3, 2, (2, 1, 1))
+    assert a.mul(3, 3) != b.mul(3, 3)
+    assert a != b and a.name != b.name
+    assert Poly1Ring(a, "x") != Poly1Ring(b, "x")
+    assert Poly1Ring(a, "x") == Poly1Ring(make_field(3, 2), "x")
+    assert hash(Poly1Ring(a, "x")) == hash(Poly1Ring(make_field(3, 2), "x"))
+    assert a.name == "GF(9, 1 + x^2)"
+    # the name of a prime field is its size alone
+    assert make_field(5, 1).name == "GF(5)"
+    assert GF(5, 1, (3, 1)) == make_field(5, 1)
