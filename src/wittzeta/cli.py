@@ -584,10 +584,10 @@ def main(argv=None) -> int:
     with _integers_of_any_size():
         args = _parser().parse_args(argv)
         try:
-            if hasattr(args, "threads"):
-                _check_flag("threads", args.threads, 1)
-            if getattr(args, "prec", 1) < 1:
-                raise ValueError("precision must be at least 1")
+            bounds = {"threads": 1, "prec": 1, "n": 0, "trials": 1}
+            for flag, least in bounds.items():
+                if hasattr(args, flag):
+                    _check_flag(flag, getattr(args, flag), least)
             if hasattr(args, "classes"):
                 return args.func(args, *_measure_and_classes(args))
             return args.func(args)

@@ -82,16 +82,17 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test with the first 13 primes as bases.
 
     It is exact below ``PRIME_TEST_BOUND`` (Sorenson and Webster, Math.
-    Comp. 86, 2017); an n at or past it raises BudgetExceeded.
+    Comp. 86, 2017).  An n at or past it is composite when a base divides
+    it, and raises BudgetExceeded otherwise.
     """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases or any(n % b == 0 for b in bases):
+        return n in bases
     if n >= PRIME_TEST_BOUND:
         raise BudgetExceeded(
             f"{n} is not below {PRIME_TEST_BOUND}, the bound of the exact"
             " primality test"
         )
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2 or n in bases:
-        return n in bases
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1

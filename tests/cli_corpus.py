@@ -21,7 +21,8 @@ With ``--threads 2`` every call whose command reads ``--threads`` (and
 does not set it already) gets ``--threads 2`` appended, and
 ``counting._CHUNK_MIN`` is patched to 1 so that every grid splits; the
 digests must not change.  Each call that does not match is printed with
-both digests and its new exit code, stdout and stderr.  ``tests/test_cli_corpus.py`` runs a fixed slice.
+both digests and its new exit code, stdout and stderr.
+``tests/test_cli_corpus.py`` runs every call at both thread counts.
 Argparse's usage errors are part of the pinned output, so the digests hold
 for the Python version they were written with (3.11).
 """
@@ -449,6 +450,19 @@ def error_calls():
     for command in SUBCOMMANDS:
         calls.append((*command, "--help"))
         calls.append((*command, "--bogus"))
+    # a bounded integer flag out of its bounds, under each measure
+    for trials in ("0", "-5"):
+        calls.append(("check", "lambda-axioms", "--trials", trials))
+    for cmd in ("totaro", "bundle"):
+        for cls in (("--variety", "a1", "--q", "3"),
+                    ("--measure", "euler", "--variety-value", "2"),
+                    ("--measure", "poincare", "--variety-value", "1+u^2")):
+            calls.append(("check", cmd, *cls, "--n", "-1"))
+    calls.append(("check", "bundle", "--measure", "euler", "--variety-value",
+                  "2", "--kind", "projective", "--n", "-1"))
+    # a field size past psi_13 that a small prime proves composite
+    calls.append(("count", "points", "--variety", "a1",
+                  "--q", str(3**50 * 5)))
     return calls
 
 
@@ -529,9 +543,10 @@ def mismatches(indices, threads: int = 1) -> list[str]:
             run = argv if threads == 1 else with_threads(argv, threads)
             code, out, err = run_call(run)
             got = line(argv, digest((code, out, err)))
-            if got != lines[i]:
+            want = lines[i] if i < len(lines) else "nothing"
+            if got != want:
                 bad.append(
-                    f"call {i}: pinned {lines[i]}\n    got {got}\n"
+                    f"call {i}: pinned {want}\n    got {got}\n"
                     f"    exit {code}\n    stdout {out[:200]!r}\n"
                     f"    stderr {err[:200]!r}"
                 )

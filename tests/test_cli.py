@@ -498,6 +498,17 @@ def test_a_field_size_past_trial_division_is_read_at_once(capsys):
     assert (code, out, err) == (2, "", f"error: {2 * q} is not a prime power\n")
 
 
+def test_a_field_size_past_the_prime_bound_with_a_small_factor(capsys):
+    q = 3**50 * 5  # past psi_13, and 5 proves it no prime power
+    code, out, err = run(capsys, "count", "points", "--variety", "a1",
+                         "--q", str(q))
+    assert (code, out, err) == (2, "", f"error: {q} is not a prime power\n")
+    psi_13 = 3317044064679887385961981
+    code, _, err = run(capsys, "count", "points", "--variety", "a1",
+                       "--q", str(psi_13))
+    assert code == 2 and f"is not below {psi_13}" in err
+
+
 def _digits_of(n):
     """str(n) whatever the interpreter's int/str digit limit."""
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -565,7 +576,7 @@ def test_missing_field(capsys):
         # a bad --prec is still reported first
         (("zeta", "weil", "--variety", "p1", "--q", "3", "--prec", "0",
           "--rationalize", "--dmax", "-1"),
-         "precision must be at least 1"),
+         "--prec must be at least 1, got 0"),
         # errors of the series itself are unchanged
         (("rat", "rationalize", "--coeffs", "2,4,8,16", "--dmax", "1"),
          "numerator and denominator need constant term 1"),
@@ -600,6 +611,38 @@ def test_rationalize_usage_errors(capsys, argv, message):
     ],
 )
 def test_threads_and_degree_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "lambda-axioms", "--trials", "0"),
+         "--trials must be at least 1, got 0"),
+        (("check", "lambda-axioms", "--trials", "-5", "--json"),
+         "--trials must be at least 1, got -5"),
+        (("check", "bundle", "--measure", "euler", "--variety-value", "2",
+          "--kind", "projective", "--n", "-1"),
+         "--n must be at least 0, got -1"),
+        (("check", "totaro", "--measure", "euler", "--variety-value", "2",
+          "--n", "-1"),
+         "--n must be at least 0, got -1"),
+        (("check", "totaro", "--measure", "poincare", "--variety-value", "u",
+          "--n", "-1"),
+         "--n must be at least 0, got -1"),
+        (("check", "bundle", "--variety", "a1", "--q", "3", "--n", "-1"),
+         "--n must be at least 0, got -1"),
+        # checked before any class is resolved
+        (("check", "totaro", "--variety", "nosuch", "--n", "-1"),
+         "--n must be at least 0, got -1"),
+        (("witt", "mul", "--a", "1-t", "--b", "1+t", "--prec", "-2"),
+         "--prec must be at least 1, got -2"),
+    ],
+)
+def test_bounded_integer_flags_name_themselves(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

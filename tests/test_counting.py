@@ -263,11 +263,15 @@ def test_field_params_of_large_prime_powers():
 
 def test_field_params_past_the_prime_test_bound_are_refused_quickly():
     # a root that would need a primality test at or past psi_13 is refused
-    # by BudgetExceeded, also for q of thousands of digits
+    # by BudgetExceeded, also for q of thousands of digits, unless one of
+    # the 13 base primes divides it and so proves it composite
     bound = 3317044064679887385961981
     start = time.perf_counter()
-    for q in (bound, 10**2000 + 1, 3**4000 * 5, (2**61 - 1) * (2**31 - 1)):
+    for q in (bound, 10**2000 + 1, (2**61 - 1) * (2**31 - 1)):
         with pytest.raises(BudgetExceeded, match=f"not below {bound}"):
+            field_params_from_q(q)
+    for q in (3**4000 * 5, 3**50 * 5, 41 * bound):
+        with pytest.raises(NotPrime, match=f"^{q} is not a prime power$"):
             field_params_from_q(q)
     assert time.perf_counter() - start < 1.0
 

@@ -92,9 +92,12 @@ def test_is_prime_refuses_carmichael_numbers_and_semiprimes():
 def test_is_prime_refuses_a_number_past_its_bound():
     bound = 3317044064679887385961981
     assert not is_prime(bound - 1)
-    for n in (bound, bound + 2, 10**40):
+    for n in (bound, 2**89 - 1, 10**2000 + 1):
         with pytest.raises(BudgetExceeded, match=f"not below {bound}"):
             is_prime(n)
+    # a base prime that divides it proves any n composite
+    for n in (bound + 2, 10**40, 41 * bound, 3**4000 * 5):
+        assert not is_prime(n)
 
 
 def test_make_field_validation():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,33 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_every_function_is_read_somewhere():
+    # a function or method whose name no code in src/ reads, that the
+    # package does not export and perfbench/ does not name, has no caller;
+    # dunder methods are called by Python itself
+    import wittzeta
+
+    defined, read = {}, set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    bench = "\n".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
+    uncalled = [
+        f"{where} {name}"
+        for name, where in sorted(defined.items())
+        if name not in read
+        and name not in wittzeta.__all__
+        and not re.fullmatch(r"__\w+__", name)
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert uncalled == []
 
 
 def test_benchmark_traced_names_resolve():
