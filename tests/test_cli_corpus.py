@@ -14,11 +14,11 @@ def test_corpus_digests_are_one_per_call():
     assert len(set(lines)) == len(lines)
 
 
-def test_corpus_matches_its_digests():
+def test_corpus_slice_matches_its_digests():
     calls = cli_corpus.corpus()
     assert cli_corpus.mismatches(range(len(calls))) == []
 
 
-def test_corpus_matches_with_two_threads_on_every_grid():
+def test_corpus_slice_matches_with_two_threads_on_every_grid():
     calls = cli_corpus.corpus()
     assert cli_corpus.mismatches(range(len(calls)), threads=2) == []
