@@ -466,6 +466,46 @@ def error_calls():
     return calls
 
 
+# (ambient, dimension, monomials of each equation) of varieties with two
+# equations: a conic and a cubic in A^2, a quadric and a cubic in P^3, a
+# pair in A^3 whose first equation vanishes identically in y where
+# x = z = 0, and a conic and a line in P^2
+TWO_EQUATION_SHAPES = (
+    ("affine", 2, (("x^2", "y^2", "x*y", "x", ""), ("x^3", "y^3", "x*y", ""))),
+    ("projective", 3, (("x^2", "y^2", "y*z", "z^2", "w^2", "x*w"),
+                       ("x^3", "y^3", "z^3", "w^3", "x*y*z", "y*z*w",
+                        "x*z^2"))),
+    ("affine", 3, (("x*y^2", "y*z", "x*z"), ("y^3", "x^2", "z", ""))),
+    ("projective", 2, (("x^2", "y^2", "z^2", "x*y"), ("x", "y", "z"))),
+)
+
+
+def two_equation_calls(rng):
+    """Counting calls on varieties with two equations over small fields,
+    each field's grid within the grid limit."""
+    calls = []
+    for kind, dim, shapes in TWO_EQUATION_SHAPES:
+        fields = [(p, k) for p, k in FIELDS if (p**k) ** dim <= GRID_LIMIT]
+        for p, k in rng.sample(fields, 4):
+            q = p**k
+            data: dict = {"ambient": {kind: dim}}
+            q_args = ("--q", str(q))
+            if rng.random() < 0.5:
+                data = {"p": p, "k": k, **data}
+                q_args = ()
+            data["equations"] = [_poly_text(rng, terms) for terms in shapes]
+            variety = json.dumps(data)
+            d = _depth(q, dim, 3)
+            for command, flag in (("points", "--m"), ("census", "--degree"),
+                                  ("sym", "--degree")):
+                calls.append(("count", command, "--variety", variety,
+                              *q_args, flag, str(rng.randint(1, d)),
+                              *_json(rng)))
+            calls.append(("zeta", "weil", "--variety", variety, *q_args,
+                          "--prec", str(_depth(q, dim, 6)), *_json(rng)))
+    return calls
+
+
 def corpus() -> list[tuple]:
     """Every call of the corpus, in a fixed order."""
     rng = random.Random(SEED)
@@ -474,6 +514,7 @@ def corpus() -> list[tuple]:
                    witt_calls, check_series_calls, rat_calls):
         calls += family(rng)
     calls += error_calls()
+    calls += two_equation_calls(rng)
     return list(dict.fromkeys(calls))
 
 
