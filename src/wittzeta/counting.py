@@ -5,44 +5,68 @@ counts multiply).  Each block is cut into charts: an affine block is one
 chart with no fixed coordinates, a projective block one chart per first
 nonzero coordinate, normalized to 1.  Every chart goes through one
 pipeline: `_specialize` plugs in the fixed coordinates and reduces the
-coefficients mod p, and `_plan_chart` counts q^n for a chart with no
-equations left (so A^n and P^n are closed forms and build no field), or
-picks one of two strategies and checks the budget against what that
-strategy enumerates:
+coefficients mod p, and `_plan_chart`, the one place that picks a chart's
+strategy, returns its `ChartPlan`, of one of the kinds in `PLAN_KINDS`:
 
-* one equation with some variable of degree at most 2: enumerate the other
-  variables and add up root counts of the resulting quadratic or linear
-  polynomial, square roots counted by the grid domain's `square_roots`;
-* otherwise: enumerate the full grid and test every equation.
+* "empty": some equation is a nonzero constant, so there are no points;
+* "no equations": q^n points, so A^n and P^n are closed forms;
+* "one variable": one equation, linear or quadratic in the chart's one
+  variable (in characteristic 2, without a linear term).  Its
+  coefficients lie in F_p, so its root count is a closed form: an element
+  of F_p is a square in F_(p^k) when Euler's criterion says so in F_p or
+  k is even;
+* "root count": one equation a*s^2 + b*s + c with a variable s of degree
+  at most 2 (in characteristic 2, only without a linear term): enumerate
+  the other n - 1 variables and add up the root counts, square roots
+  counted by the grid domain's `square_roots`, q where it vanishes
+  identically in s;
+* "roots substituted": the same with other equations left.  The roots
+  are computed, s = (-b +- sqrt(b^2 - 4ac)) / (2a) by the grid domain's
+  `sqrt` and `vec_div`, -c/b where a = 0 and sqrt(c/a) in characteristic
+  2, and each other equation is evaluated at them by Horner's rule in s
+  over its cofactor grids.  Where the solved equation vanishes
+  identically in s, s is enumerated at those points alone;
+* "full grid": enumerate all q^n tuples and test every equation.
 
-A chart whose one variable is the solved one enumerates nothing: its
-coefficients lie in F_p, so its root count is a closed form (Euler's
-criterion on the discriminant in F_p) and it builds no field at any q.
-The budget is a hard 10^7 tuples per chart.  Every chart of every block of
-a call is planned from p and q alone, and its budget checked, before any
-field is built or anything enumerated.  Every chart that enumerates has at
-least q tuples, so the budget also bounds the field-sized tables: the log
-tables of an extension field and the square-root table of a prime field.
+The planner takes the strategy that enumerates the fewest tuples, the
+full grid on a tie.  A solve for s costs q^(n-1) tuples when the top
+coefficient of s is a nonzero constant, and (1 + d) q^(n-1) when it has
+total degree d with other equations left: by Schwartz-Zippel it vanishes
+at no more than d q^(n-2) points, each of which enumerates q values of s.
+A solve also needs q-sized tables, so it costs at least q, and a chart of
+one variable with several equations takes the full grid.  A curve in P^3
+whose quadric has a constant top coefficient in some variable of each
+chart, as in the census-prime benchmark, costs q^2 tuples in its largest
+chart, so it is counted up to q = 3162.
 
-Both strategies evaluate polynomials on the grid by `_grid_values`, which
-never materialises the coordinates of the grid.  It groups the terms by
-the exponent of the leading variable, evaluates each group's cofactor once
-on the grid of the remaining variables, and combines the groups by numpy
-broadcasting, x^e laid along the leading axis times the cofactor along the
-others: a Horner scheme over the variables, in which full-size arrays are
-touched about twice per distinct leading exponent rather than several
-times per monomial.  The field picks the arithmetic (`GF.grid_domain`).
-Over an extension field every grid value is a discrete log to the field's
-generator g, with -1 for 0: each axis enumerates F_q as 0, g^0, g^1, ...,
-g^(q-2), so x^e along an axis is the log times e mod q - 1, a product adds
-logs, a sum is one Zech gather, and the quadratic-solve strategy reads
-squareness off the parity of the discriminant's log.  Prime fields keep
-codes, each axis in code order.  Either order is a bijection of the
-positions onto F_q, so a count, a sum over the grid, does not depend on it.  An
-optional thread count, capped at the CPU count, splits the grid into
-contiguous ranges of whole slabs of the leading variable, so every chunk
-is a grid of its own; partial sums are added in order, so the result is
-identical for every thread count.
+The budget is a hard 10^7 tuples per chart.  Every chart of every block
+of a call is planned from p and k alone, and its budget checked, before
+any field is built, any closed form computed or anything enumerated; q
+itself is computed only after a bit-length check, so a chart over a field
+of more than 256 bits is refused at once.  Every chart that enumerates has
+at least q tuples, so the budget also bounds the field-sized tables: the
+log tables of an extension field and the square-root and inverse tables
+of a prime field.
+
+Every strategy that enumerates evaluates polynomials on the grid by
+`_grid_values`, which never materialises the coordinates of the grid.  It
+groups the terms by the exponent of the leading variable, evaluates each
+group's cofactor once on the grid of the remaining variables, and
+combines the groups by numpy broadcasting, x^e laid along the leading
+axis times the cofactor along the others: a Horner scheme over the
+variables, in which full-size arrays are touched about twice per distinct
+leading exponent rather than several times per monomial.  The field picks
+the arithmetic (`GF.grid_domain`).  Over an extension field every grid
+value is a discrete log to the field's generator g, with -1 for 0: each
+axis enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so x^e along an axis is
+the log times e mod q - 1, a product adds logs, a sum is one Zech gather,
+a quotient subtracts logs, and a square root halves an even log.  Prime
+fields keep codes, each axis in code order.  Either order is a bijection
+of the positions onto F_q, so a count, a sum over the grid, does not
+depend on it.  An optional thread count, capped at the CPU count, splits
+the grid into contiguous ranges of whole slabs of the leading variable,
+so every chunk is a grid of its own; partial sums are added in order, so
+the result is identical for every thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a chart that enumerates
@@ -61,6 +85,7 @@ from __future__ import annotations
 import itertools
 import os
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,15 +237,34 @@ def sym_product_counts(
 
 # block-level counting
 
+# the strategies a chart can be planned for; see the module docstring
+PLAN_KINDS = (
+    "empty", "no equations", "one variable", "root count",
+    "roots substituted", "full grid",
+)
+# a field with more bits than this is past any budget, so a chart that
+# enumerates over it is refused before q is computed
+_EXACT_BITS = 256
+
+
+class ChartPlan(NamedTuple):
+    """How one chart is counted: the strategy `kind`, the chart's reduced
+    equations (the solved one first) and variables, and the solved
+    variable, if any."""
+
+    kind: str
+    eqs: tuple = ()
+    nvars: int = 0
+    solve_var: int | None = None
+
 
 def _plan_block(block: Block, p: int, k: int) -> list:
-    """The charts of a block over F_(p^k), each a point count or a plan.
+    """The charts of a block over F_(p^k), each as a `ChartPlan`.
 
     An affine block is one chart with no fixed coordinates; a projective
     block has one chart per first nonzero coordinate, normalized to 1.
-    Planning needs p and q alone and builds no field.
+    Planning needs p and k alone and builds no field.
     """
-    q = p**k
     nvars = block.nvars
     charts = [{}]
     if block.kind == "projective":
@@ -230,7 +274,7 @@ def _plan_block(block: Block, p: int, k: int) -> list:
             [_specialize(eq, nvars, fixed, p) for eq in block.equations],
             nvars - len(fixed),
             p,
-            q,
+            k,
         )
         for fixed in charts
     ]
@@ -252,36 +296,75 @@ def _specialize(eq, nvars: int, fixed: dict, p: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _plan_chart(eqs: list, nvars: int, p: int, q: int):
-    """A chart's point count when nothing needs enumerating, else its plan.
+def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
+    """The one place that picks a chart's strategy and checks the budget
+    against what that strategy enumerates over F_(p^k).
 
-    The plan is (equations, nvars, solve variable or None); it is the one
-    place that picks the strategy and checks the budget against what that
-    strategy enumerates.
+    Every (equation, variable) pair that `_solvable_variables` admits is a
+    candidate, and so is the full grid; the one with the fewest tuples
+    wins, the full grid on a tie (see the module docstring for the costs).
     """
     eqs = [terms for terms in eqs if terms]  # identically zero: no constraint
     if any(set(terms) == {(0,) * nvars} for terms in eqs):
-        return 0  # a nonzero constant: the chart is empty
+        return ChartPlan("empty")  # a nonzero constant: no points
     if not eqs:
-        return q**nvars
-    solve_var = _solve_variable(eqs[0], nvars, p) if len(eqs) == 1 else None
-    if nvars == 1 and solve_var is not None:
-        return _one_variable_roots(eqs[0], p, q)
-    _check_budget(q ** (nvars if solve_var is None else nvars - 1))
-    return eqs, nvars, solve_var
+        return ChartPlan("no equations", nvars=nvars)
+    if len(eqs) == 1 and nvars == 1 and any(_solvable_variables(eqs[0], 1, p)):
+        return ChartPlan("one variable", tuple(eqs), 1, 0)
+    if k * p.bit_length() > _EXACT_BITS:  # every plan here enumerates >= q
+        raise BudgetExceeded(
+            f"at least {p}^{k} tuples to enumerate, budget is {BUDGET}"
+        )
+    q = p**k
+    tuples, kind, order, solve_var = q**nvars, "full grid", eqs, None
+    for i, terms in enumerate(eqs):
+        for s, top_degree in _solvable_variables(terms, nvars, p):
+            # s is enumerated where the top coefficient vanishes, at most
+            # top_degree q^(nvars-2) points (Schwartz-Zippel); the tables
+            # are q-sized
+            vanishing = top_degree if len(eqs) > 1 else 0
+            cost = max(q, q ** (nvars - 1) * (1 + vanishing))
+            if cost < tuples:
+                tuples, solve_var = cost, s
+                kind = "roots substituted" if len(eqs) > 1 else "root count"
+                order = [terms] + eqs[:i] + eqs[i + 1 :]
+    _check_budget(tuples)
+    return ChartPlan(kind, tuple(order), nvars, solve_var)
 
 
-def _one_variable_roots(terms: dict, p: int, q: int) -> int:
-    """Roots in F_q of a*s^2 + b*s + c over F_p, as `_solve_variable` admits
-    it: one if linear or in characteristic 2, else one, two or none as
-    b^2 - 4ac is 0, a nonzero square of F_q (Euler's criterion) or not."""
+def _solvable_variables(terms: dict, nvars: int, p: int):
+    """(s, d) for every variable s whose roots can be computed, with d the
+    total degree of its top coefficient in the other variables.
+
+    For a quadratic a*s^2 + b*s + c the roots are (-b +- sqrt(b^2 - 4ac))
+    / (2a) when a != 0 (characteristic not 2), and the linear root -c/b
+    otherwise; in characteristic 2 only a missing linear term (the one
+    root sqrt(c/a), Frobenius) or a linear equation can be solved this way.
+    """
+    for s in range(nvars):
+        degree = max(exps[s] for exps in terms)
+        if degree == 1 or (
+            degree == 2 and (p != 2 or all(exps[s] != 1 for exps in terms))
+        ):
+            top = (
+                sum(exps) - degree for exps in terms if exps[s] == degree
+            )
+            yield s, max(top)
+
+
+def _one_variable_roots(terms: dict, p: int, k: int) -> int:
+    """Roots in F_(p^k) of a*s^2 + b*s + c over F_p, as
+    `_solvable_variables` admits it: one if linear or in characteristic 2,
+    else one, two or none as b^2 - 4ac is 0, a nonzero square of F_(p^k)
+    or not.  An element of F_p is a square there when it is one in F_p
+    (Euler's criterion) or k is even."""
     a, b, c = (terms.get((e,), 0) for e in (2, 1, 0))
     if a == 0 or p == 2:
         return 1
     disc = (b * b - 4 * a * c) % p
     if disc == 0:
         return 1
-    return 2 if pow(disc, (q - 1) // 2, p) == 1 else 0
+    return 2 if k % 2 == 0 or pow(disc, (p - 1) // 2, p) == 1 else 0
 
 
 def _check_budget(tuples: int):
@@ -293,28 +376,31 @@ def _check_budget(tuples: int):
 
 def _count_block(plan: list, p: int, k: int, threads: int) -> int:
     """Points of a planned block; a chart that enumerates builds F_(p^k)."""
-    return sum(
-        chart
-        if isinstance(chart, int)
-        else _count_chart(*chart, make_field(p, k), threads)
-        for chart in plan
-    )
+    total = 0
+    for chart in plan:
+        if chart.kind == "no equations":
+            total += p ** (k * chart.nvars)
+        elif chart.kind == "one variable":
+            total += _one_variable_roots(chart.eqs[0], p, k)
+        elif chart.kind != "empty":
+            total += _count_chart(chart, make_field(p, k), threads)
+    return total
 
 
-def _count_chart(
-    eqs: list, nvars: int, solve_var, field: GF, threads: int
-) -> int:
+def _count_chart(plan: ChartPlan, field: GF, threads: int) -> int:
     """Common zeros of a planned chart, run in chunks of whole slabs.
 
     A slab is the q^(enumerated - 1) tuples that share the value of the
     leading enumerated variable, so every chunk is a grid of its own.
     """
-    enumerated = nvars if solve_var is None else nvars - 1
+    eqs, nvars, s = plan.eqs, plan.nvars, plan.solve_var
     domain = field.grid_domain()
-    if solve_var is None:
+    if s is None:
+        enumerated = nvars
         worker = partial(_grid_zeros, eqs, nvars, domain)
     else:
-        worker = _root_counter(eqs[0], nvars, solve_var, domain)
+        enumerated = nvars - 1
+        worker = _root_counter(eqs[0], nvars, s, domain, eqs[1:])
     slab = field.q ** (enumerated - 1)
     return _run_chunks(field.q**enumerated, threads, worker, slab)
 
@@ -386,48 +472,120 @@ def _grid_zeros(eqs, nvars: int, domain, lo: int, hi: int) -> int:
     return _grid_sum(good, hi - lo)
 
 
-def _solve_variable(terms: dict, nvars: int, p: int):
-    """A variable whose roots can be counted, or None when none qualifies.
-
-    For a quadratic a*s^2 + b*s + c the number of roots in s is the number
-    of square roots of b^2 - 4ac when a != 0 (characteristic not 2), and
-    the linear count otherwise; in characteristic 2 only a missing linear
-    term (one root, Frobenius) or a linear equation can be counted this way.
-    """
-    for j in range(nvars):
-        degree = max(exps[j] for exps in terms)
-        if degree == 1:
-            return j
-        if degree == 2 and (p != 2 or all(exps[j] != 1 for exps in terms)):
-            return j
-    return None
-
-
-def _root_counter(terms: dict, nvars: int, s: int, domain):
-    """Worker adding up root counts in variable s over the other variables."""
-    coeff_polys = [{}, {}, {}]  # by power of s, keyed without s
+def _by_power(terms: dict, s: int, degree: int) -> list:
+    """The coefficients of s^0 .. s^degree in `terms`, keyed without s."""
+    polys: list = [{} for _ in range(degree + 1)]
     for exps, coeff in terms.items():
-        coeff_polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
+        polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
+    return polys
+
+
+def _horner(coeffs: list, s, domain):
+    """sum_e coeffs[e] * s^e by Horner's rule; a None coefficient is 0, and
+    the top one is never None."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = domain.vec_mul(acc, s)
+        if c is not None:
+            acc = domain.vec_add(acc, c)
+    return acc
+
+
+def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
+    """Worker counting the points of a chart solved for variable s.
+
+    On the grid of the other variables the solved equation is
+    a*s^2 + b*s + c.  With no other equation the worker adds up its root
+    counts, q where it vanishes identically in s.  Otherwise it tests the
+    other equations at each of its roots (`_roots`) by Horner's rule in s
+    over their cofactor grids, and where a, b and c all vanish, at every
+    s (`_every_s`).
+    """
+    coeff_polys = _by_power(terms, s, 2)
+    other_polys = [
+        _by_power(eq, s, max(exps[s] for exps in eq)) for eq in others
+    ]
+    n = nvars - 1
     q, zero = domain.q, domain.zero
     quadratic = bool(coeff_polys[2])
     minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
         a, b, c = (
-            _grid_values(coeff_polys[e], domain, nvars - 1, lo, hi)
-            for e in (2, 1, 0)
+            _grid_values(coeff_polys[e], domain, n, lo, hi) for e in (2, 1, 0)
         )
-        linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
-        if not quadratic:
-            return _grid_sum(linear, hi - lo)
-        quad = 1  # s^2 = d has one root in characteristic 2
-        if domain.p != 2:
-            quad = domain.square_roots(
-                domain.vec_add(
-                    domain.vec_mul(b, b),
-                    domain.vec_mul(minus_four, domain.vec_mul(a, c)),
-                )
+        disc = None
+        if quadratic and domain.p != 2:
+            disc = domain.vec_add(
+                domain.vec_mul(b, b),
+                domain.vec_mul(minus_four, domain.vec_mul(a, c)),
             )
-        return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
+        if not others:
+            linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
+            if not quadratic:
+                return _grid_sum(linear, hi - lo)
+            # s^2 = d has one root in characteristic 2
+            quad = 1 if disc is None else domain.square_roots(disc)
+            return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
+        grids = [
+            [_grid_values(g, domain, n, lo, hi) if g else None for g in polys]
+            for polys in other_polys
+        ]
+        total = 0
+        for root, found in _roots(a, b, c, disc, quadratic, domain):
+            for coeffs in grids:
+                if not found.any():
+                    break
+                found = found & (_horner(coeffs, root, domain) == zero)
+            total += _grid_sum(found, hi - lo)
+        vanishing = (a == zero) & (b == zero) & (c == zero)
+        if vanishing.any():
+            shape = ((hi - lo) // q ** (n - 1),) + (q,) * (n - 1)
+            total += _every_s(vanishing, grids, domain, shape)
+        return total
 
     return worker
+
+
+def _roots(a, b, c, disc, quadratic: bool, domain):
+    """(root, where it is one) for each root in s of a*s^2 + b*s + c, one
+    root at a time; every root of every point comes once.  disc is
+    b^2 - 4ac for a quadratic in odd characteristic, else None.
+
+    Where a = 0 the root is -c/b, if b != 0.  Otherwise it is
+    (-b +- sqrt(disc)) / (2a), a double root once, or in characteristic 2,
+    where there is no linear term, the one root sqrt(c/a).
+    """
+    zero, minus_one = domain.zero, domain.from_int(-1)
+    flat = a == zero
+    if flat.any():
+        yield (
+            domain.vec_div(domain.vec_mul(minus_one, c), b),
+            flat & (b != zero),
+        )
+    if disc is not None:
+        root, square = domain.sqrt(disc)
+        minus_b = domain.vec_mul(minus_one, b)
+        two_a = domain.vec_mul(domain.from_int(2), a)
+        half = domain.vec_div(domain.from_int(1), two_a)  # 1 / (2a)
+        found = square & ~flat
+        for r in (root, domain.vec_mul(minus_one, root)):
+            yield domain.vec_mul(domain.vec_add(minus_b, r), half), found
+            found = found & (disc != zero)  # a double root once
+    elif quadratic:
+        yield domain.sqrt(domain.vec_div(c, a))[0], ~flat
+
+
+def _every_s(points, grids: list, domain, shape: tuple) -> int:
+    """Common zeros of the other equations at the grid points where
+    `points` holds, for every value of s."""
+    at = np.nonzero(np.broadcast_to(points, shape))
+    s = domain.axis_values(0, domain.q)
+    found = np.ones((len(at[0]), 1), dtype=bool)
+    for coeffs in grids:
+        values = [
+            None if g is None else np.broadcast_to(g, shape)[at][:, None]
+            for g in coeffs
+        ]
+        found = found & (_horner(values, s, domain) == domain.zero)
+    return _grid_sum(found, len(at[0]) * domain.q)

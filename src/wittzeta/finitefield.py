@@ -306,15 +306,39 @@ class GF(Ring):
         logs = self._log_tables()
         return logs.exp[logs.vec_pow(logs.log[a], n)]
 
+    def _squares(self) -> np.ndarray:
+        """squares[y] = y*y for every code y."""
+        grid = np.arange(self.q, dtype=np.int64)
+        return self.vec_mul(grid, grid)
+
     def square_counts(self) -> np.ndarray:
         """counts[d] = number of field elements y with y*y == d."""
-        grid = np.arange(self.q, dtype=np.int64)
-        return np.bincount(self.vec_mul(grid, grid), minlength=self.q)
+        return np.bincount(self._squares(), minlength=self.q)
 
     def square_roots(self, values):
         """How many y have y^2 equal to each of the codes `values`, read
         off a q-sized table."""
         return self.square_counts()[values]
+
+    def sqrt(self, values):
+        """(roots, squares): for each of the codes `values`, a y with y^2
+        equal to it where `squares` holds, read off a q-sized table built
+        from the same squares as `square_counts`."""
+        table = np.full(self.q, -1, dtype=np.int64)
+        table[self._squares()] = np.arange(self.q, dtype=np.int64)
+        roots = table[values]
+        return roots, roots >= 0
+
+    def vec_div(self, a, b):
+        """a / b on codes, and 0 where b is 0.  b^(2q-3) is 1/b for b != 0
+        and 0 at 0, also for q = 2; past q values of b, a q-sized table of
+        those powers costs less than powering b itself."""
+        b = np.asarray(b, dtype=np.int64)
+        n = 2 * self.q - 3
+        if b.size > self.q:
+            grid = np.arange(self.q, dtype=np.int64)
+            return self.vec_mul(a, self.vec_pow(grid, n)[b])
+        return self.vec_mul(a, self.vec_pow(b, n))
 
 
 class LogDomain:
@@ -374,6 +398,23 @@ class LogDomain:
         """How many y have y^2 equal to each value, for odd p: 1 at 0, and
         2 at the nonzero squares, which are the even powers of g."""
         return np.where(la < 0, 1, 2 - 2 * (la & 1))
+
+    def sqrt(self, la):
+        """(roots, squares): for each value, the log of a y with y^2 equal
+        to it where `squares` holds.  For odd p the squares are 0 and the
+        even logs e, with the roots g^(e/2) and g^(e/2 + (q-1)/2).  In
+        characteristic 2, q - 1 is odd, so every g^e is the square of
+        g^(e/2) or, for odd e, of g^((e + q - 1)/2)."""
+        if self.p == 2:
+            roots = (la + (la & 1) * (self.q - 1)) >> 1
+            return np.where(la < 0, -1, roots), np.ones(np.shape(la), bool)
+        return la >> 1, (la < 0) | ((la & 1) == 0)  # -1 >> 1 is -1
+
+    def vec_div(self, la, lb):
+        """Logs of the quotients a / b, a difference of logs, and 0 where a
+        or b is 0."""
+        out = _reduce_once(la - lb + (self.q - 1), self.q - 1)
+        return np.where((la | lb) < 0, -1, out)
 
 
 def _reduce_once(r, n: int):

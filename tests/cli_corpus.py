@@ -7,9 +7,10 @@ line per call: the digest, two spaces, and the argv as a shell quotes it.
 
 The corpus covers ``count points|census|sym``, ``zeta weil|kapranov``
 (with ``--rationalize``), ``check totaro|bundle|expo|gident|lambda-axioms``,
-``witt *`` and ``rat *``, on catalog varieties and random inline varieties
-over F_(p^k) for p = 2..13 and k = 1, 2, 3, in text and in ``--json``, plus
-usage and input errors and every subcommand's ``--help`` text.
+``witt *`` and ``rat *``, on catalog varieties, random inline varieties
+and varieties with two equations over F_(p^k) for p = 2..13 and
+k = 1, 2, 3, in text and in ``--json``, plus usage and input errors and
+every subcommand's ``--help`` text.
 
 Run from the repository root::
 

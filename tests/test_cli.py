@@ -291,6 +291,20 @@ def test_count_points(capsys):
     assert json.loads(out) == {"value": "27"}
 
 
+def test_count_points_refuses_a_huge_field_at_once(capsys):
+    # q = 5^99999999 is past the budget by its bit length alone, so the
+    # call is refused before q is computed
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "count", "points", "--variety", "e5", "--m", "99999999"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: at least 5^99999999 tuples to enumerate, budget is 10000000\n"
+    )
+
+
 def test_count_points_inline_json_variety(capsys):
     code, out, _ = run(
         capsys, "count", "points",

@@ -629,6 +629,24 @@ def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
     assert make_field(3, 4)._logs is not None
 
 
+# a quadric and a cubic in P^3, as the census-prime benchmark draws them
+P3_CURVE = projective_variety(
+    3,
+    (
+        "x^2 + y^2 + y*z + z^2 + w^2 + x*w",
+        "x^3 - y^3 - z^3 + 2*w^3 + 2*x*y*z - y*z*w + x*z^2",
+    ),
+)
+THREE_EQUATIONS = affine_variety(
+    3, ("x^2 + y*z - 1", "x*y + z^2 - 2", "x^3 + y^3 + z^3 - 3")
+)
+# solved for y: a = x, b = 2z, c = z^3.  Over F_7 the points include
+# linear roots (x = 0 != z), double roots (b^2 - 4ac = 0 != a) and the
+# point x = z = 0, where the first equation vanishes for every y
+DEGENERATE_PAIR = affine_variety(
+    3, ("x*y^2 + 2*y*z + z^3", "x^3 + y^3 + z^3 + x*y")
+)
+
 # every counting strategy against the brute-force counter; (variety, q)
 STRATEGY_CASES = {
     "closed form, affine": (affine_space(2), 4),
@@ -652,7 +670,7 @@ STRATEGY_CASES = {
     "char 2, no linear term": (affine_variety(2, ("x*y^2 + x^3 + 1",)), 8),
     "char 2, linear term": (affine_variety(2, ("y^2 + x*y + x^3 + 1",)), 16),
     "full grid, two equations": (
-        affine_variety(2, ("x^3 + y^3 - 1", "x*y - 1")), 49
+        affine_variety(2, ("x^3 + y^3 - 1", "x^3*y - y^3 - 1")), 49
     ),
     "full grid past _LOG_TRIGGER": (affine_variety(1, ("x^3 + x + 1",)), 3**8),
     "projective conic": (projective_variety(2, ("x^2 + y^2 + z^2",)), 9),
@@ -669,7 +687,7 @@ STRATEGY_CASES = {
         affine_variety(3, ("x*y^2 + z*x^3 + z^2 + 1",)), 16
     ),
     "full grid, two equations, log tables": (
-        affine_variety(2, ("x^3 + y^3 - 1", "x*y^2 - 2")), 81
+        affine_variety(2, ("x^3 + y^3 - 1", "x^3*y^3 - 2")), 81
     ),
     # one-variable charts: closed forms from the F_p coefficients
     "one variable, discriminant 0": (affine_variety(1, ("x^2 + 4*x + 4",)), 125),
@@ -681,6 +699,31 @@ STRATEGY_CASES = {
     ),
     "one variable, linear": (affine_variety(1, ("3*x + 2",)), 49),
     "one variable, char 2, no linear term": (affine_variety(1, ("x^2 + 1",)), 32),
+    # several equations: one is solved, the others are tested at its roots
+    "substituted, linear top coefficient": (
+        affine_variety(2, ("x^3 + y^3 - 1", "x*y - 1")), 49
+    ),
+    "substituted, quadratic top coefficient, log tables": (
+        affine_variety(2, ("x^3 + y^3 - 1", "x*y^2 - 2")), 81
+    ),
+    "substituted, quadric and cubic in P^3": (P3_CURVE, 7),
+    "substituted, quadric and cubic in P^3, log tables": (P3_CURVE, 9),
+    "substituted, three equations": (THREE_EQUATIONS, 11),
+    "substituted, three equations, log tables": (THREE_EQUATIONS, 9),
+    "substituted, linear, double and every root": (DEGENERATE_PAIR, 7),
+    "substituted, linear, double and every root, log tables": (
+        DEGENERATE_PAIR, 9
+    ),
+    "substituted, char 2, no linear term": (
+        affine_variety(3, ("y^2 + x*z + 1", "x^3 + y^3 + z^3 + x*y + 1")), 2
+    ),
+    "substituted, char 2, no linear term, every root, log tables": (
+        affine_variety(3, ("x*y^2 + z^3 + x + 1", "x^3 + y^3 + z^3 + y*z + 1")),
+        8,
+    ),
+    "full grid, two equations, char 2, linear term": (
+        affine_variety(2, ("y^2 + x*y + x^3 + 1", "x^3 + y^3 + x + 1")), 8
+    ),
 }
 
 
@@ -695,6 +738,61 @@ def test_strategies_match_brute_force(monkeypatch, case):
     for threads in (1, 2):
         monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, p, k, threads) == expected, threads
+
+
+def test_strategy_cases_cover_every_plan_kind(monkeypatch):
+    # a strategy the planner can return needs a brute-force case above
+    kinds = set()
+    real = counting._plan_chart
+
+    def spy(*args):
+        plan = real(*args)
+        kinds.add(plan.kind)
+        return plan
+
+    monkeypatch.setattr(counting, "_plan_chart", spy)
+    for v, q in STRATEGY_CASES.values():
+        monkeypatch.setattr(counting, "_count_cache", {})
+        count_points(v, 1, *field_params_from_q(q))
+    assert kinds == set(counting.PLAN_KINDS)
+
+
+def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
+    # solving the first equation of DEGENERATE_PAIR for y enumerates s
+    # where its top coefficient x vanishes, at most 1 * q of q^2 points: it
+    # is budgeted (1 + 1) q^2.  The P^3 curve's charts solve for a variable
+    # whose top coefficient is constant, q^(n-1) tuples, and its chart of
+    # one variable takes the full grid, q tuples
+    planned = []
+    real = counting._check_budget
+    monkeypatch.setattr(
+        counting, "_check_budget", lambda n: planned.append(n) or real(n)
+    )
+    monkeypatch.setattr(counting, "_count_cache", {})
+    count_points(DEGENERATE_PAIR, 1, 7)
+    count_points(P3_CURVE, 1, 7)
+    assert planned == [2 * 7**2, 7**2, 7, 7]
+
+
+def test_curve_in_p3_past_the_full_grid_budget_is_counted(monkeypatch):
+    # the chart x = 1 over F_223 has 223^3 > 10^7 tuples on the full grid,
+    # which used to be refused; solved for y it enumerates 223^2
+    monkeypatch.setattr(counting, "_count_cache", {})
+    got = count_points(P3_CURVE, 1, 223)
+    monkeypatch.setattr(counting, "_solvable_variables", lambda *args: iter(()))
+    monkeypatch.setattr(counting, "_count_cache", {})
+    with pytest.raises(BudgetExceeded, match=f"^{223**3} tuples to enumerate"):
+        count_points(P3_CURVE, 1, 223)
+    monkeypatch.setattr(counting, "BUDGET", 223**3)
+    assert count_points(P3_CURVE, 1, 223) == got
+
+
+def test_budget_refuses_a_huge_field_before_computing_its_size():
+    start = time.perf_counter()
+    message = "^at least 5\\^99999999 tuples to enumerate, budget is 10000000$"
+    with pytest.raises(BudgetExceeded, match=message):
+        count_points(elliptic_f5(), 99999999)
+    assert time.perf_counter() - start < 1.0
 
 
 # the broadcast grid evaluator against point-by-point reference arithmetic

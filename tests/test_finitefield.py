@@ -367,6 +367,34 @@ def test_square_roots_read_the_square_counts():
         assert np.array_equal(got, F.square_counts())
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (13, 1), (2, 3), (3, 2), (5, 2)])
+def test_grid_domain_roots_and_quotients_match_digit_arithmetic(p, k):
+    # every value of the grid domain against every other, with the big
+    # divisor array past q that takes the table of inverses
+    F = make_field(p, k)
+    ref = RefField(p, F.modulus)
+    domain = F.grid_domain()
+    values = domain.axis_values(0, F.q)  # 0 first, then every nonzero
+    codes = values if k == 1 else domain.exp[values]
+    squares = {ref.mul(y, y) for y in range(F.q)}
+    roots, is_square = domain.sqrt(values)
+    root_codes = roots if k == 1 else domain.exp[roots]
+    for x, r, square in zip(codes.tolist(), root_codes.tolist(), is_square):
+        assert square == (x in squares), x
+        if square:
+            assert ref.mul(r, r) == x, x
+    a, b = np.meshgrid(values, values, indexing="ij")
+    got = domain.vec_div(a, b)
+    got = got if k == 1 else domain.exp[got]
+    for x, row in zip(codes.tolist(), got.tolist()):
+        for y, quotient in zip(codes.tolist(), row):
+            assert ref.mul(quotient, y) == (x if y else 0), (x, y)
+            assert y or quotient == 0
+    # a divisor of at most q values is powered directly
+    small = domain.vec_div(values[:, None], values[-1:])
+    assert np.array_equal(small, domain.vec_div(a, b)[:, -1:])
+
+
 @pytest.mark.parametrize("p,k", [(3, 8), (2, 13), (5, 4)])
 def test_square_counts_match_digit_squares(p, k):
     F = make_field(p, k)
