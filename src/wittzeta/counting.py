@@ -17,15 +17,16 @@ strategy, returns its `ChartPlan`, of one of the kinds in `PLAN_KINDS`:
   k is even;
 * "root count": one equation a*s^2 + b*s + c with a variable s of degree
   at most 2 (in characteristic 2, only without a linear term): enumerate
-  the other n - 1 variables and add up the root counts, square roots
-  counted by the grid domain's `square_roots`, q where it vanishes
-  identically in s;
+  the other n - 1 variables and add up the root counts, 2 where the
+  grid domain's `sqrt` finds b^2 - 4ac a nonzero square and 1 where it is
+  0, q where the equation vanishes identically in s;
 * "roots substituted": the same with other equations left.  The roots
   are computed, s = (-b +- sqrt(b^2 - 4ac)) / (2a) by the grid domain's
-  `sqrt` and `vec_div`, -c/b where a = 0 and sqrt(c/a) in characteristic
-  2, and each other equation is evaluated at them by Horner's rule in s
-  over its cofactor grids.  Where the solved equation vanishes
-  identically in s, s is enumerated at those points alone;
+  `sqrt`, -c/b where a = 0 and sqrt(c/a) in characteristic 2, a quotient
+  x / y being x y^(2q-3) by `vec_pow`, and each other equation is
+  evaluated at them by Horner's rule in s over its cofactor grids.  Where
+  the solved equation vanishes identically in s, s is enumerated at those
+  points alone;
 * "full grid": enumerate all q^n tuples and test every equation.
 
 The planner takes the strategy that enumerates the fewest tuples, the
@@ -45,7 +46,7 @@ any field is built, any closed form computed or anything enumerated; q
 itself is computed only after a bit-length check, so a chart over a field
 of more than 256 bits is refused at once.  Every chart that enumerates has
 at least q tuples, so the budget also bounds the field-sized tables: the
-log tables of an extension field and the square-root and inverse tables
+log tables of an extension field and the tables of squares and of powers
 of a prime field.
 
 Every strategy that enumerates evaluates polynomials on the grid by
@@ -60,13 +61,13 @@ the arithmetic (`GF.grid_domain`).  Over an extension field every grid
 value is a discrete log to the field's generator g, with -1 for 0: each
 axis enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so x^e along an axis is
 the log times e mod q - 1, a product adds logs, a sum is one Zech gather,
-a quotient subtracts logs, and a square root halves an even log.  Prime
-fields keep codes, each axis in code order.  Either order is a bijection
-of the positions onto F_q, so a count, a sum over the grid, does not
-depend on it.  An optional thread count, capped at the CPU count, splits
-the grid into contiguous ranges of whole slabs of the leading variable,
-so every chunk is a grid of its own; partial sums are added in order, so
-the result is identical for every thread count.
+and a square root halves an even log.  Prime fields keep codes, each axis
+in code order.  Either order is a bijection of the positions onto F_q, so
+a count, a sum over the grid, does not depend on it.  An optional thread
+count, capped at the CPU count, splits the grid into contiguous ranges of
+whole slabs of the leading variable, so every chunk is a grid of its own;
+partial sums are added in order, so the result is identical for every
+thread count.
 
 Degree-m counts use the extension field F_(p^(k*m)) built with the same
 deterministic modulus scan as the base field; only a chart that enumerates
@@ -524,8 +525,9 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
             linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
             if not quadratic:
                 return _grid_sum(linear, hi - lo)
-            # s^2 = d has one root in characteristic 2
-            quad = 1 if disc is None else domain.square_roots(disc)
+            quad = 1  # s^2 = d has one root in characteristic 2
+            if disc is not None:
+                quad = 2 * domain.sqrt(disc)[1] + (disc == zero)
             return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
         grids = [
             [_grid_values(g, domain, n, lo, hi) if g else None for g in polys]
@@ -554,26 +556,30 @@ def _roots(a, b, c, disc, quadratic: bool, domain):
 
     Where a = 0 the root is -c/b, if b != 0.  Otherwise it is
     (-b +- sqrt(disc)) / (2a), a double root once, or in characteristic 2,
-    where there is no linear term, the one root sqrt(c/a).
+    where there is no linear term, the one root sqrt(c/a).  A quotient
+    x / y is x times y^(2q-3), which is 1/y for y != 0 and 0 at 0, also
+    for q = 2.
     """
     zero, minus_one = domain.zero, domain.from_int(-1)
+    exponent = 2 * domain.q - 3
     flat = a == zero
     if flat.any():
+        minus_c = domain.vec_mul(minus_one, c)
         yield (
-            domain.vec_div(domain.vec_mul(minus_one, c), b),
+            domain.vec_mul(minus_c, domain.vec_pow(b, exponent)),
             flat & (b != zero),
         )
     if disc is not None:
         root, square = domain.sqrt(disc)
         minus_b = domain.vec_mul(minus_one, b)
-        two_a = domain.vec_mul(domain.from_int(2), a)
-        half = domain.vec_div(domain.from_int(1), two_a)  # 1 / (2a)
-        found = square & ~flat
+        half = domain.vec_pow(domain.vec_mul(domain.from_int(2), a), exponent)
+        found = (square | (disc == zero)) & ~flat  # a double root once
         for r in (root, domain.vec_mul(minus_one, root)):
             yield domain.vec_mul(domain.vec_add(minus_b, r), half), found
-            found = found & (disc != zero)  # a double root once
+            found = square & ~flat
     elif quadratic:
-        yield domain.sqrt(domain.vec_div(c, a))[0], ~flat
+        c_over_a = domain.vec_mul(c, domain.vec_pow(a, exponent))
+        yield domain.sqrt(c_over_a)[0], ~flat
 
 
 def _every_s(points, grids: list, domain, shape: tuple) -> int:

@@ -34,10 +34,12 @@ previous one times the matrix of g^B.
 evaluated in: the field itself, on codes, when k = 1, and its `LogDomain`
 otherwise, where every value is a discrete log (0 being -1).  The two
 differ in the order in which a grid axis enumerates F_q (`axis_values`):
-code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  Both answer
-`square_roots`: on codes from the q-sized table `square_counts`, and on
-logs from parity, a nonzero value being a square exactly when its log is
-even (odd p).
+code order, or 0, g^0, g^1, ..., g^(q-2) on logs.  Both answer the same
+six operations, `from_int`, `axis_values`, `vec_add`, `vec_mul`, `vec_pow`
+and `sqrt`, and a quotient is a power: b^(2q-3) is 1/b for b != 0 and 0
+at 0.  `sqrt` reads squares off a q-sized table on codes, and off parity
+on logs, a nonzero value being a square exactly when its log is even (odd
+p).
 """
 
 from __future__ import annotations
@@ -299,12 +301,16 @@ class GF(Ring):
         a = np.asarray(a, dtype=np.int64)
         if n == 0:
             return np.ones_like(a)
-        if self.k == 1 or n < 0:
-            # binary_power raises for n < 0; for n == 1 it returns `a`
-            # itself, and no caller writes into a vec_pow result
-            return binary_power(self.vec_mul, None, a, n)
-        logs = self._log_tables()
-        return logs.exp[logs.vec_pow(logs.log[a], n)]
+        if self.k > 1 and n > 0:
+            logs = self._log_tables()
+            return logs.exp[logs.vec_pow(logs.log[a], n)]
+        if a.size > self.q:
+            # past q values, a q-sized table of powers costs less than
+            # powering `a` itself
+            return self.vec_pow(np.arange(self.q, dtype=np.int64), n)[a]
+        # binary_power raises for n < 0; for n == 1 it returns `a` itself,
+        # and no caller writes into a vec_pow result
+        return binary_power(self.vec_mul, None, a, n)
 
     def _squares(self) -> np.ndarray:
         """squares[y] = y*y for every code y."""
@@ -315,30 +321,14 @@ class GF(Ring):
         """counts[d] = number of field elements y with y*y == d."""
         return np.bincount(self._squares(), minlength=self.q)
 
-    def square_roots(self, values):
-        """How many y have y^2 equal to each of the codes `values`, read
-        off a q-sized table."""
-        return self.square_counts()[values]
-
     def sqrt(self, values):
         """(roots, squares): for each of the codes `values`, a y with y^2
-        equal to it where `squares` holds, read off a q-sized table built
-        from the same squares as `square_counts`."""
+        equal to it, read off a q-sized table of the squares; `squares`
+        marks the nonzero squares, and the root of 0 is 0."""
         table = np.full(self.q, -1, dtype=np.int64)
         table[self._squares()] = np.arange(self.q, dtype=np.int64)
         roots = table[values]
-        return roots, roots >= 0
-
-    def vec_div(self, a, b):
-        """a / b on codes, and 0 where b is 0.  b^(2q-3) is 1/b for b != 0
-        and 0 at 0, also for q = 2; past q values of b, a q-sized table of
-        those powers costs less than powering b itself."""
-        b = np.asarray(b, dtype=np.int64)
-        n = 2 * self.q - 3
-        if b.size > self.q:
-            grid = np.arange(self.q, dtype=np.int64)
-            return self.vec_mul(a, self.vec_pow(grid, n)[b])
-        return self.vec_mul(a, self.vec_pow(b, n))
+        return roots, roots > 0
 
 
 class LogDomain:
@@ -394,27 +384,17 @@ class LogDomain:
         out -= out // n * n  # floor division by a scalar is the fast one
         return np.where(la < 0, -1, out)
 
-    def square_roots(self, la):
-        """How many y have y^2 equal to each value, for odd p: 1 at 0, and
-        2 at the nonzero squares, which are the even powers of g."""
-        return np.where(la < 0, 1, 2 - 2 * (la & 1))
-
     def sqrt(self, la):
         """(roots, squares): for each value, the log of a y with y^2 equal
-        to it where `squares` holds.  For odd p the squares are 0 and the
-        even logs e, with the roots g^(e/2) and g^(e/2 + (q-1)/2).  In
-        characteristic 2, q - 1 is odd, so every g^e is the square of
-        g^(e/2) or, for odd e, of g^((e + q - 1)/2)."""
+        to it; `squares` marks the nonzero squares, and the root of 0 is 0.
+        For odd p the nonzero squares are the even logs e, with the roots
+        g^(e/2) and g^(e/2 + (q-1)/2).  In characteristic 2, q - 1 is odd,
+        so every g^e is the square of g^(e/2) or, for odd e, of
+        g^((e + q - 1)/2)."""
         if self.p == 2:
             roots = (la + (la & 1) * (self.q - 1)) >> 1
-            return np.where(la < 0, -1, roots), np.ones(np.shape(la), bool)
-        return la >> 1, (la < 0) | ((la & 1) == 0)  # -1 >> 1 is -1
-
-    def vec_div(self, la, lb):
-        """Logs of the quotients a / b, a difference of logs, and 0 where a
-        or b is 0."""
-        out = _reduce_once(la - lb + (self.q - 1), self.q - 1)
-        return np.where((la | lb) < 0, -1, out)
+            return np.where(la < 0, -1, roots), la >= 0
+        return la >> 1, (la & 1) == 0  # -1 is odd, and -1 >> 1 is -1
 
 
 def _reduce_once(r, n: int):

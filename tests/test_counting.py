@@ -500,7 +500,7 @@ def test_budget_applies_to_the_solved_variable_path():
 def test_budget_refuses_a_quadric_before_its_square_root_table(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        GF, "square_counts", lambda self: calls.append(self.q)
+        GF, "sqrt", lambda self, values: calls.append(self.q)
     )
     monkeypatch.setattr(counting, "_count_cache", {})
     eq = "+".join(f"{v}^2" for v in affine_space(10).blocks[0].variables)

@@ -351,48 +351,70 @@ def test_square_counts():
         assert set(make_field(2, k).square_counts().tolist()) == {1}
 
 
-def test_square_roots_read_the_square_counts():
-    for p in (2, 3, 5, 7, 13, 101):
-        F = make_field(p, 1)
-        codes = np.arange(p, dtype=np.int64)
-        assert np.array_equal(F.square_roots(codes), F.square_counts())
-        grid = F.vec_mul(codes[:, None], codes[None, :])
-        assert np.array_equal(F.square_roots(grid), F.square_counts()[grid])
-    # an extension field's LogDomain answers the same counts on logs
-    for p, k in ((3, 2), (5, 3), (7, 2)):
-        F = make_field(p, k)
-        logs = F.grid_domain()
-        codes = np.arange(F.q, dtype=np.int64)
-        got = logs.square_roots(logs.log[codes])
-        assert np.array_equal(got, F.square_counts())
+GRID_OPERATIONS = (
+    "from_int", "axis_values", "vec_add", "vec_mul", "vec_pow", "sqrt",
+)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2)])
+def test_grid_domains_answer_six_operations(p, k):
+    # a prime field on codes and an extension field on logs; a quotient is
+    # a power and a root count reads `sqrt`, so neither has its own
+    for domain in (make_field(p, 1), make_field(p, k).grid_domain()):
+        for name in GRID_OPERATIONS:
+            assert callable(getattr(domain, name, None)), name
+        for name in ("square_roots", "vec_div"):
+            assert not hasattr(type(domain), name), name
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (3, 1), (5, 1), (13, 1), (101, 1), (2, 3), (3, 2), (5, 3)]
+)
+def test_sqrt_root_counts_read_the_square_counts(p, k):
+    # the nonzero-square mask on every element against reference squares,
+    # and 2 * mask + (d == 0), the root count of the counting kernel for
+    # odd p, against square_counts; in characteristic 2 every nonzero
+    # element is a square
+    F = make_field(p, k)
+    ref = RefField(p, F.modulus)
+    domain = F.grid_domain()
+    values = domain.axis_values(0, F.q)
+    codes = values if k == 1 else domain.exp[values]
+    nonzero_squares = {ref.mul(y, y) for y in range(1, F.q)}
+    mask = domain.sqrt(values)[1]
+    assert mask.tolist() == [x in nonzero_squares for x in codes.tolist()]
+    assert not mask[codes == 0].any()
+    if p != 2:
+        counts = 2 * mask + (values == domain.zero)
+        assert np.array_equal(counts, F.square_counts()[codes])
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (13, 1), (2, 3), (3, 2), (5, 2)])
 def test_grid_domain_roots_and_quotients_match_digit_arithmetic(p, k):
-    # every value of the grid domain against every other, with the big
-    # divisor array past q that takes the table of inverses
+    # every value of the grid domain against every other: a root wherever
+    # sqrt finds one or the value is 0, and the quotient a * b^(2q-3) with
+    # a divisor array past q, which takes the table of powers on codes
     F = make_field(p, k)
     ref = RefField(p, F.modulus)
     domain = F.grid_domain()
     values = domain.axis_values(0, F.q)  # 0 first, then every nonzero
     codes = values if k == 1 else domain.exp[values]
-    squares = {ref.mul(y, y) for y in range(F.q)}
     roots, is_square = domain.sqrt(values)
     root_codes = roots if k == 1 else domain.exp[roots]
     for x, r, square in zip(codes.tolist(), root_codes.tolist(), is_square):
-        assert square == (x in squares), x
-        if square:
+        if square or x == 0:
             assert ref.mul(r, r) == x, x
+    n = 2 * F.q - 3
     a, b = np.meshgrid(values, values, indexing="ij")
-    got = domain.vec_div(a, b)
-    got = got if k == 1 else domain.exp[got]
+    quotients = domain.vec_mul(a, domain.vec_pow(b, n))
+    got = quotients if k == 1 else domain.exp[quotients]
     for x, row in zip(codes.tolist(), got.tolist()):
         for y, quotient in zip(codes.tolist(), row):
             assert ref.mul(quotient, y) == (x if y else 0), (x, y)
             assert y or quotient == 0
     # a divisor of at most q values is powered directly
-    small = domain.vec_div(values[:, None], values[-1:])
-    assert np.array_equal(small, domain.vec_div(a, b)[:, -1:])
+    small = domain.vec_mul(values[:, None], domain.vec_pow(values[-1:], n))
+    assert np.array_equal(small, quotients[:, -1:])
 
 
 @pytest.mark.parametrize("p,k", [(3, 8), (2, 13), (5, 4)])
@@ -588,7 +610,8 @@ def test_log_kernels_match_reference_arithmetic(p, k):
         # Euler's criterion: d^((q-1)/2) is 1 exactly on the nonzero squares
         euler = [ref_power(ref, int(x), n // 2) for x in a]
         want = [1 if x == 0 else 2 if e == 1 else 0 for x, e in zip(a, euler)]
-        assert logs.square_roots(la).tolist() == want
+        got = 2 * logs.sqrt(la)[1] + (la == logs.zero)
+        assert got.tolist() == want
 
 
 # sha256 of each field's exp table as little-endian int64, q entries with
