@@ -159,11 +159,6 @@ def _measure_and_classes(args):
     return (measure, *classes)
 
 
-def _check_flag(flag: str, n: int, least: int) -> None:
-    if n < least:
-        raise ValueError(f"--{flag} must be at least {least}, got {n}")
-
-
 def _emit(args, text: str, data: dict) -> None:
     if args.json:
         print(json.dumps(data))
@@ -238,7 +233,6 @@ def _cmd_rat_rationalize(args) -> int:
         raise ValueError(
             f"--coeffs must be comma-separated integers, got {args.coeffs!r}"
         ) from None
-    _check_flag("dmax", args.dmax, 0)
     return _emit_rationalized(args, TruncSeries.make(ZZ, coeffs, len(coeffs) - 1))
 
 
@@ -246,8 +240,6 @@ def _cmd_rat_rationalize(args) -> int:
 
 
 def _cmd_zeta(args, measure, x) -> int:
-    if args.rationalize:
-        _check_flag("dmax", args.dmax, 0)
     zeta = kapranov_zeta(measure, x, args.prec)
     if args.rationalize:
         return _emit_rationalized(args, zeta.series)
@@ -314,7 +306,6 @@ def _cmd_check_lambda_axioms(args) -> int:
 
 
 def _cmd_count_points(args, measure, variety) -> int:
-    _check_flag("m", args.m, 1)
     value = count_points(
         variety, args.m, measure.p, measure.k, measure.threads
     )
@@ -324,7 +315,6 @@ def _cmd_count_points(args, measure, variety) -> int:
 
 def _cmd_count_series(args, measure, variety) -> int:
     """count census (degrees 1..D) and count sym (Sym^0..Sym^D)."""
-    _check_flag("degree", args.degree, 0)
     counter = (
         closed_point_census if args.action == "census" else sym_product_counts
     )
@@ -584,10 +574,18 @@ def main(argv=None) -> int:
     with _integers_of_any_size():
         args = _parser().parse_args(argv)
         try:
-            bounds = {"threads": 1, "prec": 1, "n": 0, "trials": 1}
+            bounds = {
+                "threads": 1, "prec": 1, "n": 0, "trials": 1, "m": 1,
+                "degree": 0, "dmax": 0,
+            }
             for flag, least in bounds.items():
-                if hasattr(args, flag):
-                    _check_flag(flag, getattr(args, flag), least)
+                n = getattr(args, flag, least)
+                # zeta reads --dmax only with --rationalize
+                read = flag != "dmax" or getattr(args, "rationalize", True)
+                if n < least and read:
+                    raise ValueError(
+                        f"--{flag} must be at least {least}, got {n}"
+                    )
             if hasattr(args, "classes"):
                 return args.func(args, *_measure_and_classes(args))
             return args.func(args)
