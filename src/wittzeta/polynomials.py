@@ -55,9 +55,6 @@ class Poly1Ring(Ring):
             return ()
         return (self.base.zero,) * degree + (c,)
 
-    def degree(self, a) -> int:
-        return len(a) - 1
-
     def add(self, a, b):
         n = max(len(a), len(b))
         z = self.base.zero

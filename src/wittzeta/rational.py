@@ -122,10 +122,6 @@ def rat_neg(f: RatWitt) -> RatWitt:
     return rat_make(f.ring, f.den, f.num)
 
 
-def rat_sub(f: RatWitt, g: RatWitt) -> RatWitt:
-    return rat_add(f, rat_neg(g))
-
-
 def rat_mul(f: RatWitt, g: RatWitt) -> RatWitt:
     ring = f.ring
     rt = Poly1Ring(ring, "t")

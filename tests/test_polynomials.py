@@ -15,9 +15,6 @@ Qt = Poly1Ring(QQ, "t")
 def test_construction_strips_trailing_zeros():
     assert Zt.trim((1, 2, 0, 0)) == (1, 2)
     assert Zt.trim((0, 0)) == Zt.zero
-    assert Zt.degree(Zt.zero) == -1
-    assert Zt.degree((5,)) == 0
-    assert Zt.degree((0, 0, 3)) == 2
 
 
 def test_arithmetic():
@@ -68,7 +65,7 @@ def test_divmod_reconstructs_the_dividend():
                 continue
             quo, rem = ring.divmod(a, b)
             assert ring.add(ring.mul(quo, b), rem) == a
-            assert ring.degree(rem) < ring.degree(b)
+            assert len(rem) < len(b)
             if not rem:
                 assert ring.exact_div(a, b) == quo
 

@@ -25,6 +25,37 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(function) -> set:
+    """The names a function binds itself, as parameters or assignment
+    targets; functions nested in it bind their own."""
+    names = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _reads(node, read: set, local=frozenset()) -> set:
+    """Every attribute name under node, and every bare name that the
+    function it appears in does not bind: a local hides no other name."""
+    if isinstance(node, FUNCTIONS):
+        local = _bound(node)
+    if isinstance(node, ast.Name) and node.id not in local:
+        read.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        read.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _reads(child, read, local)
+    return read
+
+
 def test_every_function_is_read_somewhere():
     # a function or method whose name no code in src/ reads, that the
     # package does not export and perfbench/ does not name, has no caller;
@@ -33,13 +64,11 @@ def test_every_function_is_read_somewhere():
 
     defined, read = {}, set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        _reads(tree, read)
     bench = "\n".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
     uncalled = [
         f"{where} {name}"
