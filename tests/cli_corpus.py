@@ -75,10 +75,10 @@ GRID_SURFACE = json.dumps(
 GRID_LIMIT = 300_000
 
 
-def _depth(q: int, nvars: int, most: int) -> int:
+def _depth(q: int, nvars: int, most: int, limit: int = GRID_LIMIT) -> int:
     """Largest d <= most with q^(d*nvars) within the grid limit, at least 1."""
     d = 1
-    while d < most and q ** ((d + 1) * max(nvars, 1)) <= GRID_LIMIT:
+    while d < most and q ** ((d + 1) * max(nvars, 1)) <= limit:
         d += 1
     return d
 
