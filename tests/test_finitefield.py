@@ -368,7 +368,8 @@ def test_grid_domains_answer_six_operations(p, k):
 
 
 @pytest.mark.parametrize(
-    "p,k", [(2, 1), (3, 1), (5, 1), (13, 1), (101, 1), (2, 3), (3, 2), (5, 3)]
+    "p,k",
+    [(2, 1), (3, 1), (5, 1), (13, 1), (101, 1), (2, 3), (3, 2), (5, 2), (5, 3)],
 )
 def test_sqrt_root_counts_read_the_square_counts(p, k):
     # the nonzero-square mask on every element against reference squares,
