@@ -642,9 +642,12 @@ def test_threads_and_degree_usage_errors(capsys, argv, message):
          "--n must be at least 0, got -1"),
         (("check", "bundle", "--variety", "a1", "--q", "3", "--n", "-1"),
          "--n must be at least 0, got -1"),
-        # checked before any class is resolved or value read
+        # checked before any class is resolved
         (("check", "totaro", "--variety", "nosuch", "--n", "-1"),
          "--n must be at least 0, got -1"),
+        (("witt", "mul", "--a", "1-t", "--b", "1+t", "--prec", "-2"),
+         "--prec must be at least 1, got -2"),
+        # --m, --degree and --dmax too, before a bad variety or --coeffs
         (("count", "points", "--variety", "nosuch", "--m", "0"),
          "--m must be at least 1, got 0"),
         (("count", "sym", "--variety", "{", "--degree", "-1"),
@@ -654,8 +657,6 @@ def test_threads_and_degree_usage_errors(capsys, argv, message):
          "--dmax must be at least 0, got -1"),
         (("rat", "rationalize", "--coeffs", "1,2,x", "--dmax", "-1"),
          "--dmax must be at least 0, got -1"),
-        (("witt", "mul", "--a", "1-t", "--b", "1+t", "--prec", "-2"),
-         "--prec must be at least 1, got -2"),
     ],
 )
 def test_bounded_integer_flags_name_themselves(capsys, argv, message):
