@@ -400,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wittzeta",
         description="Big Witt ring arithmetic, zeta series of motivic "
         "measures, and exact identity checks.",
+        epilog="A value that starts with a minus sign is read as a flag; "
+        "give it with an equals sign: --b=-t+1.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
 

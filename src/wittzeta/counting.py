@@ -105,6 +105,7 @@ from .witt import from_ghost
 
 _CHUNK_MIN = 1 << 15  # grids below this size are never split across threads
 
+# never written; read only by perfbench/run.py (len, clear) and tracing.py
 _count_cache: dict = {}
 
 
@@ -170,17 +171,12 @@ def count_points(
     """
     p, k = resolve_field(v, p, k)
     check_field_params(p, k * m)
-    key = (v.blocks, p, k, m)
-    cached = _count_cache.get(key)
-    if cached is not None:
-        return cached
     plans = [_plan_block(block, p, k * m) for block in v.blocks]
     total = 1
     for plan in plans:
         total *= _count_block(plan, p, k * m, threads)
         if total == 0:
             break
-    _count_cache[key] = total
     return total
 
 

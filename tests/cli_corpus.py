@@ -22,7 +22,9 @@ With ``--threads 2`` every call whose command reads ``--threads`` (and
 does not set it already) gets ``--threads 2`` appended, and
 ``counting._CHUNK_MIN`` is patched to 1 so that every grid splits; the
 digests must not change.  Each call that does not match is printed with
-both digests and its new exit code, stdout and stderr.
+both digests and its new exit code, stdout and stderr, and the last line
+says how many of the grids counted were split across threads (none on a
+host with one CPU).
 ``tests/test_cli_corpus.py`` runs every call at both thread counts.
 Argparse's usage errors are part of the pinned output, so the digests hold
 for the Python version they were written with (3.11).
@@ -566,6 +568,33 @@ def corpus_env(threads: int = 1):
             os.environ["COLUMNS"] = columns
 
 
+@contextlib.contextmanager
+def grid_splits():
+    """For every ``counting._run_chunks`` call made inside, its ``threads``
+    argument and the number of ranges its worker ran on; a grid split
+    across threads ran on more than one."""
+    from wittzeta import counting
+
+    real, calls = counting._run_chunks, []
+
+    def spy(total, threads, worker, unit=1):
+        ranges = []
+
+        def counted(lo, hi):
+            ranges.append(lo)
+            return worker(lo, hi)
+
+        result = real(total, threads, counted, unit)
+        calls.append((threads, len(ranges)))
+        return result
+
+    counting._run_chunks = spy
+    try:
+        yield calls
+    finally:
+        counting._run_chunks = real
+
+
 def line(argv, sha: str) -> str:
     return f"{sha}  {shlex.join(argv)}"
 
@@ -610,11 +639,13 @@ def main(argv=None) -> int:
         DIGESTS.write_text(text)
         print(f"wrote {len(calls)} digests to {DIGESTS.name}")
         return 0
-    bad = mismatches(range(len(calls)), args.threads)
+    with grid_splits() as grids:
+        bad = mismatches(range(len(calls)), args.threads)
     for entry in bad:
         print(entry)
+    split = sum(ranges > 1 for _, ranges in grids)
     print(f"{len(calls)} calls, threads {args.threads}: "
-          f"{len(bad)} mismatches")
+          f"{len(bad)} mismatches, {split} of {len(grids)} grids split")
     return 1 if bad else 0
 
 

@@ -720,6 +720,25 @@ def test_argparse_usage_error_exits_two():
     assert info.value.code == 2
 
 
+def test_a_value_with_a_leading_minus_is_given_with_an_equals_sign(capsys):
+    # argparse reads "-t+1" after a space as a flag, and the top-level help
+    # names the "=" form, which passes it as the value
+    with pytest.raises(SystemExit) as info:
+        cli.main(["witt", "add", "--a", "1-t", "--b", "-t+1", "--prec", "3"])
+    assert info.value.code == 2
+    assert "argument --b: expected one argument" in capsys.readouterr().err
+    code, out, _ = run(
+        capsys, "witt", "add", "--a", "1-t", "--b=-t+1", "--prec", "3"
+    )
+    assert code == 0
+    assert out == "1 - 2*t + t^2 + O(t^4)\n"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "give it with an equals sign: --b=-t+1." in help_text
+
+
 def test_module_entry_point_subprocess():
     # the child imports the package this test imported, however pytest found it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

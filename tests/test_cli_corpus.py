@@ -6,6 +6,7 @@ The same runs, with a report of each mismatch, are
 """
 
 import cli_corpus
+from wittzeta import counting
 
 
 def test_corpus_digests_are_one_per_call():
@@ -19,6 +20,13 @@ def test_corpus_slice_matches_its_digests():
     assert cli_corpus.mismatches(range(len(calls))) == []
 
 
-def test_corpus_slice_matches_with_two_threads_on_every_grid():
+def test_corpus_slice_matches_with_two_threads_on_every_grid(monkeypatch):
+    # two CPUs whatever the host, so that every grid counted reaches the
+    # thread pool: it is given threads 2 and its worker runs on two ranges,
+    # since corpus_env lowers counting._CHUNK_MIN to 1
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     calls = cli_corpus.corpus()
-    assert cli_corpus.mismatches(range(len(calls)), threads=2) == []
+    with cli_corpus.grid_splits() as grids:
+        assert cli_corpus.mismatches(range(len(calls)), threads=2) == []
+    assert grids, "the two-thread pass counted no grid"
+    assert set(grids) == {(2, 2)}

@@ -408,7 +408,6 @@ def test_closed_forms_build_no_field(monkeypatch):
         raise AssertionError(f"F_({p}^{k}) built for a closed form")
 
     monkeypatch.setattr(counting, "make_field", refuse)
-    monkeypatch.setattr(counting, "_count_cache", {})
     product = variety_product(
         variety_product(projective_space(2), affine_space(2)), point()
     )
@@ -434,7 +433,6 @@ def test_equationless_blocks_count_as_closed_forms(monkeypatch, q):
     monkeypatch.setattr(
         counting, "make_field", lambda p, k: built.append((p, k)) or real(p, k)
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     p, k = field_params_from_q(q)
     curve = affine_variety(2, ("x^3*y+y^3+x+1",))  # a full-grid chart
     curve_count = count_points(curve, 1, p, k)
@@ -453,7 +451,6 @@ def test_equationless_blocks_count_as_closed_forms(monkeypatch, q):
 
 
 def test_field_checks_hold_for_closed_forms():
-    count_points(affine_space(1), 1, 5)  # a cached count must not mask them
     with pytest.raises(NotPrime, match="^4 is not prime$"):
         count_points(affine_space(1), 1, 4)
     with pytest.raises(NotPrime, match="^1 is not prime$"):
@@ -467,6 +464,22 @@ def test_field_checks_hold_for_closed_forms():
             DegreeZero, match="^extension degree must be positive, got -2$"
         ):
             count_points(v, -1, 5, 2)
+
+
+def test_count_points_keeps_nothing_between_calls(monkeypatch):
+    # no memo: an identical call counts again, and perfbench still reads
+    # the name of the old cache, which stays empty
+    charts = []
+    real = counting._count_chart
+    monkeypatch.setattr(
+        counting, "_count_chart", lambda *args: charts.append(args) or real(*args)
+    )
+    first = count_points(elliptic_f5(), 2)
+    once = len(charts)
+    assert once > 0
+    assert count_points(elliptic_f5(), 2) == first
+    assert len(charts) == 2 * once
+    assert counting._count_cache == {}
 
 
 def test_sym_counts_of_a_point_and_the_torus():
@@ -502,7 +515,6 @@ def test_budget_refuses_a_quadric_before_its_square_root_table(monkeypatch):
     monkeypatch.setattr(
         GF, "sqrt", lambda self, values: calls.append(self.q)
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     eq = "+".join(f"{v}^2" for v in affine_space(10).blocks[0].variables)
     v = affine_variety(10, (eq + "-1",))
     message = "^40353607 tuples to enumerate, budget is 10000000$"
@@ -519,7 +531,6 @@ def test_budget_applies_per_chart(monkeypatch):
     monkeypatch.setattr(
         counting, "_check_budget", lambda n: planned.append(n) or real(n)
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     assert count_points(elliptic_f5(), 3) == 108
     assert planned == [125, 125]
 
@@ -539,7 +550,6 @@ def test_census_checks_its_largest_field_before_enumerating(monkeypatch):
         return real(total, threads, worker)
 
     monkeypatch.setattr(counting, "_run_chunks", spy)
-    monkeypatch.setattr(counting, "_count_cache", {})
     message = "^244140625 tuples to enumerate, budget is 10000000$"
     for census in (point_counts, sym_product_counts):
         with pytest.raises(BudgetExceeded, match=message):
@@ -563,7 +573,6 @@ def test_product_plans_every_block_before_counting(monkeypatch):
     monkeypatch.setattr(
         counting, "_run_chunks", lambda *args: chunks.append(args)
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     v = variety_product(
         affine_variety(2, ("x^2 + y^2 - 1",)), over_budget_affine_block()
     )
@@ -573,10 +582,9 @@ def test_product_plans_every_block_before_counting(monkeypatch):
     assert built == [] and chunks == []
 
 
-def test_product_with_an_empty_block_still_checks_the_budget(monkeypatch):
+def test_product_with_an_empty_block_still_checks_the_budget():
     # x^2 + 1 has no root in F_3; this product used to count 0 points
     # without looking at the over-budget block after it
-    monkeypatch.setattr(counting, "_count_cache", {})
     empty = affine_variety(1, ("x^2 + 1",))
     assert count_points(empty, 1, 3) == 0
     v = variety_product(empty, over_budget_affine_block())
@@ -584,13 +592,11 @@ def test_product_with_an_empty_block_still_checks_the_budget(monkeypatch):
         count_points(v, 1, 3)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    # an empty count cache before each call, so both calls really count
+def test_thread_count_does_not_change_results():
     v = affine_variety(3, ("x^3 + y^3 + z^3 - 1",), p=37)
     e = elliptic_f5()
     results = []
     for threads in (4, 1):
-        monkeypatch.setattr(counting, "_count_cache", {})
         results.append(
             (count_points(v, 1, threads=threads),
              sym_product_counts(e, 6, threads=threads))
@@ -605,26 +611,22 @@ def test_thread_count_does_not_change_results(monkeypatch):
         (2, 15, "y^2*z + x^3 + x*z^2 + z^3"),
     ],
 )
-def test_plane_cubic_census_on_log_tables_ignores_threads(
-    monkeypatch, p, degree, cubic
-):
+def test_plane_cubic_census_on_log_tables_ignores_threads(p, degree, cubic):
     # the quadratic-solve path enumerates one coordinate, so the top field
     # is large enough both for the log tables and for a two-way split
     assert p**degree >= counting._CHUNK_MIN
     v = projective_variety(2, (cubic,))
     census = []
     for threads in (1, 2):
-        monkeypatch.setattr(counting, "_count_cache", {})
         census.append(closed_point_census(v, degree, p, threads=threads))
     assert census[0] == census[1]
     assert make_field(p, degree)._logs is not None
 
 
-def test_plane_cubic_on_log_tables_matches_scalar_count(monkeypatch):
+def test_plane_cubic_on_log_tables_matches_scalar_count():
     v = projective_variety(2, ("y^2*z - x^3 - 2*x*z^2 - z^3",))
     expected = brute_count(v, 81)
     for threads in (1, 2):
-        monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, 3, 4, threads) == expected
     assert make_field(3, 4)._logs is not None
 
@@ -736,7 +738,6 @@ def test_strategies_match_brute_force(monkeypatch, case):
     monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     for threads in (1, 2):
-        monkeypatch.setattr(counting, "_count_cache", {})
         assert count_points(v, 1, p, k, threads) == expected, threads
 
 
@@ -752,7 +753,6 @@ def test_strategy_cases_cover_every_plan_kind(monkeypatch):
 
     monkeypatch.setattr(counting, "_plan_chart", spy)
     for v, q in STRATEGY_CASES.values():
-        monkeypatch.setattr(counting, "_count_cache", {})
         count_points(v, 1, *field_params_from_q(q))
     assert kinds == set(counting.PLAN_KINDS)
 
@@ -768,7 +768,6 @@ def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
     monkeypatch.setattr(
         counting, "_check_budget", lambda n: planned.append(n) or real(n)
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     count_points(DEGENERATE_PAIR, 1, 7)
     count_points(P3_CURVE, 1, 7)
     assert planned == [2 * 7**2, 7**2, 7, 7]
@@ -777,10 +776,8 @@ def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
 def test_curve_in_p3_past_the_full_grid_budget_is_counted(monkeypatch):
     # the chart x = 1 over F_223 has 223^3 > 10^7 tuples on the full grid,
     # which used to be refused; solved for y it enumerates 223^2
-    monkeypatch.setattr(counting, "_count_cache", {})
     got = count_points(P3_CURVE, 1, 223)
     monkeypatch.setattr(counting, "_solvable_variables", lambda *args: iter(()))
-    monkeypatch.setattr(counting, "_count_cache", {})
     with pytest.raises(BudgetExceeded, match=f"^{223**3} tuples to enumerate"):
         count_points(P3_CURVE, 1, 223)
     monkeypatch.setattr(counting, "BUDGET", 223**3)
@@ -910,7 +907,6 @@ def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
     )
     leading = {0, 1, 2, 3}
     full = spy_vec_ops(monkeypatch, p**3)
-    monkeypatch.setattr(counting, "_count_cache", {})
     count_points(affine_variety(3, (eq,)), 1, p)
     assert full and len(full) <= 2 * len(leading) + 2, full
 
@@ -920,7 +916,6 @@ def test_extension_grids_with_tables_never_leave_the_logs(monkeypatch):
     # grid-sized value is ever a code, so no GF.vec_* call is grid-sized
     q = 5**7
     grid_sized = spy_vec_ops(monkeypatch, q)  # both charts enumerate q points
-    monkeypatch.setattr(counting, "_count_cache", {})
     v = projective_variety(2, ("y^2*z - x^3 - 3*x*z^2 - 2*z^3",))
     got = count_points(v, 7, 5)
     assert make_field(5, 7)._logs is not None
@@ -934,7 +929,7 @@ def test_extension_grids_with_tables_never_leave_the_logs(monkeypatch):
     assert got == q + 1 - s[7]
 
 
-def test_prime_grid_peaks_near_two_full_grids(monkeypatch):
+def test_prime_grid_peaks_near_two_full_grids():
     # a cubic surface over F_89: the Horner accumulator and one term are
     # the full-size arrays alive at once; modular reduction in place adds
     # no third
@@ -944,7 +939,6 @@ def test_prime_grid_peaks_near_two_full_grids(monkeypatch):
         " + 2*x - y + 3*z + 6"
     )
     v = affine_variety(3, (eq,))
-    monkeypatch.setattr(counting, "_count_cache", {})
     tracemalloc.start()
     try:
         count_points(v, 1, p)
@@ -963,7 +957,6 @@ def test_one_variable_quadratic_builds_no_field_table(monkeypatch):
     monkeypatch.setattr(
         counting, "make_field", lambda p, k: built.append((p, k))
     )
-    monkeypatch.setattr(counting, "_count_cache", {})
     v = projective_variety(1, ("x^2 - 2*y^2",))
     start = time.perf_counter()
     assert count_points(v, 15, 3) == 0
