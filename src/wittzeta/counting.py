@@ -10,11 +10,15 @@ strategy, returns its `ChartPlan`, of one of the kinds in `PLAN_KINDS`:
 
 * "empty": some equation is a nonzero constant, so there are no points;
 * "no equations": q^n points, so A^n and P^n are closed forms;
-* "one variable": one equation, linear or quadratic in the chart's one
-  variable (in characteristic 2, without a linear term).  Its
-  coefficients lie in F_p, so its root count is a closed form: an element
-  of F_p is a square in F_(p^k) when Euler's criterion says so in F_p or
-  k is even;
+* "one variable": any equations of any degree in the chart's one
+  variable.  Their coefficients lie in F_p, so the chart is counted in
+  F_p[x], with no grid and no field: f is their monic gcd, and
+  gcd(f, x^(p^j) - x), with x^(p^j) mod f by binary powering, is the
+  product of the distinct irreducible factors of f whose degree divides
+  j, for j = 1 .. deg f.  The count over F_(p^k) is the sum of the
+  degrees of the factors whose degree divides k (Lidl and Niederreiter,
+  Finite Fields, Thm 3.20; the distinct-degree step of Cantor and
+  Zassenhaus, 1981);
 * "root count": one equation a*s^2 + b*s + c with a variable s of degree
   at most 2 (in characteristic 2, only without a linear term): enumerate
   the other n - 1 variables and add up the root counts, 2 where the
@@ -34,20 +38,27 @@ full grid on a tie.  A solve for s costs q^(n-1) tuples when the top
 coefficient of s is a nonzero constant, and (1 + d) q^(n-1) when it has
 total degree d with other equations left: by Schwartz-Zippel it vanishes
 at no more than d q^(n-2) points, each of which enumerates q values of s.
-A solve also needs q-sized tables, so it costs at least q, and a chart of
-one variable with several equations takes the full grid.  A curve in P^3
-whose quadric has a constant top coefficient in some variable of each
-chart, as in the census-prime benchmark, costs q^2 tuples in its largest
-chart, so it is counted up to q = 3162.
+A solve also needs q-sized tables, so it costs at least q.  A chart of one
+variable costs d^3 bits(p) by its gcd f of degree d, d Frobenius steps of
+about 2 bits(p) products of degree below d, so it beats the full grid of q
+values where q is large: z - B z^3, the chart x = 0 of every Weierstrass
+curve, costs 81 at p = 5, and a quadratic over a field of any size costs
+8 bits(p).  The gcd is taken only when the equation of least degree D
+costs D^3 bits(p) within the budget, so x^100000 - 1 costs its grid.
+
+A curve in P^3 whose quadric has a constant top coefficient in some
+variable of each chart, as in the census-prime benchmark, costs q^2
+tuples in its largest chart, so it is counted up to q = 3162.
 
 The budget is a hard 10^7 tuples per chart.  Every chart of every block
 of a call is planned from p and k alone, and its budget checked, before
 any field is built, any closed form computed or anything enumerated; q
 itself is computed only after a bit-length check, so a chart over a field
-of more than 256 bits is refused at once.  Every chart that enumerates has
-at least q tuples, so the budget also bounds the field-sized tables: the
-log tables of an extension field and the tables of squares and of powers
-of a prime field.
+of more than 256 bits is refused at once, unless it is a chart of one
+variable that its gcd answers.  Every chart that enumerates has at least
+q tuples, so the budget also bounds the field-sized tables: the log
+tables of an extension field and the tables of squares and of powers of
+a prime field.
 
 Every strategy that enumerates evaluates polynomials on the grid by
 `_grid_values`, which never materialises the coordinates of the grid.  It
@@ -96,8 +107,11 @@ from .finitefield import (
     GF,
     check_field_params,
     factorize,
+    frobenius_gcds,
     is_prime,
     make_field,
+    power_mod,
+    prime_polys,
 )
 from .rings import ZZ
 from .varieties import Block, VarietyDesc
@@ -246,7 +260,8 @@ _EXACT_BITS = 256
 
 class ChartPlan(NamedTuple):
     """How one chart is counted: the strategy `kind`, the chart's reduced
-    equations (the solved one first) and variables, and the solved
+    equations (the solved one first; for "one variable", their monic gcd
+    in F_p[x], constant term first) and variables, and the solved
     variable, if any."""
 
     kind: str
@@ -298,17 +313,23 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
     against what that strategy enumerates over F_(p^k).
 
     Every (equation, variable) pair that `_solvable_variables` admits is a
-    candidate, and so is the full grid; the one with the fewest tuples
-    wins, the full grid on a tie (see the module docstring for the costs).
+    candidate, and so is the full grid; so is the gcd of a chart of one
+    variable, at d^3 bits(p) for its degree d.  The one with the fewest
+    tuples wins, the full grid on a tie (see the module docstring for the
+    costs).
     """
     eqs = [terms for terms in eqs if terms]  # identically zero: no constraint
     if any(set(terms) == {(0,) * nvars} for terms in eqs):
         return ChartPlan("empty")  # a nonzero constant: no points
     if not eqs:
         return ChartPlan("no equations", nvars=nvars)
-    if len(eqs) == 1 and nvars == 1 and any(_solvable_variables(eqs[0], 1, p)):
-        return ChartPlan("one variable", tuple(eqs), 1, 0)
-    if k * p.bit_length() > _EXACT_BITS:  # every plan here enumerates >= q
+    f = _common_factor(eqs, p) if nvars == 1 else None
+    huge = k * p.bit_length() > _EXACT_BITS  # q is past every budget
+    # in one variable every other candidate costs q, the full grid's size
+    if f is not None and (huge or _factor_cost(f, p) < p**k):
+        _check_budget(_factor_cost(f, p))
+        return ChartPlan("one variable", (f,), 1)
+    if huge:
         raise BudgetExceeded(
             f"at least {p}^{k} tuples to enumerate, budget is {BUDGET}"
         )
@@ -349,19 +370,60 @@ def _solvable_variables(terms: dict, nvars: int, p: int):
             yield s, max(top)
 
 
-def _one_variable_roots(terms: dict, p: int, k: int) -> int:
-    """Roots in F_(p^k) of a*s^2 + b*s + c over F_p, as
-    `_solvable_variables` admits it: one if linear or in characteristic 2,
-    else one, two or none as b^2 - 4ac is 0, a nonzero square of F_(p^k)
-    or not.  An element of F_p is a square there when it is one in F_p
-    (Euler's criterion) or k is even."""
-    a, b, c = (terms.get((e,), 0) for e in (2, 1, 0))
-    if a == 0 or p == 2:
-        return 1
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return 1
-    return 2 if k % 2 == 0 or pow(disc, (p - 1) // 2, p) == 1 else 0
+def _factor_cost(f: tuple, p: int) -> int:
+    """What `_distinct_roots` costs for f, in units of tuples: d Frobenius
+    steps of about 2 bits(p) products of degree below d = deg f."""
+    return (len(f) - 1) ** 3 * p.bit_length()
+
+
+def _common_factor(eqs: list, p: int):
+    """The monic gcd in F_p[x] of the equations of a chart of one
+    variable, constant term first.
+
+    Only the equation of least degree D is written out densely, and only
+    when D^3 bits(p) is within the budget; past it the gcd is not taken
+    (None), and the chart is counted on its grid or refused by the grid's
+    budget.  A lone equation is its own gcd, so that loses nothing; of
+    several, a gcd of lower degree goes unused.  Every other equation is
+    reduced modulo the gcd so far term by term, x^e by `power_mod`, so no
+    exponent, however large, is spread into coefficients.
+    """
+    degrees = [max(e for (e,) in terms) for terms in eqs]
+    low = degrees.index(min(degrees))
+    if degrees[low] ** 3 * p.bit_length() > BUDGET:
+        return None
+    ring = prime_polys(p)
+    dense = [0] * (degrees[low] + 1)
+    for (e,), c in eqs[low].items():
+        dense[e] = c
+    f = ring.gcd(tuple(dense), ())  # the equation made monic
+    x = ring.monomial(1)
+    for terms in eqs[:low] + eqs[low + 1 :]:
+        rest = ()
+        for (e,), c in terms.items():
+            rest = ring.add(rest, ring.scale(c, power_mod(x, e, f, ring)))
+        f = ring.gcd(f, rest)
+    return f
+
+
+def _distinct_roots(f: tuple, p: int, k: int) -> int:
+    """Distinct roots in F_(p^k) of a monic f over F_p: the sum of the
+    degrees of the distinct irreducible factors of f whose degree divides
+    k (Lidl and Niederreiter, Finite Fields, Thm 3.20).
+
+    The j-th of `frobenius_gcds` has as its degree the sum over the factor
+    degrees e dividing j, so the factors of degree exactly j add up to it
+    less those of its proper divisors: the distinct-degree step of
+    Cantor-Zassenhaus.  Once they add up to deg f, f is squarefree and
+    every factor is found.
+    """
+    exact: dict = {}  # e: total degree of the factors of degree exactly e
+    d = len(f) - 1
+    for j, g in zip(range(1, d + 1), frobenius_gcds(f, p)):
+        exact[j] = len(g) - 1 - sum(n for e, n in exact.items() if j % e == 0)
+        if sum(exact.values()) == d:
+            break
+    return sum(n for e, n in exact.items() if k % e == 0)
 
 
 def _check_budget(tuples: int):
@@ -378,7 +440,7 @@ def _count_block(plan: list, p: int, k: int, threads: int) -> int:
         if chart.kind == "no equations":
             total += p ** (k * chart.nvars)
         elif chart.kind == "one variable":
-            total += _one_variable_roots(chart.eqs[0], p, k)
+            total += _distinct_roots(chart.eqs[0], p, k)
         elif chart.kind != "empty":
             total += _count_chart(chart, make_field(p, k), threads)
     return total
@@ -492,11 +554,13 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
     """Worker counting the points of a chart solved for variable s.
 
     On the grid of the other variables the solved equation is
-    a*s^2 + b*s + c.  With no other equation the worker adds up its root
-    counts, q where it vanishes identically in s.  Otherwise it tests the
-    other equations at each of its roots (`_roots`) by Horner's rule in s
-    over their cofactor grids, and where a, b and c all vanish, at every
-    s (`_every_s`).
+    a*s^2 + b*s + c, and its discriminant is -4ac, plus b^2 only when the
+    equation has a linear term in s: a Weierstrass curve solved for y has
+    none.  With no other equation the worker adds up its root counts, q
+    where it vanishes identically in s.  Otherwise it tests the other
+    equations at each of its roots (`_roots`) by Horner's rule in s over
+    their cofactor grids, and where a, b and c all vanish, at every s
+    (`_every_s`).
     """
     coeff_polys = _by_power(terms, s, 2)
     other_polys = [
@@ -513,10 +577,9 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
         )
         disc = None
         if quadratic and domain.p != 2:
-            disc = domain.vec_add(
-                domain.vec_mul(b, b),
-                domain.vec_mul(minus_four, domain.vec_mul(a, c)),
-            )
+            disc = domain.vec_mul(minus_four, domain.vec_mul(a, c))
+            if coeff_polys[1]:
+                disc = domain.vec_add(domain.vec_mul(b, b), disc)
         if not others:
             linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
             if not quadratic:

@@ -6,7 +6,9 @@ found by counting ``m = 0, 1, 2, ...`` and reading the ``c_i`` off as the
 base-p digits of ``m``, least significant digit giving ``c_0``.  Two calls
 with the same arguments therefore agree on every bit of the representation.
 Each candidate is tested by Ben-Or's irreducibility test in F_p[x], which is
-`Poly1Ring` over the prime field.
+`Poly1Ring` over the prime field.  The test reads `frobenius_gcds`, the
+one Frobenius step of the package, which the point counter's root count
+of a one-variable chart reads too.
 
 Elements are encoded as plain integers in ``[0, p**k)``: the base-p digits of
 the code are the coefficients of the residue polynomial, constant digit
@@ -111,9 +113,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_polys(p: int) -> Poly1Ring:
+def prime_polys(p: int) -> Poly1Ring:
     """F_p[x], where moduli are tested and extension fields multiply."""
     return Poly1Ring(GF(p, 1, (0, 1)), "x")
+
+
+def power_mod(h, n: int, f, ring: Poly1Ring):
+    """h^n mod f in `ring`, by binary powering: about 2 log2(n) products
+    of polynomials of degree below deg f, each reduced at once."""
+    def mul(a, b):
+        return ring.divmod(ring.mul(a, b), f)[1]
+
+    return ring.divmod(binary_power(mul, ring.one, h, n), f)[1]
+
+
+def frobenius_gcds(f: tuple[int, ...], p: int):
+    """gcd(f, x^(p^j) - x) in F_p[x] for j = 1, 2, ..., monic; f is monic,
+    constant term first.
+
+    x^(p^j) - x is the product of the monic irreducibles whose degree
+    divides j, each once, so the j-th gcd is the product of the distinct
+    irreducible factors of f whose degree divides j (Lidl and
+    Niederreiter, Finite Fields, Thm 3.20).  x^(p^j) mod f is the p-th
+    power of x^(p^(j-1)) mod f by `power_mod`, so a step costs about
+    2 bits(p) products of degree below deg f, never p coefficients.
+    """
+    ring = prime_polys(p)
+    x = ring.monomial(1)
+    h = x
+    while True:
+        h = power_mod(h, p, f, ring)
+        yield ring.gcd(f, ring.sub(h, x))
 
 
 def _digits(a: int, p: int) -> tuple[int, ...]:
@@ -132,17 +162,8 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     f of degree k is irreducible exactly when gcd(f, x^(p^i) - x) = 1 for
     i = 1 .. k // 2, i.e. when f has no irreducible factor of degree <= k/2.
     """
-    ring = _prime_polys(p)
-    x = ring.monomial(1)
-    h = x  # x^(p^i) mod f
-    for _ in range((len(f) - 1) // 2):
-        # h(x)^p = h(x^p) in characteristic p: spread the coefficients
-        spread = [0] * (p * (len(h) - 1) + 1)
-        spread[::p] = h
-        h = ring.divmod(tuple(spread), f)[1]
-        if len(ring.gcd(f, ring.sub(h, x))) > 1:
-            return False
-    return True
+    gcds = frobenius_gcds(f, p)
+    return all(len(next(gcds)) == 1 for _ in range((len(f) - 1) // 2))
 
 
 class GF(Ring):
@@ -155,7 +176,7 @@ class GF(Ring):
         self.k = k
         self.q = p**k
         self.modulus = modulus  # length k+1, monic, constant term first
-        self._polys = _prime_polys(p) if k > 1 else None  # scalar arithmetic
+        self._polys = prime_polys(p) if k > 1 else None  # scalar arithmetic
         # the name, and so the ring's identity, includes the modulus when it
         # shapes the arithmetic
         self.name = f"GF({self.q})"

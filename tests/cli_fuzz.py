@@ -1,10 +1,11 @@
 """Seeded fuzzer of the command line: every call ends cleanly and in time.
 
 Each call is an argv for one of the 18 subcommands, drawn from a seeded
-generator: catalog and random inline varieties, among them malformed
-JSON, bad ``p`` and ``k`` and equations that do not parse; measure values
-in u; bad ``--q``; and every bounded integer flag at, just above or below
-its least value.  Most draws are valid, so that most calls get past the
+generator: catalog and random inline varieties, among them lines cut out
+by up to three equations of degree up to 8, malformed JSON, bad ``p``
+and ``k`` and equations that do not parse; measure values in u; bad
+``--q``; and every bounded integer flag at, just above or below its
+least value.  Most draws are valid, so that most calls get past the
 parser and the input checks.  Sizes stay small (no grid past
 ``GRID_LIMIT`` tuples per field, no precision past 10), and the fuzzer
 draws none of the unbounded sizes that no cost bound covers yet: a huge
@@ -52,6 +53,7 @@ from cli_corpus import (
     _expand,
     _gident_poly,
     _json,
+    _random_equation,
     _random_variety,
     _t_poly,
     _u_poly,
@@ -142,6 +144,14 @@ def _variety(rng) -> tuple:
     if draw < 0.5:
         path = rng.choice(VARIETY_FILES)
         return path, 2, q, () if path.endswith("e5.json") else q_args
+    if draw < 0.6:
+        # a chart of one variable, counted by its gcd or on its grid
+        eqs = [
+            _random_equation(rng, "x", rng.randint(1, 8), False)
+            for _ in range(rng.randint(1, 3))
+        ]
+        text = json.dumps({"ambient": {"affine": 1}, "equations": eqs})
+        return text, 1, q, q_args
     declare = rng.random() < 0.5
     text, nvars = _random_variety(rng, p, k, declare)
     return text, nvars, q, () if declare else q_args

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from reffield import RefField
 
-from wittzeta import counting
+from wittzeta import cli, counting
 from wittzeta import (
     ZZ,
     BudgetExceeded,
@@ -524,15 +524,16 @@ def test_budget_refuses_a_quadric_before_its_square_root_table(monkeypatch):
 
 
 def test_budget_applies_per_chart(monkeypatch):
-    # the charts of e5 over F_(5^3): solve for y at x = 1, then the full
-    # grid in z at (0, 1, z); the constant chart (0, 0, 1) enumerates nothing
+    # the charts of e5 over F_(5^3): solve for y at x = 1, 125 tuples, then
+    # z - z^3 at (0, 1, z) by its gcd, of degree 3: 3^3 * bits(5) = 81 < 125.
+    # The constant chart (0, 0, 1) enumerates nothing
     planned = []
     real = counting._check_budget
     monkeypatch.setattr(
         counting, "_check_budget", lambda n: planned.append(n) or real(n)
     )
     assert count_points(elliptic_f5(), 3) == 108
-    assert planned == [125, 125]
+    assert planned == [125, 81]
 
 
 def test_closed_forms_bypass_the_budget():
@@ -674,6 +675,7 @@ STRATEGY_CASES = {
     "full grid, two equations": (
         affine_variety(2, ("x^3 + y^3 - 1", "x^3*y - y^3 - 1")), 49
     ),
+    # one variable: the gcd beats the full grid at 3^8, 3^3 * 2 < 3^8
     "full grid past _LOG_TRIGGER": (affine_variety(1, ("x^3 + x + 1",)), 3**8),
     "projective conic": (projective_variety(2, ("x^2 + y^2 + z^2",)), 9),
     "projective cubic, char 2": (
@@ -691,7 +693,10 @@ STRATEGY_CASES = {
     "full grid, two equations, log tables": (
         affine_variety(2, ("x^3 + y^3 - 1", "x^3*y^3 - 2")), 81
     ),
-    # one-variable charts: closed forms from the F_p coefficients
+    # one-variable charts: the gcd of the equations in F_p[x] and its
+    # distinct-degree factorisation, at d^3 bits(p) for its degree d; where
+    # that is at least q, as for a cubic over F_27, the full grid (see
+    # test_one_variable_cases_match_by_gcd_and_by_grid for both)
     "one variable, discriminant 0": (affine_variety(1, ("x^2 + 4*x + 4",)), 125),
     "one variable, non-square discriminant, odd k": (
         affine_variety(1, ("x^2 + x + 1",)), 125
@@ -701,6 +706,40 @@ STRATEGY_CASES = {
     ),
     "one variable, linear": (affine_variety(1, ("3*x + 2",)), 49),
     "one variable, char 2, no linear term": (affine_variety(1, ("x^2 + 1",)), 32),
+    "one variable, cubic with three roots in F_p": (
+        affine_variety(1, ("x^3 - 6*x^2 + 11*x - 6",)), 125
+    ),
+    "one variable, irreducible cubic over F_27": (
+        affine_variety(1, ("x^3 - x + 1",)), 27
+    ),
+    "one variable, irreducible cubic over F_9": (
+        affine_variety(1, ("x^3 - x + 1",)), 9
+    ),
+    "one variable, irreducible cubic over F_81": (
+        affine_variety(1, ("x^3 - x + 1",)), 81
+    ),
+    "one variable, repeated root": (
+        affine_variety(1, ("x^3 - x^2 - x + 1",)), 125
+    ),
+    "one variable, two equations with a linear gcd": (
+        affine_variety(1, ("x^3 - 2*x + 1", "x^2 - 1")), 49
+    ),
+    "one variable, two coprime equations": (
+        affine_variety(1, ("x^2 - 2", "x^2 - 3")), 49
+    ),
+    "one variable, char 2, linear term, over F_2": (
+        affine_variety(1, ("x^2 + x + 1",)), 2
+    ),
+    "one variable, char 2, linear term, over F_4": (
+        affine_variety(1, ("x^2 + x + 1",)), 4
+    ),
+    "one variable, char 2, linear term, over F_64": (
+        affine_variety(1, ("x^2 + x + 1",)), 64
+    ),
+    # 2^3 * bits(2) = 16 = q: the full grid wins the tie
+    "one variable, char 2, linear term, over F_16": (
+        affine_variety(1, ("x^2 + x + 1",)), 16
+    ),
     # several equations: one is solved, the others are tested at its roots
     "substituted, linear top coefficient": (
         affine_variety(2, ("x^3 + y^3 - 1", "x*y - 1")), 49
@@ -757,12 +796,117 @@ def test_strategy_cases_cover_every_plan_kind(monkeypatch):
     assert kinds == set(counting.PLAN_KINDS)
 
 
+ONE_VARIABLE_COUNTS = {
+    "one variable, cubic with three roots in F_p": (3, "one variable"),
+    "one variable, irreducible cubic over F_27": (3, "full grid"),
+    "one variable, irreducible cubic over F_9": (0, "full grid"),
+    "one variable, irreducible cubic over F_81": (0, "one variable"),
+    "one variable, repeated root": (2, "one variable"),
+    "one variable, two equations with a linear gcd": (1, "one variable"),
+    "one variable, two coprime equations": (0, "one variable"),
+    "one variable, char 2, linear term, over F_2": (0, "full grid"),
+    "one variable, char 2, linear term, over F_4": (2, "full grid"),
+    "one variable, char 2, linear term, over F_64": (2, "one variable"),
+    "one variable, char 2, linear term, over F_16": (2, "full grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_VARIABLE_COUNTS))
+def test_one_variable_cases_match_by_gcd_and_by_grid(monkeypatch, case):
+    # the count and the plan the costs pick, then each of the two ways of
+    # counting one variable forced: the gcd at every q, and the full grid
+    v, q = STRATEGY_CASES[case]
+    p, k = field_params_from_q(q)
+    want, kind = ONE_VARIABLE_COUNTS[case]
+    assert brute_count(v, q) == want
+    kinds = []
+    real = counting._plan_chart
+
+    def spy(*args):
+        plan = real(*args)
+        kinds.append(plan.kind)
+        return plan
+
+    monkeypatch.setattr(counting, "_plan_chart", spy)
+    assert count_points(v, 1, p, k) == want
+    assert kinds == [kind]
+    monkeypatch.setattr(counting, "_factor_cost", lambda f, p: 0)
+    assert count_points(v, 1, p, k) == want
+    monkeypatch.setattr(counting, "_common_factor", lambda eqs, p: None)
+    assert count_points(v, 1, p, k) == want
+    assert kinds == [kind, "one variable", "full grid"]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _poly_text(coeffs):
+    return " + ".join(f"{c}*x^{e}" for e, c in enumerate(coeffs) if c) or "0"
+
+
+def test_one_variable_systems_match_scalar_arithmetic(monkeypatch):
+    # 100 seeded systems of one to three equations of degree <= 6 over
+    # fields of at most 125 elements; the equations share a random factor
+    # of degree <= 3, so that their gcd is often not 1.  Each is counted
+    # as planned, by its gcd and on its full grid, against reffield
+    rng = random.Random(23)
+    fields = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125]
+    real_cost, real_factor = counting._factor_cost, counting._common_factor
+    for _ in range(100):
+        q = rng.choice(fields)
+        p, k = field_params_from_q(q)
+
+        def poly(degree):
+            return [rng.randrange(p) for _ in range(degree)] + [
+                rng.randrange(1, p)
+            ]
+
+        common = poly(rng.randrange(4))
+        eqs = [
+            _poly_text(_poly_mul(common, poly(rng.randrange(7 - len(common))), p))
+            for _ in range(rng.randint(1, 3))
+        ]
+        v = affine_variety(1, tuple(eqs))
+        want = brute_count(v, q)
+        got = []
+        for cost, factor in (
+            (real_cost, real_factor),
+            (lambda f, p: 0, real_factor),
+            (real_cost, lambda eqs, p: None),
+        ):
+            monkeypatch.setattr(counting, "_factor_cost", cost)
+            monkeypatch.setattr(counting, "_common_factor", factor)
+            got.append(count_points(v, 1, p, k))
+        assert got == [want] * 3, (q, eqs)
+
+
+def test_a_high_degree_chart_of_one_variable_costs_its_grid(capsys):
+    # x^100000 - 1 costs 100000^3 * bits(5) by its gcd, so it is counted
+    # on its grid of 5 values, and refused over F_(5^20), 5^20 > 10^7
+    variety = '{"ambient": {"affine": 1}, "equations": ["x^100000 - 1"]}'
+    start = time.perf_counter()
+    code = cli.main(["count", "points", "--variety", variety, "--q", "5"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, capsys.readouterr().out) == (0, "4\n")
+    code = cli.main(["count", "points", "--variety", variety, "--q", str(5**20)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {5**20} tuples to enumerate, budget is 10000000\n"
+    )
+
+
 def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
     # solving the first equation of DEGENERATE_PAIR for y enumerates s
     # where its top coefficient x vanishes, at most 1 * q of q^2 points: it
     # is budgeted (1 + 1) q^2.  The P^3 curve's charts solve for a variable
     # whose top coefficient is constant, q^(n-1) tuples, and its chart of
-    # one variable takes the full grid, q tuples
+    # one variable, (0, 0, 1, w), has the coprime equations 1 + w^2 and
+    # 2 w^3 - 1: their gcd is 1, of degree 0, which costs 0
     planned = []
     real = counting._check_budget
     monkeypatch.setattr(
@@ -770,7 +914,7 @@ def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
     )
     count_points(DEGENERATE_PAIR, 1, 7)
     count_points(P3_CURVE, 1, 7)
-    assert planned == [2 * 7**2, 7**2, 7, 7]
+    assert planned == [2 * 7**2, 7**2, 7, 0]
 
 
 def test_curve_in_p3_past_the_full_grid_budget_is_counted(monkeypatch):
@@ -964,6 +1108,25 @@ def test_one_variable_quadratic_builds_no_field_table(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert count_points(affine_variety(1, ("2*x + 1",)), 7, 5) == 1
     assert count_points(affine_variety(1, ("x^2 + 1",)), 30, 2) == 1
+    assert built == []
+
+
+def test_one_variable_chart_past_256_bits_builds_no_field(monkeypatch):
+    # F_(p^k) of more than 256 bits is past every grid, but the gcd of a
+    # quadratic costs 8 bits(p); x^2 - 2 has roots in F_(p^5) exactly when
+    # 2 is a square mod p (Euler's criterion), and x^2 + x + 1 has roots
+    # in F_(2^k) exactly when k is even
+    built = []
+    monkeypatch.setattr(
+        counting, "make_field", lambda p, k: built.append((p, k))
+    )
+    p = 2**61 - 1
+    assert 5 * p.bit_length() > 256
+    square = pow(2, (p - 1) // 2, p) == 1
+    assert count_points(affine_variety(1, ("x^2 - 2",)), 5, p) == 2 * square
+    v = affine_variety(1, ("x^2 + x + 1",))
+    assert count_points(v, 300, 2) == 2
+    assert count_points(v, 301, 2) == 0
     assert built == []
 
 

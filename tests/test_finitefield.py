@@ -192,6 +192,30 @@ def test_modulus_scan_goldens():
         assert make_field(p, 1).modulus == (0, 1)
 
 
+# make_field(p, k).name for k = 1..6, as the modulus scan picked them when
+# Ben-Or's test spread the coefficients of x^(p^i) mod f: the test reads
+# `frobenius_gcds` now, and irreducibility does not depend on how it is
+# decided
+FIELD_NAMES = {
+    2: ["GF(2)", "GF(4, 1 + x + x^2)", "GF(8, 1 + x + x^3)",
+        "GF(16, 1 + x + x^4)", "GF(32, 1 + x^2 + x^5)", "GF(64, 1 + x + x^6)"],
+    3: ["GF(3)", "GF(9, 1 + x^2)", "GF(27, 1 + 2*x + x^3)",
+        "GF(81, 2 + x + x^4)", "GF(243, 1 + 2*x + x^5)",
+        "GF(729, 2 + x + x^6)"],
+    5: ["GF(5)", "GF(25, 2 + x^2)", "GF(125, 1 + x + x^3)",
+        "GF(625, 2 + x^4)", "GF(3125, 1 + 4*x + x^5)",
+        "GF(15625, 2 + x + x^6)"],
+    7: ["GF(7)", "GF(49, 1 + x^2)", "GF(343, 2 + x^3)",
+        "GF(2401, 1 + x + x^4)", "GF(16807, 3 + x + x^5)",
+        "GF(117649, 2 + x^6)"],
+}
+
+
+def test_field_names_are_pinned():
+    for p, names in FIELD_NAMES.items():
+        assert [make_field(p, k).name for k in range(1, 7)] == names
+
+
 def test_is_irreducible_against_trial_division():
     for p, top in [(2, 8), (3, 5), (5, 4)]:
         for d in range(1, top + 1):
