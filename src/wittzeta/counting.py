@@ -61,13 +61,13 @@ tables of an extension field and the tables of squares and of powers of
 a prime field.
 
 Every strategy that enumerates evaluates polynomials on the grid by
-`_grid_values`, which never materialises the coordinates of the grid.  It
-groups the terms by the exponent of the leading variable, evaluates each
-group's cofactor once on the grid of the remaining variables, and
-combines the groups by numpy broadcasting, x^e laid along the leading
-axis times the cofactor along the others: a Horner scheme over the
-variables, in which full-size arrays are touched about twice per distinct
-leading exponent rather than several times per monomial.  The field picks
+`_grid_values`, which never materialises the coordinates of the grid: it
+is `_horner` in the leading variable, laid along the leading axis, over
+the cofactors of its powers, each evaluated once on the grid of the other
+variables.  `_horner`, the one place that combines the powers of a
+variable, walks the exponents present, highest first; a gap of g costs
+one power s^g and a top coefficient 1 no product, so the cost grows with
+the number of terms, not the degree.  The field picks
 the arithmetic (`GF.grid_domain`).  Over an extension field every grid
 value is a discrete log to the field's generator g, with -1 for 0: each
 axis enumerates F_q as 0, g^0, g^1, ..., g^(q-2), so x^e along an axis is
@@ -489,31 +489,22 @@ def _grid_values(terms: dict, domain, n: int, lo: int, hi: int) -> np.ndarray:
     the order in which each axis enumerates F_q (`axis_values`).  The grid
     is the flat indices lo..hi-1, the first variable slowest, and lo and hi
     fall on whole slabs of the first variable.  The result has n axes and
-    broadcasts to the grid's shape (rows, q, ..., q).  Terms are grouped by
-    their exponent e of the first variable; each group's cofactor is
-    evaluated once on the grid of the other variables, and x^e, laid along
-    the leading axis, multiplies it by broadcasting.
+    broadcasts to the grid's shape (rows, q, ..., q).  It is `_horner` in
+    the first variable, laid along the leading axis, over the cofactors of
+    its powers, each evaluated once on the grid of the other variables.
     """
     if n == 0:
         return np.array(domain.from_int(terms.get((), 0)), dtype=np.int64)
+    if not terms:
+        return np.full((1,) * n, domain.zero, dtype=np.int64)
     slab = domain.q ** (n - 1)
     rows = domain.axis_values(lo // slab, hi // slab)
     rows = rows.reshape((-1,) + (1,) * (n - 1))
-    groups: dict = {}
-    for exps, c in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = c
-    acc = None
-    for e, rest in groups.items():
-        if e and rest == {(0,) * (n - 1): 1}:
-            term = domain.vec_pow(rows, e)  # x^e times 1: no full-size product
-        else:
-            term = _grid_values(rest, domain, n - 1, 0, slab)[None]
-            if e:
-                term = domain.vec_mul(domain.vec_pow(rows, e), term)
-        acc = term if acc is None else domain.vec_add(acc, term)
-    if acc is None:
-        return np.full((1,) * n, domain.zero, dtype=np.int64)
-    return acc
+    cofactors = {
+        e: _grid_values(rest, domain, n - 1, 0, slab)[None]
+        for e, rest in _by_power(terms, 0).items()
+    }
+    return _horner(cofactors, rows, domain)
 
 
 def _grid_sum(values: np.ndarray, size: int) -> int:
@@ -531,22 +522,31 @@ def _grid_zeros(eqs, nvars: int, domain, lo: int, hi: int) -> int:
     return _grid_sum(good, hi - lo)
 
 
-def _by_power(terms: dict, s: int, degree: int) -> list:
-    """The coefficients of s^0 .. s^degree in `terms`, keyed without s."""
-    polys: list = [{} for _ in range(degree + 1)]
+def _by_power(terms: dict, s: int) -> dict:
+    """{e: the coefficient of s^e in `terms`, keyed without s}, for the
+    powers e that occur."""
+    polys: dict = {}
     for exps, coeff in terms.items():
-        polys[exps[s]][exps[:s] + exps[s + 1 :]] = coeff
+        polys.setdefault(exps[s], {})[exps[:s] + exps[s + 1 :]] = coeff
     return polys
 
 
-def _horner(coeffs: list, s, domain):
-    """sum_e coeffs[e] * s^e by Horner's rule; a None coefficient is 0, and
-    the top one is never None."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = domain.vec_mul(acc, s)
-        if c is not None:
-            acc = domain.vec_add(acc, c)
+def _horner(coeffs: dict, s, domain):
+    """sum_e coeffs[e] * s^e by Horner's rule over the exponents present,
+    highest first; `coeffs` is not empty.  A gap of g between them costs
+    one s^g, so the cost grows with the number of terms, not the degree.
+    A top coefficient that is the constant 1 costs no product."""
+    exps = sorted(coeffs, reverse=True)
+    acc = coeffs[exps[0]]
+    unit = acc.size == 1 and acc.item() == domain.from_int(1)
+    for high, low in zip(exps, exps[1:] + [0]):
+        if high > low:
+            power = s if high - low == 1 else domain.vec_pow(s, high - low)
+            # rebinding acc before the add frees the old one: no third array
+            acc = power if unit else domain.vec_mul(acc, power)
+            unit = False
+            if low in coeffs:
+                acc = domain.vec_add(acc, coeffs[low])
     return acc
 
 
@@ -558,27 +558,26 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
     equation has a linear term in s: a Weierstrass curve solved for y has
     none.  With no other equation the worker adds up its root counts, q
     where it vanishes identically in s.  Otherwise it tests the other
-    equations at each of its roots (`_roots`) by Horner's rule in s over
-    their cofactor grids, and where a, b and c all vanish, at every s
-    (`_every_s`).
+    equations by `_horner` over the grids of their cofactors of each power
+    of s (`_by_power`), at each of its roots (`_roots`) and, where a, b and
+    c all vanish, at every s (`_every_s`).
     """
-    coeff_polys = _by_power(terms, s, 2)
-    other_polys = [
-        _by_power(eq, s, max(exps[s] for exps in eq)) for eq in others
-    ]
+    coeff_polys = _by_power(terms, s)
+    other_polys = [_by_power(eq, s) for eq in others]
     n = nvars - 1
     q, zero = domain.q, domain.zero
-    quadratic = bool(coeff_polys[2])
+    quadratic = 2 in coeff_polys
     minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
         a, b, c = (
-            _grid_values(coeff_polys[e], domain, n, lo, hi) for e in (2, 1, 0)
+            _grid_values(coeff_polys.get(e, {}), domain, n, lo, hi)
+            for e in (2, 1, 0)
         )
         disc = None
         if quadratic and domain.p != 2:
             disc = domain.vec_mul(minus_four, domain.vec_mul(a, c))
-            if coeff_polys[1]:
+            if 1 in coeff_polys:
                 disc = domain.vec_add(domain.vec_mul(b, b), disc)
         if not others:
             linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
@@ -589,7 +588,7 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
                 quad = 2 * domain.sqrt(disc)[1] + (disc == zero)
             return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
         grids = [
-            [_grid_values(g, domain, n, lo, hi) if g else None for g in polys]
+            {e: _grid_values(g, domain, n, lo, hi) for e, g in polys.items()}
             for polys in other_polys
         ]
         total = 0
@@ -648,9 +647,8 @@ def _every_s(points, grids: list, domain, shape: tuple) -> int:
     s = domain.axis_values(0, domain.q)
     found = np.ones((len(at[0]), 1), dtype=bool)
     for coeffs in grids:
-        values = [
-            None if g is None else np.broadcast_to(g, shape)[at][:, None]
-            for g in coeffs
-        ]
+        values = {
+            e: np.broadcast_to(g, shape)[at][:, None] for e, g in coeffs.items()
+        }
         found = found & (_horner(values, s, domain) == domain.zero)
     return _grid_sum(found, len(at[0]) * domain.q)

@@ -2,7 +2,9 @@
 
 Each call is an argv for one of the 18 subcommands, drawn from a seeded
 generator: catalog and random inline varieties, among them lines cut out
-by up to three equations of degree up to 8, malformed JSON, bad ``p``
+by up to three equations of degree up to 8 and pairs of equations in two
+or three variables, one of them quadratic in some variable and the other
+with a monomial of degree up to 10^7, malformed JSON, bad ``p``
 and ``k`` and equations that do not parse; measure values in u; bad
 ``--q``; and every bounded integer flag at, just above or below its
 least value.  Most draws are valid, so that most calls get past the
@@ -53,6 +55,8 @@ from cli_corpus import (
     _expand,
     _gident_poly,
     _json,
+    _monomial,
+    _poly_text,
     _random_equation,
     _random_variety,
     _t_poly,
@@ -152,9 +156,30 @@ def _variety(rng) -> tuple:
         ]
         text = json.dumps({"ambient": {"affine": 1}, "equations": eqs})
         return text, 1, q, q_args
+    if draw < 0.7:
+        text, nvars = _sparse_pair(rng)
+        return text, nvars, q, q_args
     declare = rng.random() < 0.5
     text, nvars = _random_variety(rng, p, k, declare)
     return text, nvars, q, () if declare else q_args
+
+
+def _sparse_pair(rng) -> tuple:
+    """(inline JSON text, grid variables) of two affine equations in 2 or 3
+    variables: one quadratic in some variable, which a chart may solve for,
+    and one with a monomial of degree up to 10^7, evaluated at its roots."""
+    nvars = rng.randint(2, 3)
+    names = "xyz"[:nvars]
+    quadratic = _poly_text(rng, [f"{rng.choice(names)}^2"])
+    degree = rng.randint(1, 10**7)
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    exps = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+    sparse = _poly_text(rng, [_monomial(names, exps)])
+    eqs = []
+    for head in (quadratic, sparse):
+        low = _random_equation(rng, names, rng.randint(1, 2), False)
+        eqs.append(head + (low if low.startswith("-") else "+" + low))
+    return json.dumps({"ambient": {"affine": nvars}, "equations": eqs}), nvars
 
 
 def _field_flags(rng, q_args: tuple) -> tuple:

@@ -36,7 +36,7 @@ from wittzeta import (
     variety_product,
 )
 from wittzeta.errors import DegreeZero
-from wittzeta.finitefield import factorize, is_prime
+from wittzeta.finitefield import LogDomain, factorize, is_prime
 from wittzeta.varieties import CATALOG
 
 # brute-force reference: evaluate every equation at every point with the
@@ -661,7 +661,7 @@ STRATEGY_CASES = {
     "odd quadratic, 1-point grid, linear term": (
         affine_variety(1, ("2*x^2 + x + 3",)), 625
     ),
-    "odd quadratic, 1-point grid past _LOG_TRIGGER": (
+    "one variable, quadratic over F_(3^8)": (
         affine_variety(1, ("x^2 + x - 1",)), 3**8
     ),
     "odd quadratic, q-point grid": (
@@ -676,7 +676,9 @@ STRATEGY_CASES = {
         affine_variety(2, ("x^3 + y^3 - 1", "x^3*y - y^3 - 1")), 49
     ),
     # one variable: the gcd beats the full grid at 3^8, 3^3 * 2 < 3^8
-    "full grid past _LOG_TRIGGER": (affine_variety(1, ("x^3 + x + 1",)), 3**8),
+    "one variable, cubic over F_(3^8)": (
+        affine_variety(1, ("x^3 + x + 1",)), 3**8
+    ),
     "projective conic": (projective_variety(2, ("x^2 + y^2 + z^2",)), 9),
     "projective cubic, char 2": (
         projective_variety(2, ("y^2*z + x*y*z + x^3 + z^3",)), 8
@@ -900,6 +902,29 @@ def test_a_high_degree_chart_of_one_variable_costs_its_grid(capsys):
     )
 
 
+def test_sparse_high_degree_equations_cost_one_power_per_term(capsys):
+    # a second equation with a monomial of degree 10^6 or 10^7 is evaluated
+    # at the roots of the first by one power per term, not one product per
+    # degree; x^2 + y - 1 and x^e + y have no common zero over F_5
+    for e in (10**6, 10**7):
+        variety = (
+            '{"ambient": {"affine": 2},'
+            f' "equations": ["x^2 + y - 1", "x^{e} + y"]}}'
+        )
+        start = time.perf_counter()
+        code = cli.main(["count", "points", "--variety", variety, "--q", "5"])
+        assert time.perf_counter() - start < 1.0, e
+        assert (code, capsys.readouterr().out) == (0, "0\n"), e
+    # DEGENERATE_PAIR with its second equation's exponents raised by
+    # multiples of q - 1 = 6, which leave every value over F_7 as it is
+    sparse = affine_variety(
+        3, ("x*y^2 + 2*y*z + z^3", "x^9999999 + y^5000001 + z^3 + x*y")
+    )
+    start = time.perf_counter()
+    assert count_points(sparse, 1, 7) == count_points(DEGENERATE_PAIR, 1, 7) == 9
+    assert time.perf_counter() - start < 1.0
+
+
 def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
     # solving the first equation of DEGENERATE_PAIR for y enumerates s
     # where its top coefficient x vanishes, at most 1 * q of q^2 points: it
@@ -970,6 +995,19 @@ def reference_values(terms, n, ref, element):
     return out
 
 
+def axis_elements(field, ref):
+    """(element, encode): the reffield element at each position r of a grid
+    axis, and the grid domain's value of a reffield element.  On logs an
+    axis enumerates 0, g^0, ..., g^(q-2), and values are logs: -1 at 0, and
+    e at g^e, read off reference powers of g."""
+    if field.grid_domain() is field:
+        return list(range(field.q)), int
+    g = int(field._logs.exp[1])
+    element = [0] + [ref.power(g, e) for e in range(field.q - 1)]
+    assert sorted(element) == list(range(field.q))  # g generates F_q^*
+    return element, {x: r - 1 for r, x in enumerate(element)}.__getitem__
+
+
 @pytest.mark.parametrize(
     "q,logs",
     [pytest.param(7, False, id="7")]
@@ -984,16 +1022,7 @@ def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
     ref = RefField(p, field.modulus)
     domain = field.grid_domain()
     assert (domain is not field) == logs
-    if logs:
-        # on logs an axis enumerates 0, g^0, ..., g^(q-2), and values are
-        # logs: -1 at 0, and e at g^e, read off reference powers of g
-        g = int(field._logs.exp[1])
-        element = [0] + [ref.power(g, e) for e in range(q - 1)]
-        assert sorted(element) == list(range(q))  # g generates F_q^*
-        encode = {x: r - 1 for r, x in enumerate(element)}.__getitem__
-    else:
-        element = list(range(q))
-        encode = int
+    element, encode = axis_elements(field, ref)
     rng = random.Random(q)
     for n in range(5):
         if q**n > 2401:
@@ -1023,47 +1052,96 @@ def test_grid_values_match_reference_on_every_chunk(monkeypatch, q, logs):
                 assert len(ranges) == min(threads, q**n // slab), threads
 
 
-def spy_vec_ops(monkeypatch, size):
-    """Names of the GF.vec_* calls whose operands broadcast to `size`."""
-    calls = []
-    for name in ("vec_add", "vec_mul", "vec_pow"):
-        real = getattr(GF, name)
+@pytest.mark.parametrize("q", [7, 9, 25])
+def test_horner_matches_reference_powers(q):
+    # sparse exponent sets on the q-point axis: gaps, exponents past q, a
+    # lowest exponent above 0, a unit top, and size-1 coefficients, the top
+    # among them, that broadcast against the full-size s
+    p, k = field_params_from_q(q)
+    field = make_field(p, k)
+    ref = RefField(p, field.modulus)
+    domain = field.grid_domain()
+    element, encode = axis_elements(field, ref)
+    s = domain.axis_values(0, q)
+    rng = random.Random(q)
+    exponent_sets = [
+        (0,), (5,), (1, 0), (3, 1), (q + 2, 2 * q - 1, 5), (q, 0),
+        (2 * q, q - 1, 2, 1),
+    ]
+    for exps in exponent_sets:
+        for top in ("full", "unit", "size 1"):
+            codes = {
+                e: [rng.randrange(q) for _ in range(rng.choice((1, q)))]
+                for e in exps
+            }
+            codes[max(exps)] = {
+                "full": [rng.randrange(q) for _ in range(q)],
+                "unit": [1],
+                "size 1": [rng.randrange(2, q)],
+            }[top]
+            coeffs = {
+                e: np.array([encode(c) for c in cs], dtype=np.int64)
+                for e, cs in codes.items()
+            }
+            got = np.broadcast_to(counting._horner(coeffs, s, domain), (q,))
+            want = []
+            for r, x in enumerate(element):
+                total = 0
+                for e, cs in codes.items():
+                    term = ref.mul(cs[r % len(cs)], ref.power(x, e))
+                    total = ref.add(total, term)
+                want.append(encode(total))
+            assert got.tolist() == want, (exps, top)
 
-        def spy(self, *args, _real=real, _name=name):
+
+def spy_vec_ops(monkeypatch, size):
+    """Names, as "GF.vec_add" or "LogDomain.vec_mul", of the vec_* calls of
+    either grid domain whose operands broadcast to `size`."""
+    calls = []
+    for cls, name in itertools.product(
+        (GF, LogDomain), ("vec_add", "vec_mul", "vec_pow")
+    ):
+        real = getattr(cls, name)
+
+        def spy(self, *args, _real=real, _name=f"{cls.__name__}.{name}"):
             arrays = [a for a in args if isinstance(a, np.ndarray)]
             if arrays and np.broadcast(*arrays).size == size:
                 calls.append(_name)
             return _real(self, *args)
 
-        monkeypatch.setattr(GF, name, spy)
+        monkeypatch.setattr(cls, name, spy)
     return calls
 
 
 def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
     monkeypatch,
 ):
-    # a census-prime surface: every full-size op is paid per distinct
-    # exponent of x, not per monomial
+    # a census-prime surface, by Horner's rule in x: ((2 x - y) x + c1) x
+    # + c0, where the cofactors c1 and c0 of x and 1 are the first values
+    # in y and z, so only the last product and the last two sums are full
     p = 89
     eq = (
         "2*x^3 - 3*y^3 + z^3 + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
         " + 2*x - y + 3*z + 6"
     )
-    leading = {0, 1, 2, 3}
     full = spy_vec_ops(monkeypatch, p**3)
     count_points(affine_variety(3, (eq,)), 1, p)
-    assert full and len(full) <= 2 * len(leading) + 2, full
+    assert sorted(full) == ["GF.vec_add", "GF.vec_add", "GF.vec_mul"], full
 
 
 def test_extension_grids_with_tables_never_leave_the_logs(monkeypatch):
     # a census-ext curve over F_(5^7): once the field has its tables, no
-    # grid-sized value is ever a code, so no GF.vec_* call is grid-sized
+    # grid-sized value is ever a code, so no GF.vec_* call is grid-sized,
+    # and the logs take no more grid-sized ops than the dense Horner scheme
+    # of one slot per power of s did: 3 powers, 4 products and 2 sums
     q = 5**7
     grid_sized = spy_vec_ops(monkeypatch, q)  # both charts enumerate q points
     v = projective_variety(2, ("y^2*z - x^3 - 3*x*z^2 - 2*z^3",))
     got = count_points(v, 7, 5)
     assert make_field(5, 7)._logs is not None
-    assert grid_sized == []
+    assert all(name.startswith("LogDomain.") for name in grid_sized)
+    for op, most in (("pow", 3), ("mul", 4), ("add", 2)):
+        assert grid_sized.count(f"LogDomain.vec_{op}") <= most, grid_sized
     # N_m = 5^m + 1 - s_m, with s_m = a s_(m-1) - 5 s_(m-2) for the trace
     # a = 5 + 1 - N_1 of Frobenius (Hasse-Weil)
     a = 6 - brute_count(v, 5)
