@@ -49,8 +49,9 @@ class PrecisionTooLow(WittzetaError):
 
 class BudgetExceeded(WittzetaError):
     """An input passes a documented limit: point enumeration would exceed
-    the 10^7 tuple budget, or a primality test would be asked of a number
-    at or past psi_13, below which `is_prime` is exact."""
+    the 10^7 tuple budget, a certified zeta would expand past the 10^8
+    bit units of the series budget, or a primality test would be asked of
+    a number at or past psi_13, below which `is_prime` is exact."""
 
 
 class CensusInconsistent(WittzetaError):

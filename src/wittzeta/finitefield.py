@@ -322,6 +322,8 @@ class GF(Ring):
         a = np.asarray(a, dtype=np.int64)
         if n == 0:
             return np.ones_like(a)
+        if n == 1:  # no caller writes into a vec_pow result
+            return a
         if self.k > 1 and n > 0:
             logs = self._log_tables()
             return logs.exp[logs.vec_pow(logs.log[a], n)]
@@ -329,8 +331,7 @@ class GF(Ring):
             # past q values, a q-sized table of powers costs less than
             # powering `a` itself
             return self.vec_pow(np.arange(self.q, dtype=np.int64), n)[a]
-        # binary_power raises for n < 0; for n == 1 it returns `a` itself,
-        # and no caller writes into a vec_pow result
+        # binary_power raises for n < 0
         return binary_power(self.vec_mul, None, a, n)
 
     def _squares(self) -> np.ndarray:

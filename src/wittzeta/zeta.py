@@ -2,8 +2,12 @@
 
 The zeta series of a class X is sum_n value(n-th symmetric power of X) t^n.
 Census-policy measures compute the coefficients from closed-point counts of
-an honest variety; sigma-policy measures take the single value mu(X) and
-expand sigma_t of it.
+an honest variety, or, for A^n, P^n and smooth Weierstrass cubics, expand
+the rational form `certified_zeta` gives; sigma-policy measures take the
+single value mu(X) and expand sigma_t of it.  Under counting, the
+exponentiation, Totaro, bundle and product-rationality checks compare
+against the zeta of a product atom, which has several blocks and so is
+always counted degree by degree.
 
 The checkers compare independently computed expansions coefficient by
 coefficient and report the first discrepancy, so a failure pinpoints the
@@ -14,8 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .counting import field_params_from_q, sym_product_counts
-from .errors import CrossCheckFailed, NotRationalAtBound, UnsupportedClass
+from .counting import count_points, field_params_from_q, sym_product_counts
+from .errors import (
+    BudgetExceeded,
+    CrossCheckFailed,
+    NotRationalAtBound,
+    UnsupportedClass,
+)
 from .measures import (
     Measure,
     as_k0,
@@ -23,6 +32,7 @@ from .measures import (
     lefschetz_power,
     measure_value,
 )
+from .polynomials import Poly1Ring
 from .rational import RatWitt, rat_expand, rat_mul, rationalize
 from .rings import ZZ
 from .series import TruncSeries
@@ -69,19 +79,162 @@ def _single_variety(cls: K0Class) -> VarietyDesc:
     )
 
 
+# bit units a certified zeta may expand to (see `_expansion_cost`): the
+# largest precision it admits for each catalog variety prints within
+# about 2 s on 2 vCPUs
+SERIES_BUDGET = 10**8
+# coefficient bits past which printing, quadratic in the digits, costs
+# more than the linear work of the expansion (see `_expansion_cost`)
+_PRINT_BITS = 2**13
+# the monomials x^i y^j z^l of a Weierstrass cubic, as (i, j, l)
+_WEIERSTRASS = {
+    "y2z": (0, 2, 1), "xyz": (1, 1, 1), "yz2": (0, 1, 2), "x3": (3, 0, 0),
+    "x2z": (2, 0, 1), "xz2": (1, 0, 2), "z3": (0, 0, 3),
+}
+
+
 def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
-    """Zeta series of a class: sum of symmetric-power values."""
+    """Zeta series of a class: sum of symmetric-power values.
+
+    Under the counting measure a variety that `certified_zeta` answers is
+    expanded from its rational form, once `_expansion_cost` has bounded
+    the output, before anything is counted; any other is counted over
+    F_(q^m) for m = 1..precision.
+    """
     cls = as_k0(c)
     if measure.policy == "census":
         atom = _single_variety(cls)
-        coeffs = sym_product_counts(
-            atom, precision, measure.p, measure.k, measure.threads
-        )
-        series = TruncSeries.make(ZZ, coeffs, precision)
+        p, k, threads = measure.p, measure.k, measure.threads
+        weight = _certified_weight(atom, p)
+        if weight is None:
+            coeffs = sym_product_counts(atom, precision, p, k, threads)
+            series = TruncSeries.make(ZZ, coeffs, precision)
+        else:
+            cost = _expansion_cost(precision, p**k, weight)
+            if cost > SERIES_BUDGET:
+                raise BudgetExceeded(
+                    f"--prec {precision} would expand a zeta over F_{p**k}"
+                    f" to {cost} bit units, budget is {SERIES_BUDGET}"
+                )
+            form = certified_zeta(atom, p, k, threads)
+            series = rat_expand(form, precision)
         return ZetaSeries(series, measure.name, atom.describe())
     value = measure_value(measure, cls)
     series = measure.structure.sigma_series(value, precision)
     return ZetaSeries(series, measure.name, cls.describe())
+
+
+def certified_zeta(
+    v: VarietyDesc, p: int, k: int, threads: int = 1
+) -> RatWitt | None:
+    """The zeta of a single-block variety over F_q, q = p^k, in closed
+    form, or None where no certificate applies.
+
+    * A^n, no equations: N_m = q^(nm), so 1/(1 - q^n t).
+    * P^n, no equations: N_m = sum_(i<=n) q^(im), so the product of
+      1/(1 - q^i t) over i = 0..n.
+    * A smooth Weierstrass cubic in P^2: its zeta is
+      (1 - a t + q t^2)/((1 - t)(1 - q t)) with a = q + 1 - N_1 (Hasse
+      1936; Weil 1948), N_1 counted honestly.  `_weierstrass_discriminant`
+      certifies smoothness; a count with a^2 > 4q breaks Hasse's bound
+      and raises CrossCheckFailed.
+
+    Anything else, products of blocks included, is None, and its zeta is
+    counted degree by degree.
+    """
+    if _certified_weight(v, p) is None:
+        return None
+    (block,) = v.blocks
+    q = p**k
+    if not block.equations:
+        if block.kind == "affine":
+            return RatWitt(ZZ, (1,), (1, -(q**block.dim)))
+        rt = Poly1Ring(ZZ, "t")
+        den = (1,)
+        for i in range(block.dim + 1):
+            den = rt.mul(den, (1, -(q**i)))
+        return RatWitt(ZZ, (1,), den)
+    n1 = count_points(v, 1, p, k, threads)
+    a = q + 1 - n1
+    if a * a > 4 * q:
+        raise CrossCheckFailed(
+            f"{n1} points over F_{q} break Hasse's bound |q + 1 - N_1|"
+            f" <= 2 sqrt(q) for the smooth cubic {block.describe()}"
+        )
+    return RatWitt(ZZ, (1, -a, q), (1, -(q + 1), q))
+
+
+def _certified_weight(v: VarietyDesc, p: int) -> int | None:
+    """The dimension of v where `certified_zeta` answers it, else None;
+    it needs p alone and counts nothing."""
+    if len(v.blocks) != 1:
+        return None
+    (block,) = v.blocks
+    if block.equations and _weierstrass_discriminant(block, p) is None:
+        return None
+    return block.dim - len(block.equations)
+
+
+def _weierstrass_discriminant(block, p: int) -> int | None:
+    """The discriminant in F_p of a plane cubic of Weierstrass shape, or
+    None where the block is not one or the discriminant is 0.
+
+    The shape is one equation in P^2 whose monomials, reduced mod p, lie
+    among y^2 z, xyz, y z^2, x^3, x^2 z, x z^2, z^3, with the
+    coefficients u of y^2 z and -v of x^3 nonzero.  x -> (u/v) x,
+    y -> (u/v) y and division by u (u/v)^2 make it monic,
+    y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 at z = 1, and the
+    discriminant of a1..a6 (Silverman, AEC, Sec. III.1) vanishes exactly
+    where the curve is singular, in every characteristic.  Its point at
+    infinity, (0 : 1 : 0), is always smooth.
+    """
+    if block.kind != "projective" or block.dim != 2:
+        return None
+    if len(block.equations) != 1:
+        return None
+    terms = {exps: c % p for exps, c in block.equations[0] if c % p}
+    if not set(terms) <= set(_WEIERSTRASS.values()):
+        return None
+    c = {name: terms.get(exps, 0) for name, exps in _WEIERSTRASS.items()}
+    u, v = c["y2z"], -c["x3"] % p
+    if not (u and v):
+        return None
+    inv_u = pow(u, -1, p)
+    a1 = c["xyz"] * inv_u
+    a3 = c["yz2"] * v * inv_u**2
+    a2 = -c["x2z"] * inv_u
+    a4 = -c["xz2"] * v * inv_u**2
+    a6 = -c["z3"] * v**2 * inv_u**3
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = (-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+    return disc or None
+
+
+def _expansion_cost(precision: int, q: int, weight: int) -> int:
+    """An upper bound, in bit units, on expanding and printing a certified
+    zeta of the given weight (its dimension) over F_q to t^N.
+
+    Coefficient m has at most b_m = w m ceil(log2 q) + w bits(N + 1) + 3
+    bits: every root of the denominator is at most q^w, and the numerator
+    and the binomial of a P^n add the rest.  The cost is the sum over
+    m = 0..N of max(64, b_m), the output's size with each coefficient
+    counted as a machine word at least, plus b_m^2 / 2^13, since decimal
+    printing is quadratic in the digits.  The sums are in closed form.
+    """
+    n = precision
+    slope = weight * (q - 1).bit_length()
+    base = weight * (n + 1).bit_length() + 3
+    low = 0  # b_m < 64 for m < low, and those count 64 each
+    if base < 64:
+        low = n + 1 if slope == 0 else min(n + 1, -((base - 64) // slope))
+    linear = 64 * low + base * (n + 1 - low)
+    linear += slope * (n * (n + 1) - (low - 1) * low) // 2
+    squares = slope**2 * n * (n + 1) * (2 * n + 1) // 6
+    squares += slope * base * n * (n + 1) + base**2 * (n + 1)
+    return linear + squares // _PRINT_BITS
 
 
 def weil_zeta(variety, q: int, precision: int, threads: int = 1) -> ZetaSeries:

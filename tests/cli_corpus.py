@@ -518,6 +518,12 @@ def corpus() -> list[tuple]:
         calls += family(rng)
     calls += error_calls()
     calls += two_equation_calls(rng)
+    # certified zetas at high precision, and one past the series budget
+    calls += [
+        ("zeta", "weil", "--variety", "e5", "--prec", "1000"),
+        ("zeta", "weil", "--variety", "p2", "--q", "5", "--prec", "2000"),
+        ("zeta", "weil", "--variety", "e5", "--prec", "100000000"),
+    ]
     return list(dict.fromkeys(calls))
 
 

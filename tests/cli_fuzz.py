@@ -9,9 +9,11 @@ and ``k`` and equations that do not parse; measure values in u; bad
 ``--q``; and every bounded integer flag at, just above or below its
 least value.  Most draws are valid, so that most calls get past the
 parser and the input checks.  Sizes stay small (no grid past
-``GRID_LIMIT`` tuples per field, no precision past 10), and the fuzzer
-draws none of the unbounded sizes that no cost bound covers yet: a huge
-``--prec``, ``--n``, ``--degree`` or closed-form ``--m``.
+``GRID_LIMIT`` tuples per field, no precision past 10, but for ``zeta
+weil`` on catalog varieties, which draws ``--prec`` up to 10^8 against
+the series budget), and the fuzzer draws none of the unbounded sizes
+that no cost bound covers yet: a huge ``--prec`` elsewhere, ``--n``,
+``--degree`` or closed-form ``--m``.
 
 Every call runs ``wittzeta.cli.main`` in-process, as the corpus does, and
 must
@@ -206,6 +208,10 @@ def _counting_call(rng, command: tuple) -> tuple:
     if action in ("census", "sym"):
         return (*head, *_flag(rng, "degree", _depth(q, nvars, 4, GRID_LIMIT)))
     prec = _flag(rng, "prec", _depth(q, nvars, 6, GRID_LIMIT))
+    if action == "weil" and text in CATALOG_VARS and rng.random() < 0.3:
+        # up to 10^8: a certified zeta past the series budget, or one
+        # counted past the tuple budget, is refused before any work
+        prec = ("--prec", str(rng.randint(1, 10 ** rng.randint(1, 8))))
     if action in ("weil", "kapranov"):
         extra = ()
         if rng.random() < 0.3:

@@ -336,6 +336,17 @@ def test_vec_pow_zero_exponent():
     assert np.array_equal(F.vec_pow(a, 0), np.ones(F.q, dtype=np.int64))
 
 
+def test_vec_pow_first_power_is_its_argument():
+    # past q values a prime field powers through a q-sized table; the first
+    # power must not gather a copy from it
+    F = make_field(89, 1)
+    a = np.arange(10**4, dtype=np.int64) % 89
+    assert F.vec_pow(a, 1) is a
+    # a quotient x / y of `counting._roots` is x y^(2q-3): y itself over F_2
+    bits = a % 2
+    assert make_field(2, 1).vec_pow(bits, 2 * 2 - 3) is bits
+
+
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (2, 13)])
 def test_vec_pow_matches_repeated_multiplication(p, k):
     # a fresh copy of the field: mod-p arithmetic for k = 1, and log tables,

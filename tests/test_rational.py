@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittzeta.errors import PrecisionTooLow
+from wittzeta.errors import BudgetExceeded, PrecisionTooLow
 from wittzeta.finitefield import make_field
 from wittzeta.polynomials import Poly1Ring, resultant
 from wittzeta.rational import (
@@ -144,6 +144,30 @@ def test_expand_and_equal():
     g = rat_make(ZZ, (1, 1), (1, 0, -1))  # (1+t)/((1+t)(1-t))
     assert rat_equal(f, g)
     assert not rat_equal(f, rat_zero(ZZ))
+
+
+def test_expand_is_num_over_den_by_series_inversion():
+    # the recurrence of den against num times the series inverse of den,
+    # over ZZ, over QQ, and over QQ(u), with zero steps in den
+    rng = random.Random(8)
+    field = RatFuncRing("u")
+    rings = {
+        ZZ: lambda: rng.randint(-4, 4),
+        QQ: lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        field: lambda: field.make(
+            (Fraction(rng.randint(-2, 2)), Fraction(1)), (Fraction(1), Fraction(1))
+        ),
+    }
+    for ring, draw in rings.items():
+        for _ in range(20):
+            num = (ring.one,) + tuple(draw() for _ in range(rng.randint(0, 4)))
+            den = (ring.one,) + tuple(draw() for _ in range(rng.randint(0, 5)))
+            f = RatWitt(ring, num, den)
+            n = rng.randint(0, 9)
+            want = TruncSeries.make(ring, num, n).mul(
+                TruncSeries.make(ring, den, n).invert()
+            )
+            assert rat_expand(f, n) == want
 
 
 def test_group_operations():
@@ -293,6 +317,15 @@ def test_rationalize_returns_none_when_nothing_fits():
 def test_rationalize_requires_headroom():
     with pytest.raises(PrecisionTooLow):
         rationalize(TruncSeries.geometric(ZZ, 1, 8), 4)
+
+
+def test_rationalize_refuses_an_elimination_past_its_budget():
+    # (N - dmax) (dmax + 1)^2 entry updates at most: 997228 at N = 328 and
+    # dmax = 60, and one more coefficient is past the budget of 10^6
+    ones = TruncSeries.make(ZZ, (1,) * 330, 329)
+    assert rationalize(ones.truncate(328), 60) == rat_make(ZZ, (1,), (1, -1))
+    with pytest.raises(BudgetExceeded, match="^rationalizing 330 coeff"):
+        rationalize(ones, 60)
 
 
 def test_rationalize_roundtrips_random_fractions():
