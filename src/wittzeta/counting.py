@@ -48,17 +48,14 @@ costs D^3 bits(p) within the budget, so x^100000 - 1 costs its grid.
 
 A curve in P^3 whose quadric has a constant top coefficient in some
 variable of each chart, as in the census-prime benchmark, costs q^2
-tuples in its largest chart, so it is counted up to q = 3162.
+tuples in its largest chart, so it is counted while q^2 is within the
+budget.
 
-The budget is a hard 10^7 tuples per chart.  Every chart of every block
-of a call is planned from p and k alone, and its budget checked, before
-any field is built, any closed form computed or anything enumerated; q
-itself is computed only after a bit-length check, so a chart over a field
-of more than 256 bits is refused at once, unless it is a chart of one
-variable that its gcd answers.  Every chart that enumerates has at least
-q tuples, so the budget also bounds the field-sized tables: the log
-tables of an extension field and the tables of squares and of powers of
-a prime field.
+The budget is the "tuples" row of `budgets`, per chart.  Every chart of
+every block of a call is planned from p and k alone, and its budget
+checked, before any field is built, any closed form computed or anything
+enumerated.  A chart over a field past `budgets.EXACT_BITS` is refused
+before q is computed, unless it has one variable and its gcd answers it.
 
 Every strategy that enumerates evaluates polynomials on the grid by
 `_grid_values`, which never materialises the coordinates of the grid: it
@@ -101,9 +98,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, CensusInconsistent, NotPrime
+from .budgets import BUDGETS, EXACT_BITS, check
+from .errors import CensusInconsistent, NotPrime
 from .finitefield import (
-    BUDGET,
     GF,
     check_field_params,
     factorize,
@@ -253,9 +250,6 @@ PLAN_KINDS = (
     "empty", "no equations", "one variable", "root count",
     "roots substituted", "full grid",
 )
-# a field with more bits than this is past any budget, so a chart that
-# enumerates over it is refused before q is computed
-_EXACT_BITS = 256
 
 
 class ChartPlan(NamedTuple):
@@ -324,15 +318,13 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
     if not eqs:
         return ChartPlan("no equations", nvars=nvars)
     f = _common_factor(eqs, p) if nvars == 1 else None
-    huge = k * p.bit_length() > _EXACT_BITS  # q is past every budget
+    huge = k * p.bit_length() > EXACT_BITS  # q is past every budget
     # in one variable every other candidate costs q, the full grid's size
     if f is not None and (huge or _factor_cost(f, p) < p**k):
-        _check_budget(_factor_cost(f, p))
+        check("tuples", _factor_cost(f, p))
         return ChartPlan("one variable", (f,), 1)
     if huge:
-        raise BudgetExceeded(
-            f"at least {p}^{k} tuples to enumerate, budget is {BUDGET}"
-        )
+        check("tuples", f"{p}^{k}", "at least ")  # refuses
     q = p**k
     tuples, kind, order, solve_var = q**nvars, "full grid", eqs, None
     for i, terms in enumerate(eqs):
@@ -346,7 +338,7 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
                 tuples, solve_var = cost, s
                 kind = "roots substituted" if len(eqs) > 1 else "root count"
                 order = [terms] + eqs[:i] + eqs[i + 1 :]
-    _check_budget(tuples)
+    check("tuples", tuples)
     return ChartPlan(kind, tuple(order), nvars, solve_var)
 
 
@@ -390,7 +382,7 @@ def _common_factor(eqs: list, p: int):
     """
     degrees = [max(e for (e,) in terms) for terms in eqs]
     low = degrees.index(min(degrees))
-    if degrees[low] ** 3 * p.bit_length() > BUDGET:
+    if degrees[low] ** 3 * p.bit_length() > BUDGETS["tuples"].limit:
         return None
     ring = prime_polys(p)
     dense = [0] * (degrees[low] + 1)
@@ -424,13 +416,6 @@ def _distinct_roots(f: tuple, p: int, k: int) -> int:
         if sum(exact.values()) == d:
             break
     return sum(n for e, n in exact.items() if k % e == 0)
-
-
-def _check_budget(tuples: int):
-    if tuples > BUDGET:
-        raise BudgetExceeded(
-            f"{tuples} tuples to enumerate, budget is {BUDGET}"
-        )
 
 
 def _count_block(plan: list, p: int, k: int, threads: int) -> int:

@@ -48,10 +48,9 @@ class PrecisionTooLow(WittzetaError):
 
 
 class BudgetExceeded(WittzetaError):
-    """An input passes a documented limit: point enumeration would exceed
-    the 10^7 tuple budget, a certified zeta would expand past the 10^8
-    bit units of the series budget, or a primality test would be asked of
-    a number at or past psi_13, below which `is_prime` is exact."""
+    """An input passes a documented limit: a cost past a row of the
+    `budgets` table, or a primality test asked of a number at or past
+    `finitefield.PRIME_TEST_BOUND`, below which `is_prime` is exact."""
 
 
 class CensusInconsistent(WittzetaError):

@@ -25,12 +25,12 @@ discrete logarithms: the first one builds exp/log tables for the least
 generator g and a Zech table ``zech[e] = log(1 + g^e)``, held by the field's
 `LogDomain`, and every op then gathers the logs of its operands, runs the
 `LogDomain` kernel and gathers the result back through exp.  Tables are
-built only for q <= ``BUDGET``, which is also the enumeration budget of
-`counting`; past it a vector op raises `BudgetExceeded` and builds
-nothing.  The build is linear algebra over F_p: multiplication by a fixed
-h is a k x k matrix on digit rows, so ``exp`` is filled in blocks of
-B >= sqrt(q - 1) entries, the digit rows of each block being those of the
-previous one times the matrix of g^B.
+built only for q within the "tuples" budget of `budgets`; past it a
+vector op raises `BudgetExceeded` and builds nothing.  The build is
+linear algebra over F_p: multiplication by a fixed h is a k x k matrix
+on digit rows, so ``exp`` is filled in blocks of B >= sqrt(q - 1)
+entries, the digit rows of each block being those of the previous one
+times the matrix of g^B.
 
 `GF.grid_domain` tells the point counter which arithmetic a grid is
 evaluated in: the field itself, on codes, when k = 1, and its `LogDomain`
@@ -51,14 +51,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .budgets import check
 from .errors import BudgetExceeded, DegreeZero, NotPrime
 from .polynomials import Poly1Ring
 from .rings import Ring, binary_power
 
-# tuples one counting call may enumerate, and the largest q for which
-# discrete-log tables are built, so every field a budgeted grid can
-# enumerate gets them
-BUDGET = 10**7
 # psi_13, the least strong pseudoprime to the first 13 prime bases: below
 # it, is_prime decides primality exactly
 PRIME_TEST_BOUND = 3317044064679887385961981
@@ -68,7 +65,7 @@ def factorize(n: int) -> dict[int, int]:
     """{prime: exponent} of n by trial division; empty for n below 2.
 
     For the small n it is asked about: the degrees of `moebius` and the
-    order q - 1 <= BUDGET of a field's multiplicative group.
+    order q - 1 of a field's multiplicative group, within the tuple budget.
     """
     factors: dict[int, int] = {}
     d = 2
@@ -284,13 +281,9 @@ class GF(Ring):
 
     def _log_tables(self) -> LogDomain:
         """This extension field's `LogDomain`, built on first use; a field
-        past ``BUDGET`` raises `BudgetExceeded` instead."""
+        past the "tuples" budget raises `BudgetExceeded` instead."""
         if self._logs is None:
-            if self.q > BUDGET:
-                raise BudgetExceeded(
-                    f"GF({self.q}) has more than {BUDGET} elements, the"
-                    " limit for its discrete-log tables"
-                )
+            check("tuples", self.q, f"discrete-log tables of GF({self.q}): ")
             with self._build_lock:
                 if self._logs is None:
                     self._build_log_tables()

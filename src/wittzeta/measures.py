@@ -6,8 +6,8 @@ are produced: the counting measure builds them from a closed-point census,
 while sigma-policy measures (Euler characteristic, virtual Poincare
 polynomial) push the single value through a sigma structure.
 
-The value of the affine line is kept on the measure as `lefschetz`; the
-Totaro and bundle identities are phrased in terms of its powers.
+The value of the affine line is the measure's `lefschetz`; the Totaro
+and bundle identities are phrased in terms of its powers.
 """
 
 from __future__ import annotations
@@ -27,8 +27,13 @@ class Measure:
     structure: SigmaStructure | None = None  # None for the census policy
     p: int = 0  # census field parameters
     k: int = 0
-    lefschetz: object = None  # value of the affine line
+    line: object = None  # value of the affine line, census aside
     threads: int = 1
+
+    @property
+    def lefschetz(self):
+        """The affine line's value; under the census, q = p^k when read."""
+        return self.p**self.k if self.structure is None else self.line
 
     @property
     def ring(self) -> Ring:
@@ -42,32 +47,18 @@ class Measure:
 
 def counting_measure(p: int, k: int = 1, threads: int = 1) -> Measure:
     """Point counting over F_(p^k); values in the integers."""
-    return Measure(
-        name="counting",
-        p=p,
-        k=k,
-        lefschetz=p**k,
-        threads=threads,
-    )
+    return Measure(name="counting", p=p, k=k, threads=threads)
 
 
 def euler_measure() -> Measure:
     """Compactly supported Euler characteristic; the affine line has value 1."""
-    return Measure(
-        name="euler",
-        structure=BINOMIAL_Z,
-        lefschetz=1,
-    )
+    return Measure(name="euler", structure=BINOMIAL_Z, line=1)
 
 
 def poincare_measure() -> Measure:
     """Virtual Poincare polynomial in u; the affine line has value u^2."""
     u = ZU.variable("u")
-    return Measure(
-        name="poincare",
-        structure=PLETHYSTIC_ZU,
-        lefschetz=ZU.mul(u, u),
-    )
+    return Measure(name="poincare", structure=PLETHYSTIC_ZU, line=ZU.mul(u, u))
 
 
 def euler_atom(name: str, chi: int) -> SymbolicAtom:

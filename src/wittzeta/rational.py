@@ -33,15 +33,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NonIntegral, PrecisionTooLow
+from .budgets import check
+from .errors import NonIntegral, PrecisionTooLow
 from .polynomials import Poly1Ring
 from .rings import MPolyRing, QQ, Ring, ZZ
 from .series import TruncSeries
 from .witt import witt_mul, witt_neg
-
-# entry updates one `rationalize` elimination may make: N - dmax rows of
-# dmax + 1 entries, for each of up to dmax + 1 pivots
-ELIMINATION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,21 +81,9 @@ def rat_zero(ring: Ring) -> RatWitt:
 
 
 def rat_expand(f: RatWitt, precision: int) -> TruncSeries:
-    """num/den to t^precision by the linear recurrence that den imposes:
-    c_m = num_m - sum_(j=1..deg den) den_j c_(m-j), since den_0 = 1.
-    That is O(precision * deg den) ring operations, with no series
-    inverse of den."""
-    ring = f.ring
-    steps = [(j, d) for j, d in enumerate(f.den) if j and not ring.is_zero(d)]
-    coeffs = []
-    for m in range(precision + 1):
-        acc = f.num[m] if m < len(f.num) else ring.zero
-        for j, d in steps:
-            if j > m:
-                break
-            acc = ring.sub(acc, ring.mul(d, coeffs[m - j]))
-        coeffs.append(acc)
-    return TruncSeries.make(ring, coeffs, precision)
+    """num/den to t^precision by the linear recurrence that den imposes
+    (`TruncSeries.quotient`), with no series inverse of den."""
+    return TruncSeries.quotient(f.ring, f.num, f.den, precision)
 
 
 def rat_equal(f: RatWitt, g: RatWitt) -> bool:
@@ -324,8 +309,9 @@ def rationalize(g: TruncSeries, dmax: int):
     denominator and q is the only solution there, so no numerator degree is
     searched: num is q*g truncated at degree dmax.
 
-    The elimination is refused with BudgetExceeded before any row is built
-    when it could make more than ``ELIMINATION_BUDGET`` entry updates.
+    Its (N - dmax) (dmax + 1)^2 entry updates at most, N - dmax rows of
+    dmax + 1 entries for each of up to dmax + 1 pivots, are checked
+    against the "elimination" budget before any row is built.
     """
     n_max = g.precision
     if 2 * dmax >= n_max:
@@ -337,11 +323,8 @@ def rationalize(g: TruncSeries, dmax: int):
     if dmax < 0:
         return None
     updates = (n_max - dmax) * (dmax + 1) ** 2
-    if updates > ELIMINATION_BUDGET:
-        raise BudgetExceeded(
-            f"rationalizing {n_max + 1} coefficients at dmax {dmax} takes up"
-            f" to {updates} entry updates, budget is {ELIMINATION_BUDGET}"
-        )
+    context = f"rationalizing {n_max + 1} coefficients at dmax {dmax} takes up to "
+    check("elimination", updates, context)
     c = [embed(x) for x in g.coeffs]
     is_zero, mul, sub = field.is_zero, field.mul, field.sub
     rows = [  # the rows without a pivot

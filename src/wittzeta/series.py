@@ -65,6 +65,29 @@ class TruncSeries:
             coeffs.append(ring.mul_int(power, b))
         return TruncSeries.make(ring, coeffs, precision)
 
+    @staticmethod
+    def quotient(ring: Ring, num, den, precision: int) -> "TruncSeries":
+        """num/den to t^precision, den_0 a unit, by the recurrence c_m =
+        den_0^(-1) (num_m - sum_(j>=1) den_j c_(m-j)) over nonzero den_j."""
+        inv0 = ring.try_inverse(den[0])
+        if inv0 is None:
+            raise NonUnitConstantTerm(
+                f"constant term {ring.render(den[0])} is not a unit"
+            )
+        scale = inv0 != ring.one
+        steps = [(j, d) for j, d in enumerate(den) if j and not ring.is_zero(d)]
+        add, mul, zero = ring.add, ring.mul, ring.zero
+        out = []
+        for m in range(precision + 1):
+            acc = zero
+            for j, d in steps:
+                if j > m:
+                    break
+                acc = add(acc, mul(d, out[m - j]))
+            c = ring.sub(num[m] if m < len(num) else zero, acc)
+            out.append(mul(inv0, c) if scale else c)
+        return TruncSeries(ring, tuple(out))
+
     # helpers
 
     def coefficient(self, n: int):
@@ -119,20 +142,7 @@ class TruncSeries:
 
     def invert(self) -> "TruncSeries":
         r = self.ring
-        inv0 = r.try_inverse(self.coeffs[0])
-        if inv0 is None:
-            raise NonUnitConstantTerm(
-                f"constant term {r.render(self.coeffs[0])} is not a unit"
-            )
-        out = [inv0]
-        for n in range(1, len(self.coeffs)):
-            acc = r.zero
-            for i in range(1, n + 1):
-                c = self.coefficient(i)
-                if not r.is_zero(c):
-                    acc = r.add(acc, r.mul(c, out[n - i]))
-            out.append(r.neg(r.mul(inv0, acc)))
-        return TruncSeries(r, tuple(out))
+        return TruncSeries.quotient(r, (r.one,), self.coeffs, self.precision)
 
     def pow_int(self, n: int) -> "TruncSeries":
         base = self if n >= 0 else self.invert()

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .budgets import EXACT_BITS, check
 from .counting import count_points, field_params_from_q, sym_product_counts
 from .errors import (
-    BudgetExceeded,
     CrossCheckFailed,
     NotRationalAtBound,
     UnsupportedClass,
@@ -79,10 +79,6 @@ def _single_variety(cls: K0Class) -> VarietyDesc:
     )
 
 
-# bit units a certified zeta may expand to (see `_expansion_cost`): the
-# largest precision it admits for each catalog variety prints within
-# about 2 s on 2 vCPUs
-SERIES_BUDGET = 10**8
 # coefficient bits past which printing, quadratic in the digits, costs
 # more than the linear work of the expansion (see `_expansion_cost`)
 _PRINT_BITS = 2**13
@@ -97,9 +93,10 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
     """Zeta series of a class: sum of symmetric-power values.
 
     Under the counting measure a variety that `certified_zeta` answers is
-    expanded from its rational form, once `_expansion_cost` has bounded
-    the output, before anything is counted; any other is counted over
-    F_(q^m) for m = 1..precision.
+    expanded from its rational form, once the "series" budget has admitted
+    `_expansion_cost` (past `EXACT_BITS`, its lower bound from p and k),
+    before anything is counted; any other is counted over F_(q^m) for
+    m = 1..precision.
     """
     cls = as_k0(c)
     if measure.policy == "census":
@@ -110,12 +107,14 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
             coeffs = sym_product_counts(atom, precision, p, k, threads)
             series = TruncSeries.make(ZZ, coeffs, precision)
         else:
-            cost = _expansion_cost(precision, p**k, weight)
-            if cost > SERIES_BUDGET:
-                raise BudgetExceeded(
-                    f"--prec {precision} would expand a zeta over F_{p**k}"
-                    f" to {cost} bit units, budget is {SERIES_BUDGET}"
-                )
+            context = f"--prec {precision} would expand a zeta over "
+            if k * p.bit_length() > EXACT_BITS:
+                cost = _bit_units(precision, weight, k * (p.bit_length() - 1))
+                context += f"F_({p}^{k}) to at least "
+            else:
+                cost = _expansion_cost(precision, p**k, weight)
+                context += f"F_{p**k} to "
+            check("series", cost, context)
             form = certified_zeta(atom, p, k, threads)
             series = rat_expand(form, precision)
         return ZetaSeries(series, measure.name, atom.describe())
@@ -145,16 +144,16 @@ def certified_zeta(
     if _certified_weight(v, p) is None:
         return None
     (block,) = v.blocks
-    q = p**k
     if not block.equations:
         if block.kind == "affine":
-            return RatWitt(ZZ, (1,), (1, -(q**block.dim)))
+            return RatWitt(ZZ, (1,), (1, -(p ** (k * block.dim))))
         rt = Poly1Ring(ZZ, "t")
         den = (1,)
         for i in range(block.dim + 1):
-            den = rt.mul(den, (1, -(q**i)))
+            den = rt.mul(den, (1, -(p ** (k * i))))
         return RatWitt(ZZ, (1,), den)
     n1 = count_points(v, 1, p, k, threads)
+    q = p**k
     a = q + 1 - n1
     if a * a > 4 * q:
         raise CrossCheckFailed(
@@ -224,8 +223,12 @@ def _expansion_cost(precision: int, q: int, weight: int) -> int:
     counted as a machine word at least, plus b_m^2 / 2^13, since decimal
     printing is quadratic in the digits.  The sums are in closed form.
     """
-    n = precision
-    slope = weight * (q - 1).bit_length()
+    return _bit_units(precision, weight, (q - 1).bit_length())
+
+
+def _bit_units(n: int, weight: int, bits: int) -> int:
+    """`_expansion_cost` to t^n, bits being ceil(log2 q) or below it."""
+    slope = weight * bits
     base = weight * (n + 1).bit_length() + 3
     low = 0  # b_m < 64 for m < low, and those count 64 each
     if base < 64:

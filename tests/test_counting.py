@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from reffield import RefField
 
-from wittzeta import cli, counting
+from wittzeta import budgets, cli, counting
 from wittzeta import (
     ZZ,
     BudgetExceeded,
@@ -528,9 +528,9 @@ def test_budget_applies_per_chart(monkeypatch):
     # z - z^3 at (0, 1, z) by its gcd, of degree 3: 3^3 * bits(5) = 81 < 125.
     # The constant chart (0, 0, 1) enumerates nothing
     planned = []
-    real = counting._check_budget
+    real = counting.check
     monkeypatch.setattr(
-        counting, "_check_budget", lambda n: planned.append(n) or real(n)
+        counting, "check", lambda row, n: planned.append(n) or real(row, n)
     )
     assert count_points(elliptic_f5(), 3) == 108
     assert planned == [125, 81]
@@ -933,9 +933,9 @@ def test_budget_of_a_substitution_covers_where_it_enumerates_s(monkeypatch):
     # one variable, (0, 0, 1, w), has the coprime equations 1 + w^2 and
     # 2 w^3 - 1: their gcd is 1, of degree 0, which costs 0
     planned = []
-    real = counting._check_budget
+    real = counting.check
     monkeypatch.setattr(
-        counting, "_check_budget", lambda n: planned.append(n) or real(n)
+        counting, "check", lambda row, n: planned.append(n) or real(row, n)
     )
     count_points(DEGENERATE_PAIR, 1, 7)
     count_points(P3_CURVE, 1, 7)
@@ -949,7 +949,8 @@ def test_curve_in_p3_past_the_full_grid_budget_is_counted(monkeypatch):
     monkeypatch.setattr(counting, "_solvable_variables", lambda *args: iter(()))
     with pytest.raises(BudgetExceeded, match=f"^{223**3} tuples to enumerate"):
         count_points(P3_CURVE, 1, 223)
-    monkeypatch.setattr(counting, "BUDGET", 223**3)
+    row = budgets.BUDGETS["tuples"]._replace(limit=223**3)
+    monkeypatch.setitem(budgets.BUDGETS, "tuples", row)
     assert count_points(P3_CURVE, 1, 223) == got
 
 

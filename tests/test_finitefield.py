@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from reffield import RefField, remainder_mod
 
+from wittzeta.budgets import BUDGETS
 from wittzeta.errors import BudgetExceeded, DegreeZero, NonIntegral, NotPrime
 from wittzeta.finitefield import (
-    BUDGET,
     GF,
     _is_irreducible,
     is_prime,
@@ -493,8 +493,8 @@ def test_zech_addition_matches_digit_arithmetic(p, k):
             assert left[i] == F.add(x, int(b[i]))
 
 
-# fields from 16 to 28561 elements, and one past BUDGET, which never
-# gets log tables
+# fields from 16 to 28561 elements, and one past the tuple budget, which
+# never gets log tables
 REFERENCE_FIELDS = [
     (2, 4), (3, 4), (7, 3), (2, 11), (3, 8), (2, 13), (13, 4), (3, 15)
 ]
@@ -523,9 +523,10 @@ def test_ops_match_reference_arithmetic(p, k):
     b = nprng.integers(0, F.q, size=4096).astype(np.int64)
     a[:3] = 0, 1, p - 1
     b[1:4] = 0, F.q - 1, 0
-    if F.q > BUDGET:
+    if F.q > BUDGETS["tuples"].limit:
         for op in (F.vec_add, F.vec_mul):
-            with pytest.raises(BudgetExceeded, match=f"^GF\\({F.q}\\) has"):
+            message = f"^discrete-log tables of GF\\({F.q}\\): {F.q} tuples"
+            with pytest.raises(BudgetExceeded, match=message):
                 op(a, b)
         with pytest.raises(BudgetExceeded):
             F.vec_pow(a, 3)

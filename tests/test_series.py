@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,19 @@ def test_invert():
     assert inv.coeffs == (1, -2, 3)
     assert s.mul(inv).coeffs == (1, 0, 0)
     assert S(1, -1, 0, 0).invert().coeffs == (1, 1, 1, 1)
+
+
+def test_invert_steps_over_sparse_terms_with_any_unit_constant():
+    # 1/((1 - t)(1 - 2t)(1 - 3t)) = sum h_n(1, 2, 3) t^n
+    s = TruncSeries.make(ZZ, (1, -6, 11, -6), 400)
+    want = tuple((3 ** (n + 2) - 2 ** (n + 3) + 1) // 2 for n in range(401))
+    assert s.invert().coeffs == want
+    rng = random.Random(5)
+    for ring, unit in ((ZZ, -1), (QQ, Fraction(2, 3)), (QQ, Fraction(1))):
+        for _ in range(20):
+            draws = (rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(12))
+            s = TruncSeries.make(ring, [unit, *map(ring.from_int, draws)], 12)
+            assert s.mul(s.invert()) == TruncSeries.one(ring, 12)
 
 
 def test_invert_requires_unit_constant_term():

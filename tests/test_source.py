@@ -25,6 +25,46 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+def _raise_sites(node, exc: str, where=None) -> list:
+    """The functions in which `raise exc(...)` occurs, innermost first."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    sites = []
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Name) and raised.id == exc:
+            sites.append(where)
+    for child in ast.iter_child_nodes(node):
+        sites += _raise_sites(child, exc, where)
+    return sites
+
+
+def test_budgets_are_refused_in_one_place():
+    # every budget is a row of the table in budgets.py, refused by its one
+    # check; the primality test's bound is a proven range, not a cost
+    sites, names = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [(path.stem, f) for f in _raise_sites(tree, "BudgetExceeded")]
+        if path.name == "budgets.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "budgets":
+                continue  # reading the table
+            bound = [
+                target.id
+                for target in ast.walk(node)
+                if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+            ]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name for alias in node.names]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            names += [f"{path.stem}.{n}" for n in bound if "BUDGET" in n]
+    assert sorted(sites) == [("budgets", "check"), ("finitefield", "is_prime")]
+    assert names == []
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 

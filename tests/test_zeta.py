@@ -8,6 +8,7 @@ import pytest
 
 import wittzeta.zeta as zeta_module
 from wittzeta import cli, counting
+from wittzeta.budgets import BUDGETS
 from wittzeta import (
     CrossCheckFailed,
     NotRationalAtBound,
@@ -628,7 +629,7 @@ def test_series_budget_refuses_before_expanding(monkeypatch, capsys, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --prec 100000000 would expand")
-    assert f"budget is {zeta_module.SERIES_BUDGET}" in err
+    assert f"budget is {BUDGETS['series'].limit}" in err
 
 
 def test_high_precision_certified_zetas_print_at_once(capsys):
