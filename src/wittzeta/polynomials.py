@@ -22,6 +22,22 @@ from .errors import NonIntegral, ZeroPolynomial
 from .rings import Ring, scaled_term, signed_sum
 
 
+def convolve(ring: Ring, a, b, n: int) -> list:
+    """The coefficients of t^0 .. t^(n-1) of a*b, for coefficient
+    sequences a and b over `ring`; zero terms of either are skipped."""
+    is_zero, add, mul = ring.is_zero, ring.add, ring.mul
+    out = [ring.zero] * n
+    terms = [(j, y) for j, y in enumerate(b[:n]) if not is_zero(y)]
+    for i, x in enumerate(a[:n]):
+        if is_zero(x):
+            continue
+        while terms and terms[-1][0] >= n - i:  # past t^(n-1) from here on
+            terms.pop()
+        for j, y in terms:
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
 class Poly1Ring(Ring):
     """Polynomials in one variable over `base`, tuple-of-coefficients values."""
 
@@ -70,16 +86,7 @@ class Poly1Ring(Ring):
         return tuple(self.base.neg(c) for c in a)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        z = self.base.zero
-        out = [z] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if self.base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return self.trim(out)
+        return self.trim(convolve(self.base, a, b, len(a) + len(b) - 1))
 
     def scale(self, c, a):
         if self.base.is_zero(c):

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .budgets import check
 from .errors import NonIntegral, PrecisionTooLow
-from .polynomials import Poly1Ring
+from .polynomials import Poly1Ring, convolve
 from .rings import MPolyRing, QQ, Ring, ZZ
 from .series import TruncSeries
 from .witt import witt_mul, witt_neg
@@ -354,8 +354,7 @@ def rationalize(g: TruncSeries, dmax: int):
         for k in range(col + 1, dq):
             acc = sub(acc, mul(row[k], q[k + 1]))
         q[col + 1] = acc
-    rt = Poly1Ring(field, "t")
-    p = rt.trim(rt.mul(q, c[: dmax + 1])[: dmax + 1])
+    p = Poly1Ring(field, "t").trim(convolve(field, q, c, dmax + 1))
     return _assemble(ring, field, retract, p, q)
 
 

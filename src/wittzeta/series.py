@@ -16,7 +16,7 @@ from .errors import (
     PrecisionMismatch,
     RingMismatch,
 )
-from .polynomials import Poly1Ring
+from .polynomials import Poly1Ring, convolve
 from .rings import Ring, binary_power
 
 
@@ -90,9 +90,6 @@ class TruncSeries:
 
     # helpers
 
-    def coefficient(self, n: int):
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else self.ring.zero
-
     def check_compatible(self, other: "TruncSeries"):
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
@@ -128,17 +125,8 @@ class TruncSeries:
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         self.check_compatible(other)
-        r = self.ring
-        n = len(self.coeffs)
-        out = [r.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if r.is_zero(a):
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not r.is_zero(b):
-                    out[i + j] = r.add(out[i + j], r.mul(a, b))
-        return TruncSeries(r, tuple(out))
+        out = convolve(self.ring, self.coeffs, other.coeffs, len(self.coeffs))
+        return TruncSeries(self.ring, tuple(out))
 
     def invert(self) -> "TruncSeries":
         r = self.ring

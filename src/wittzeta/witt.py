@@ -70,18 +70,13 @@ def lambda_involution(g: TruncSeries) -> TruncSeries:
 def ghost(g: TruncSeries) -> tuple:
     """Power-sum coordinates p_1 .. p_N, the coefficients of t*g'(t)/g(t).
 
-    Computed by the division-free recurrence
-    p_n = n*c_n - sum_{i=1}^{n-1} c_{n-i}*p_i, valid over any ring.
+    The series division `TruncSeries.quotient` computes them over any
+    ring, since g(0) = 1 is a unit, stepping over the nonzero terms of g.
     """
     require_witt(g)
     r = g.ring
-    ps: list = []
-    for n in range(1, g.precision + 1):
-        acc = r.mul_int(g.coeffs[n], n)
-        for i in range(1, n):
-            acc = r.sub(acc, r.mul(g.coeffs[n - i], ps[i - 1]))
-        ps.append(acc)
-    return tuple(ps)
+    num = [r.mul_int(c, m) for m, c in enumerate(g.coeffs)]
+    return TruncSeries.quotient(r, num, g.coeffs, g.precision).coeffs[1:]
 
 
 def from_ghost(ring: Ring, ghosts: tuple) -> TruncSeries:

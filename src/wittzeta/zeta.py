@@ -96,7 +96,8 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
     expanded from its rational form, once the "series" budget has admitted
     `_expansion_cost` (past `EXACT_BITS`, its lower bound from p and k),
     before anything is counted; any other is counted over F_(q^m) for
-    m = 1..precision.
+    m = 1..precision.  The cost is taken to t^max(N, w + 1), w being the
+    weight, since b_(w+1) bounds the bits of every coefficient of the form.
     """
     cls = as_k0(c)
     if measure.policy == "census":
@@ -108,11 +109,12 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
             series = TruncSeries.make(ZZ, coeffs, precision)
         else:
             context = f"--prec {precision} would expand a zeta over "
+            reach = max(precision, weight + 1)
             if k * p.bit_length() > EXACT_BITS:
-                cost = _bit_units(precision, weight, k * (p.bit_length() - 1))
+                cost = _bit_units(reach, weight, k * (p.bit_length() - 1))
                 context += f"F_({p}^{k}) to at least "
             else:
-                cost = _expansion_cost(precision, p**k, weight)
+                cost = _expansion_cost(reach, p**k, weight)
                 context += f"F_{p**k} to "
             check("series", cost, context)
             form = certified_zeta(atom, p, k, threads)
@@ -429,7 +431,7 @@ def g_witt_identity_check(
     if not p_coeffs or p_coeffs[0] != ring.one:
         raise ValueError("P must have constant term 1")
     pser = TruncSeries.make(ring, p_coeffs, n)
-    factor = pser.mul(teichmuller(ring, s, n))
+    factor = TruncSeries.quotient(ring, p_coeffs, (ring.one, ring.neg(s)), n)
     lhs = witt_mul(gg, factor)
     rhs = witt_add(twist(gg, s), witt_mul(gg, pser))
     return compare_series(lhs, rhs, "equivariant product")

@@ -13,7 +13,8 @@ from wittzeta.budgets import BUDGETS, EXACT_BITS, check
 from wittzeta.counting import count_points
 from wittzeta.errors import BudgetExceeded
 from wittzeta.finitefield import GF, make_field
-from wittzeta.varieties import CATALOG
+from wittzeta.measures import counting_measure
+from wittzeta.varieties import CATALOG, projective_space
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -83,6 +84,16 @@ def test_a_huge_field_is_refused_without_writing_q(capsys, p, k):
         " least \\d{10,14} bit units, budget is 100000000\n",
         err,
     )
+
+
+@pytest.mark.parametrize("k", [10**6, 4 * 10**6])
+def test_a_window_of_one_coefficient_prices_the_certified_form(k):
+    # P^2's form 1/((1 - t)(1 - q t)(1 - q^2 t)) has a coefficient q^3
+    # even where the window t^0 holds only 1
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^--prec 0 would expand"):
+        zeta.kapranov_zeta(counting_measure(3, k), projective_space(2), 0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

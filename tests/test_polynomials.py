@@ -7,6 +7,7 @@ from wittzeta.errors import NonIntegral
 from wittzeta.finitefield import make_field
 from wittzeta.polynomials import Poly1Ring, determinant, resultant
 from wittzeta.rings import QQ, ZZ, poly_ring
+from wittzeta.series import TruncSeries
 
 Zt = Poly1Ring(ZZ, "t")
 Qt = Poly1Ring(QQ, "t")
@@ -26,6 +27,45 @@ def test_arithmetic():
     assert Zt.neg(p) == (-1, -1)
     assert Zt.scale(3, p) == (3, 3)
     assert Zt.from_int(4) == (4,)
+
+
+def _naive_product(ring, a, b):
+    out = [ring.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring",
+    (ZZ, QQ, make_field(5, 1), poly_ring(("u",))),
+    ids=lambda r: r.name,
+)
+def test_products_match_the_naive_double_loop(ring):
+    # Poly1Ring.mul and TruncSeries.mul share one product loop
+    rng = random.Random(13)
+
+    def draw(n):  # runs of zeros, inside and at the end
+        run = rng.randint(0, n)
+        return [
+            ring.zero if run <= i < run + 3
+            else ring.from_int(rng.randint(-4, 4))
+            for i in range(n)
+        ]
+
+    rt = Poly1Ring(ring, "t")
+    for _ in range(30):
+        a, b = draw(rng.randint(0, 9)), draw(rng.randint(0, 9))
+        want = _naive_product(ring, a, b)
+        assert rt.mul(rt.trim(a), rt.trim(b)) == rt.trim(want)
+        if a and b:
+            prec = rng.randint(0, 12)
+            sa, sb = (TruncSeries.make(ring, x, prec) for x in (a, b))
+            assert sa.mul(sb) == TruncSeries.make(ring, want, prec)
+    assert rt.mul((), ()) == rt.mul((), rt.one) == rt.mul(rt.one, ()) == ()
+    zero, one = TruncSeries.make(ring, [], 4), TruncSeries.one(ring, 4)
+    assert zero.mul(one) == one.mul(zero) == zero
 
 
 def test_exact_div():

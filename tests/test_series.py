@@ -30,14 +30,6 @@ def test_constructors():
     assert TruncSeries.geometric(ZZ, 3, 4).coeffs == (1, 3, 9, 27, 81)
 
 
-def test_coefficient_access():
-    s = S(1, 5, 7)
-    assert s.coefficient(0) == 1
-    assert s.coefficient(2) == 7
-    # past the stored window the tail reads as zero
-    assert s.coefficient(3) == 0
-
-
 def test_add_sub_mul():
     a = S(1, 2, 3)
     b = S(1, -1, 1)

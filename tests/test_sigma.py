@@ -90,7 +90,7 @@ def test_binomial_lambda_is_binomial():
 def test_lambda_nth_operations():
     # coefficient n of lambda_t(5) is C(5, n); of sigma_t(3), C(3 + n - 1, n)
     assert BINOMIAL_Z.lambda_series(5, 2).coeffs == (1, 5, 10)
-    assert BINOMIAL_Z.sigma_series(3, 2).coefficient(2) == 6
+    assert BINOMIAL_Z.sigma_series(3, 2).coeffs[2] == 6
 
 
 def test_binomial_rejects_foreign_values():

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from wittzeta.errors import NonIntegral, TorsionUnsupported
 from wittzeta.finitefield import make_field
-from wittzeta.rings import ZZ, poly_ring
+from wittzeta.rings import QQ, ZZ, MPolyRing, poly_ring
 from wittzeta.series import TruncSeries
 from wittzeta.witt import (
     from_ghost,
@@ -67,6 +68,61 @@ def test_teichmuller_and_ghost():
     assert ghost(t2) == (2, 4, 8, 16, 32)
     assert ghost(witt_unit(ZZ, 4)) == (1, 1, 1, 1)
     assert ghost(witt_zero(ZZ, 4)) == (0, 0, 0, 0)
+
+
+def _ghost_oracle(g):
+    """p_n = n*c_n - sum_{i=1}^{n-1} c_{n-i}*p_i, term by term."""
+    r = g.ring
+    ps = []
+    for n in range(1, g.precision + 1):
+        acc = r.mul_int(g.coeffs[n], n)
+        for i in range(1, n):
+            acc = r.sub(acc, r.mul(g.coeffs[n - i], ps[i - 1]))
+        ps.append(acc)
+    return tuple(ps)
+
+
+def _draw(ring, rng):
+    """A small element of `ring`, zero half the time, so runs of zeros occur;
+    over a polynomial ring a constant or one variable times a constant."""
+    if rng.random() < 0.5:
+        return ring.zero
+    c = rng.randint(-3, 3)
+    if ring is QQ:
+        return Fraction(c, rng.randint(1, 3))
+    if isinstance(ring, MPolyRing):
+        exps = [0] * len(ring.vars)
+        exps[rng.randrange(len(exps))] = rng.randint(0, 1)
+        return ring.from_terms({tuple(exps): c})
+    return ring.from_int(c)
+
+
+GHOST_RINGS = (
+    ZZ, QQ, make_field(7, 1), poly_ring(("u",)), poly_ring(("a", "b", "s"))
+)
+
+
+@pytest.mark.parametrize("ring", GHOST_RINGS, ids=lambda r: r.name)
+def test_ghost_matches_the_term_by_term_recurrence(ring):
+    # over F_7 too, where witt_mul refuses: g(0) = 1 is a unit in any ring
+    rng = random.Random(11)
+    for prec in range(41):
+        g = TruncSeries.make(
+            ring, [ring.one] + [_draw(ring, rng) for _ in range(prec)], prec
+        )
+        assert ghost(g) == _ghost_oracle(g), prec
+
+
+def test_ghost_steps_over_the_nonzero_terms_only(monkeypatch):
+    # the term-by-term recurrence makes 45150 products here
+    calls = []
+    mul = ZZ.mul
+    monkeypatch.setattr(ZZ, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    g = wv(1, -2, 0, 0, 0, 3, -6, prec=300)
+    ps = ghost(g)
+    assert len(calls) <= 4 * 301
+    monkeypatch.undo()
+    assert ps == _ghost_oracle(g)
 
 
 def test_ghost_of_sum_is_pointwise_sum():
@@ -156,6 +212,16 @@ def test_witt_pow():
     for n in (1, 2, 3):
         with pytest.raises(TorsionUnsupported):
             witt_pow(a, n)
+
+
+def test_teichmuller_factor_is_one_series_division():
+    # P(t) (1 - s t)^(-1), as g_witt_identity_check builds it
+    R = poly_ring(("a", "b", "s"))
+    a, b, s = (R.variable(v) for v in ("a", "b", "s"))
+    P = (R.one, a, R.zero, R.add(b, R.mul(a, s)))
+    for prec in range(11):
+        want = TruncSeries.make(R, P, prec).mul(teichmuller(R, s, prec))
+        assert TruncSeries.quotient(R, P, (R.one, R.neg(s)), prec) == want
 
 
 def test_witt_mul_over_polynomials():
