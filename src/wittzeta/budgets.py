@@ -4,9 +4,10 @@ in, and the one check that refuses a call past a limit.
 The code that knows the sizes computes a cost before the work starts:
 "tuples" per chart in `counting._plan_chart` (its limit also caps the
 gcd of a one-variable chart and the fields given log tables), "series"
-in `zeta._expansion_cost`, "elimination" in `rational.rationalize`.  A
-field of more than `EXACT_BITS` bits is past every limit that counts its
-elements, so q = p^k is not computed: a cost is named or bounded below.
+in `zeta._expansion_cost` from the bits of q, "elimination" in
+`rational.rationalize`.  A field of more than `EXACT_BITS` bits is past
+every limit that counts its elements, so q = p^k is not computed: a cost
+is named or bounded below.
 
 No row holds `finitefield.PRIME_TEST_BOUND`, the proven range of the
 13-base Miller-Rabin test and not a cost, or `cli.main`'s flag lower

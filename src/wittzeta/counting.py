@@ -19,18 +19,18 @@ strategy, returns its `ChartPlan`, of one of the kinds in `PLAN_KINDS`:
   degrees of the factors whose degree divides k (Lidl and Niederreiter,
   Finite Fields, Thm 3.20; the distinct-degree step of Cantor and
   Zassenhaus, 1981);
-* "root count": one equation a*s^2 + b*s + c with a variable s of degree
-  at most 2 (in characteristic 2, only without a linear term): enumerate
-  the other n - 1 variables and add up the root counts, 2 where the
-  grid domain's `sqrt` finds b^2 - 4ac a nonzero square and 1 where it is
-  0, q where the equation vanishes identically in s;
-* "roots substituted": the same with other equations left.  The roots
-  are computed, s = (-b +- sqrt(b^2 - 4ac)) / (2a) by the grid domain's
-  `sqrt`, -c/b where a = 0 and sqrt(c/a) in characteristic 2, a quotient
-  x / y being x y^(2q-3) by `vec_pow`, and each other equation is
-  evaluated at them by Horner's rule in s over its cofactor grids.  Where
-  the solved equation vanishes identically in s, s is enumerated at those
-  points alone;
+* "solved": an equation a*s^2 + b*s + c with a variable s of degree at
+  most 2 (in characteristic 2, only without a linear term): enumerate the
+  other n - 1 variables.  `_roots` marks, for each root, the points where
+  it exists: -c/b where a = 0 and b != 0, (-b +- sqrt(b^2 - 4ac)) / (2a)
+  where the grid domain's `sqrt` finds b^2 - 4ac a square (a double root
+  once), and sqrt(c/a) in characteristic 2.  With one equation the count
+  is the sum of those masks, plus q where the equation vanishes
+  identically in s.  With other equations left, the roots are computed,
+  a quotient x / y being x y^(2q-3) by `vec_pow`, and each other equation
+  is evaluated at them by Horner's rule in s over its cofactor grids;
+  where the solved equation vanishes identically in s, s is enumerated at
+  those points alone;
 * "full grid": enumerate all q^n tuples and test every equation.
 
 The planner takes the strategy that enumerates the fewest tuples, the
@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -246,10 +246,7 @@ def sym_product_counts(
 # block-level counting
 
 # the strategies a chart can be planned for; see the module docstring
-PLAN_KINDS = (
-    "empty", "no equations", "one variable", "root count",
-    "roots substituted", "full grid",
-)
+PLAN_KINDS = ("empty", "no equations", "one variable", "solved", "full grid")
 
 
 class ChartPlan(NamedTuple):
@@ -335,8 +332,7 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
             vanishing = top_degree if len(eqs) > 1 else 0
             cost = max(q, q ** (nvars - 1) * (1 + vanishing))
             if cost < tuples:
-                tuples, solve_var = cost, s
-                kind = "roots substituted" if len(eqs) > 1 else "root count"
+                tuples, kind, solve_var = cost, "solved", s
                 order = [terms] + eqs[:i] + eqs[i + 1 :]
     check("tuples", tuples)
     return ChartPlan(kind, tuple(order), nvars, solve_var)
@@ -492,9 +488,10 @@ def _grid_values(terms: dict, domain, n: int, lo: int, hi: int) -> np.ndarray:
     return _horner(cofactors, rows, domain)
 
 
-def _grid_sum(values: np.ndarray, size: int) -> int:
-    """Sum over a grid of `size` points of values that broadcast to it."""
-    return int(values.sum()) * (size // values.size)
+def _grid_sum(mask: np.ndarray, size: int) -> int:
+    """Points of a grid of `size` points where a mask that broadcasts to it
+    holds."""
+    return int(np.count_nonzero(mask)) * (size // mask.size)
 
 
 def _grid_zeros(eqs, nvars: int, domain, lo: int, hi: int) -> int:
@@ -535,53 +532,37 @@ def _horner(coeffs: dict, s, domain):
     return acc
 
 
-def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
+def _root_counter(terms: dict, nvars: int, s: int, domain, others):
     """Worker counting the points of a chart solved for variable s.
 
     On the grid of the other variables the solved equation is
-    a*s^2 + b*s + c, and its discriminant is -4ac, plus b^2 only when the
-    equation has a linear term in s: a Weierstrass curve solved for y has
-    none.  With no other equation the worker adds up its root counts, q
-    where it vanishes identically in s.  Otherwise it tests the other
-    equations by `_horner` over the grids of their cofactors of each power
-    of s (`_by_power`), at each of its roots (`_roots`) and, where a, b and
-    c all vanish, at every s (`_every_s`).
+    a*s^2 + b*s + c.  The worker adds up the masks of its roots (`_roots`),
+    each narrowed first to the points where the other equations vanish at
+    that root, by `_horner` over the grids of their cofactors of each power
+    of s (`_by_power`); a root is computed only when there are other
+    equations.  Where a, b and c all vanish, every s counts, or is tested
+    by the other equations (`_every_s`).
     """
     coeff_polys = _by_power(terms, s)
     other_polys = [_by_power(eq, s) for eq in others]
     n = nvars - 1
     q, zero = domain.q, domain.zero
-    quadratic = 2 in coeff_polys
-    minus_four = domain.from_int(-4)
 
     def worker(lo: int, hi: int) -> int:
         a, b, c = (
             _grid_values(coeff_polys.get(e, {}), domain, n, lo, hi)
             for e in (2, 1, 0)
         )
-        disc = None
-        if quadratic and domain.p != 2:
-            disc = domain.vec_mul(minus_four, domain.vec_mul(a, c))
-            if 1 in coeff_polys:
-                disc = domain.vec_add(domain.vec_mul(b, b), disc)
-        if not others:
-            linear = np.where(b != zero, 1, np.where(c == zero, q, 0))
-            if not quadratic:
-                return _grid_sum(linear, hi - lo)
-            quad = 1  # s^2 = d has one root in characteristic 2
-            if disc is not None:
-                quad = 2 * domain.sqrt(disc)[1] + (disc == zero)
-            return _grid_sum(np.where(a != zero, quad, linear), hi - lo)
         grids = [
             {e: _grid_values(g, domain, n, lo, hi) for e, g in polys.items()}
             for polys in other_polys
         ]
         total = 0
-        for root, found in _roots(a, b, c, disc, quadratic, domain):
-            for coeffs in grids:
-                if not found.any():
-                    break
-                found = found & (_horner(coeffs, root, domain) == zero)
+        for found, root in _roots(a, b, c, coeff_polys, domain):
+            if grids and found.any():
+                at = root()
+                for coeffs in grids:
+                    found = found & (_horner(coeffs, at, domain) == zero)
             total += _grid_sum(found, hi - lo)
         vanishing = (a == zero) & (b == zero) & (c == zero)
         if vanishing.any():
@@ -592,37 +573,46 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others=()):
     return worker
 
 
-def _roots(a, b, c, disc, quadratic: bool, domain):
-    """(root, where it is one) for each root in s of a*s^2 + b*s + c, one
-    root at a time; every root of every point comes once.  disc is
-    b^2 - 4ac for a quadratic in odd characteristic, else None.
+def _roots(a, b, c, powers, domain):
+    """(found, root) for each root in s of a*s^2 + b*s + c, the one place
+    that says where the equation has a root: `found` marks the grid points
+    at which the root exists, every root of every point once, and root()
+    computes it.  `powers` holds the powers of s the equation has.
 
-    Where a = 0 the root is -c/b, if b != 0.  Otherwise it is
-    (-b +- sqrt(disc)) / (2a), a double root once, or in characteristic 2,
-    where there is no linear term, the one root sqrt(c/a).  A quotient
-    x / y is x times y^(2q-3), which is 1/y for y != 0 and 0 at 0, also
-    for q = 2.
+    Where a = 0 the root is -c/b, if b != 0.  Otherwise, in odd
+    characteristic, it is (-b +- sqrt(disc)) / (2a) where the grid domain's
+    `sqrt` finds disc = b^2 - 4ac a square, a double root once; b^2 is
+    left out without a linear term, as a Weierstrass curve solved for y
+    has none.  In characteristic 2, where there is no linear term, it is
+    the one root sqrt(c/a).  A quotient x / y is x times y^(2q-3), which is
+    1/y for y != 0 and 0 at 0, also for q = 2.
     """
     zero, minus_one = domain.zero, domain.from_int(-1)
     exponent = 2 * domain.q - 3
+
+    def over(x, y):  # x / y
+        return domain.vec_mul(x, domain.vec_pow(y, exponent))
+
     flat = a == zero
-    if flat.any():
-        minus_c = domain.vec_mul(minus_one, c)
-        yield (
-            domain.vec_mul(minus_c, domain.vec_pow(b, exponent)),
-            flat & (b != zero),
-        )
-    if disc is not None:
+    if 2 in powers and domain.p == 2:
+        yield ~flat, lambda: domain.sqrt(over(c, a))[0]
+    elif 2 in powers:
+        disc = domain.vec_mul(domain.from_int(-4), domain.vec_mul(a, c))
+        if 1 in powers:
+            disc = domain.vec_add(domain.vec_mul(b, b), disc)
         root, square = domain.sqrt(disc)
-        minus_b = domain.vec_mul(minus_one, b)
-        half = domain.vec_pow(domain.vec_mul(domain.from_int(2), a), exponent)
-        found = (square | (disc == zero)) & ~flat  # a double root once
-        for r in (root, domain.vec_mul(minus_one, root)):
-            yield domain.vec_mul(domain.vec_add(minus_b, r), half), found
-            found = square & ~flat
-    elif quadratic:
-        c_over_a = domain.vec_mul(c, domain.vec_pow(a, exponent))
-        yield domain.sqrt(c_over_a)[0], ~flat
+        steep = ~flat
+        square = square & steep
+        # 1 / (2a), computed once for both roots, and only if one is asked
+        two = domain.from_int(2)
+        half = cache(lambda: domain.vec_pow(domain.vec_mul(two, a), exponent))
+        yield square | ((disc == zero) & steep), lambda: domain.vec_mul(
+            domain.vec_add(domain.vec_mul(minus_one, b), root), half()
+        )
+        yield square, lambda: domain.vec_mul(
+            domain.vec_mul(minus_one, domain.vec_add(b, root)), half()
+        )
+    yield flat & (b != zero), lambda: over(domain.vec_mul(minus_one, c), b)
 
 
 def _every_s(points, grids: list, domain, shape: tuple) -> int:

@@ -7,8 +7,8 @@ base-p digits of ``m``, least significant digit giving ``c_0``.  Two calls
 with the same arguments therefore agree on every bit of the representation.
 Each candidate is tested by Ben-Or's irreducibility test in F_p[x], which is
 `Poly1Ring` over the prime field.  The test reads `frobenius_gcds`, the
-one Frobenius step of the package, which the point counter's root count
-of a one-variable chart reads too.
+one Frobenius step of the package, which the point counter's
+distinct-degree count of a one-variable chart reads too.
 
 Elements are encoded as plain integers in ``[0, p**k)``: the base-p digits of
 the code are the coefficients of the residue polynomial, constant digit

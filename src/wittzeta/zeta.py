@@ -94,10 +94,11 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
 
     Under the counting measure a variety that `certified_zeta` answers is
     expanded from its rational form, once the "series" budget has admitted
-    `_expansion_cost` (past `EXACT_BITS`, its lower bound from p and k),
-    before anything is counted; any other is counted over F_(q^m) for
-    m = 1..precision.  The cost is taken to t^max(N, w + 1), w being the
-    weight, since b_(w+1) bounds the bits of every coefficient of the form.
+    `_expansion_cost` of the bits of q (past `EXACT_BITS`, the lower bound
+    k (bits(p) - 1) on them), before anything is counted; any other is
+    counted over F_(q^m) for m = 1..precision.  The cost is taken to
+    t^max(N, w + 1), w being the weight, since b_(w+1) bounds the bits of
+    every coefficient of the form.
     """
     cls = as_k0(c)
     if measure.policy == "census":
@@ -111,12 +112,12 @@ def kapranov_zeta(measure: Measure, c, precision: int) -> ZetaSeries:
             context = f"--prec {precision} would expand a zeta over "
             reach = max(precision, weight + 1)
             if k * p.bit_length() > EXACT_BITS:
-                cost = _bit_units(reach, weight, k * (p.bit_length() - 1))
+                bits = k * (p.bit_length() - 1)
                 context += f"F_({p}^{k}) to at least "
             else:
-                cost = _expansion_cost(reach, p**k, weight)
+                bits = (p**k - 1).bit_length()
                 context += f"F_{p**k} to "
-            check("series", cost, context)
+            check("series", _expansion_cost(reach, weight, bits), context)
             form = certified_zeta(atom, p, k, threads)
             series = rat_expand(form, precision)
         return ZetaSeries(series, measure.name, atom.describe())
@@ -214,22 +215,18 @@ def _weierstrass_discriminant(block, p: int) -> int | None:
     return disc or None
 
 
-def _expansion_cost(precision: int, q: int, weight: int) -> int:
+def _expansion_cost(n: int, weight: int, bits: int) -> int:
     """An upper bound, in bit units, on expanding and printing a certified
-    zeta of the given weight (its dimension) over F_q to t^N.
+    zeta of the given weight (its dimension) over F_q to t^n, bits being
+    ceil(log2 q) = bits(q - 1); fewer bits give a lower bound.
 
-    Coefficient m has at most b_m = w m ceil(log2 q) + w bits(N + 1) + 3
+    Coefficient m has at most b_m = w m ceil(log2 q) + w bits(n + 1) + 3
     bits: every root of the denominator is at most q^w, and the numerator
     and the binomial of a P^n add the rest.  The cost is the sum over
-    m = 0..N of max(64, b_m), the output's size with each coefficient
+    m = 0..n of max(64, b_m), the output's size with each coefficient
     counted as a machine word at least, plus b_m^2 / 2^13, since decimal
     printing is quadratic in the digits.  The sums are in closed form.
     """
-    return _bit_units(precision, weight, (q - 1).bit_length())
-
-
-def _bit_units(n: int, weight: int, bits: int) -> int:
-    """`_expansion_cost` to t^n, bits being ceil(log2 q) or below it."""
     slope = weight * bits
     base = weight * (n + 1).bit_length() + 3
     low = 0  # b_m < 64 for m < low, and those count 64 each

@@ -64,8 +64,9 @@ def test_the_lower_bound_of_a_huge_field_never_passes_the_exact_cost():
             bits = k * (p.bit_length() - 1)
             assert bits <= (p**k - 1).bit_length()
             for n, w in ((0, 1), (2, 2), (40, 1), (300, 3)):
-                lower = zeta._bit_units(n, w, bits)
-                assert lower <= zeta._expansion_cost(n, p**k, w)
+                lower = zeta._expansion_cost(n, w, bits)
+                exact = zeta._expansion_cost(n, w, (p**k - 1).bit_length())
+                assert lower <= exact
 
 
 HUGE = '{"ambient": {"%s": %d}, "p": %d, "k": %d}'

@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from wittzeta import (
 )
 from wittzeta.errors import DegreeZero
 from wittzeta.finitefield import LogDomain, factorize, is_prime
-from wittzeta.varieties import CATALOG
+from wittzeta.parsing import parse_poly
+from wittzeta.varieties import CATALOG, default_variables
 
 # brute-force reference: evaluate every equation at every point with the
 # test-local arithmetic of reffield, which shares no code with GF
@@ -782,20 +784,100 @@ def test_strategies_match_brute_force(monkeypatch, case):
         assert count_points(v, 1, p, k, threads) == expected, threads
 
 
-def test_strategy_cases_cover_every_plan_kind(monkeypatch):
-    # a strategy the planner can return needs a brute-force case above
-    kinds = set()
+# the cases solved with one equation in two or more variables, each with a
+# prime field on which the solve beats the full grid once an equation is
+# added; over F_2 it ties, so the characteristic-2 cases run on logs alone.
+# At every q used, 2q - 3 is above every exponent of the equations, so a
+# power 2q - 3 is a quotient
+ONE_EQUATION_SOLVES = {
+    "linear": 7,
+    "odd quadratic, q-point grid": 7,
+    "odd quadratic, q^2-point grid": 7,
+    "odd quadratic, q^2-point grid, log tables": 7,
+    "char 2, no linear term": None,
+    "char 2, no linear term, log tables": None,
+    "projective conic": 7,
+}
+
+
+def _spy_plans(monkeypatch) -> list:
+    """(kind, equations, variables) of every chart planned from now on."""
+    plans = []
     real = counting._plan_chart
 
     def spy(*args):
         plan = real(*args)
-        kinds.add(plan.kind)
+        plans.append((plan.kind, len(plan.eqs), plan.nvars))
         return plan
 
     monkeypatch.setattr(counting, "_plan_chart", spy)
-    for v, q in STRATEGY_CASES.values():
+    return plans
+
+
+def test_strategy_cases_cover_every_plan_kind(monkeypatch):
+    # a strategy the planner can return needs a brute-force case above, and
+    # a case solved with one equation in two or more variables an entry in
+    # ONE_EQUATION_SOLVES
+    plans = _spy_plans(monkeypatch)
+    solved = set()
+    for case, (v, q) in STRATEGY_CASES.items():
+        start = len(plans)
         count_points(v, 1, *field_params_from_q(q))
-    assert kinds == set(counting.PLAN_KINDS)
+        if any(p[:2] == ("solved", 1) and p[2] >= 2 for p in plans[start:]):
+            solved.add(case)
+    assert {plan[0] for plan in plans} == set(counting.PLAN_KINDS)
+    assert solved == set(ONE_EQUATION_SOLVES)
+
+
+def _with_everywhere(v, q: int):
+    """v with one more equation, which holds at every F_q-point: x^q - x on
+    an affine block, x^q*y - x*y^q on a projective one."""
+    (block,) = v.blocks
+    names = default_variables(block.nvars)
+    text = f"x^{q} - x" if block.kind == "affine" else f"x^{q}*y - x*y^{q}"
+    eqs = block.equations + (parse_poly(text, names),)
+    return replace(v, blocks=(replace(block, equations=eqs),))
+
+
+@pytest.mark.parametrize(
+    "case,q",
+    [
+        (case, q)
+        for case, prime in sorted(ONE_EQUATION_SOLVES.items())
+        for q in (STRATEGY_CASES[case][1], prime)
+        if q
+    ],
+)
+def test_one_equation_count_equals_the_roots_path(monkeypatch, case, q):
+    # the count of one equation adds up the masks of its roots and takes
+    # no quotient; with an equation that holds everywhere the chart is
+    # solved with another equation left, so its roots are computed and
+    # tested, and the count must not change
+    v = STRATEGY_CASES[case][0]
+    p, k = field_params_from_q(q)
+    plans = _spy_plans(monkeypatch)
+    exponents = []
+    for domain in (GF, LogDomain):
+        real = domain.vec_pow
+
+        def spy(self, a, n, real=real):
+            exponents.append(n)
+            return real(self, a, n)
+
+        monkeypatch.setattr(domain, "vec_pow", spy)
+    monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        plans.clear()
+        exponents.clear()
+        want = count_points(v, 1, p, k, threads)
+        assert ("solved", 1) in [plan[:2] for plan in plans]
+        assert 2 * q - 3 not in exponents
+        plans.clear()
+        exponents.clear()
+        assert count_points(_with_everywhere(v, q), 1, p, k, threads) == want
+        assert ("solved", 2) in [plan[:2] for plan in plans]
+        assert 2 * q - 3 in exponents
 
 
 ONE_VARIABLE_COUNTS = {

@@ -65,6 +65,22 @@ def test_budgets_are_refused_in_one_place():
     assert names == []
 
 
+def test_a_solved_equation_is_analysed_in_one_place():
+    # where a*s^2 + b*s + c has a root is said by counting._roots alone:
+    # nothing else in counting.py reads `sqrt`, and the worker of a solved
+    # chart adds up the masks it yields, with no np.where of its own
+    path = ROOT / "src" / "wittzeta" / "counting.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers: dict = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(function.name)
+    assert readers["sqrt"] == {"_roots"}
+    assert "_root_counter" not in readers.get("where", set())
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 

@@ -601,7 +601,8 @@ def test_expansion_cost_bounds_every_coefficient(v, q, weight):
     coeffs = rat_expand(certified_zeta(v, p, k), n).coeffs
     bits = [c.bit_length() for c in coeffs]
     want = sum(max(64, b) + b * b // zeta_module._PRINT_BITS for b in bits)
-    assert want <= zeta_module._expansion_cost(n, q, weight)
+    bits_q = (q - 1).bit_length()
+    assert want <= zeta_module._expansion_cost(n, weight, bits_q)
     slope = weight * (q - 1).bit_length()
     extra = weight * (n + 1).bit_length() + 3
     assert all(b <= slope * m + extra for m, b in enumerate(bits))
@@ -614,7 +615,8 @@ def test_expansion_cost_is_its_sum_in_closed_form():
             bits = [slope * m + base for m in range(n + 1)]
             want = sum(max(64, b) for b in bits)
             want += sum(b * b for b in bits) // zeta_module._PRINT_BITS
-            assert zeta_module._expansion_cost(n, q, w) == want, (n, q, w)
+            cost = zeta_module._expansion_cost(n, w, (q - 1).bit_length())
+            assert cost == want, (n, q, w)
 
 
 @pytest.mark.parametrize("name", ["pt", "a1", "p2", "e5"])
