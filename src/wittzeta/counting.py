@@ -30,7 +30,12 @@ strategy, returns its `ChartPlan`, of one of the kinds in `PLAN_KINDS`:
   a quotient x / y being x y^(2q-3) by `vec_pow`, and each other equation
   is evaluated at them by Horner's rule in s over its cofactor grids;
   where the solved equation vanishes identically in s, s is enumerated at
-  those points alone;
+  those points alone.  The one equation of a chart may also be a cubic
+  e*s^3 + a*s^2 + b*s + c with a nonzero constant e, in characteristic
+  other than 3: divided by e and shifted by s = r - a/(3e), it is
+  r^3 + P*r + Q, and `_roots` reads the masks of at least one, at least
+  two and three roots off a q x q table of the root counts N[P, Q],
+  built by one `bincount` per block of rows of P (`_cubic_counts`);
 * "full grid": enumerate all q^n tuples and test every equation.
 
 The planner takes the strategy that enumerates the fewest tuples, the
@@ -38,18 +43,21 @@ full grid on a tie.  A solve for s costs q^(n-1) tuples when the top
 coefficient of s is a nonzero constant, and (1 + d) q^(n-1) when it has
 total degree d with other equations left: by Schwartz-Zippel it vanishes
 at no more than d q^(n-2) points, each of which enumerates q values of s.
-A solve also needs q-sized tables, so it costs at least q.  A chart of one
-variable costs d^3 bits(p) by its gcd f of degree d, d Frobenius steps of
-about 2 bits(p) products of degree below d, so it beats the full grid of q
+A solve also needs q-sized tables, so it costs at least q, and a cubic
+its q x q table, so it costs max(q^2, q^(n-1)).  A chart of one variable
+costs d^3 bits(p) by its gcd f of degree d, d Frobenius steps of about
+2 bits(p) products of degree below d, so it beats the full grid of q
 values where q is large: z - B z^3, the chart x = 0 of every Weierstrass
 curve, costs 81 at p = 5, and a quadratic over a field of any size costs
 8 bits(p).  The gcd is taken only when the equation of least degree D
 costs D^3 bits(p) within the budget, so x^100000 - 1 costs its grid.
 
 A curve in P^3 whose quadric has a constant top coefficient in some
-variable of each chart, as in the census-prime benchmark, costs q^2
-tuples in its largest chart, so it is counted while q^2 is within the
-budget.
+variable of each chart, and a cubic surface in A^3 with a constant top
+coefficient in some variable, both as in the census-prime benchmark,
+cost q^2 tuples in their largest chart, so they are counted while q^2 is
+within the budget.  A plane cubic solved as a cubic would cost q^2 too,
+which ties its grid, and the grid wins.
 
 The budget is the "tuples" row of `budgets`, per chart.  Every chart of
 every block of a call is planned from p and k alone, and its budget
@@ -114,7 +122,9 @@ from .rings import ZZ
 from .varieties import Block, VarietyDesc
 from .witt import from_ghost
 
-_CHUNK_MIN = 1 << 15  # grids below this size are never split across threads
+# grids below this size are never split across threads; a cubic's table of
+# root counts is built in blocks of about this size
+_CHUNK_MIN = 1 << 15
 
 # never written; read only by perfbench/run.py (len, clear) and tracing.py
 _count_cache: dict = {}
@@ -325,12 +335,15 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
     q = p**k
     tuples, kind, order, solve_var = q**nvars, "full grid", eqs, None
     for i, terms in enumerate(eqs):
-        for s, top_degree in _solvable_variables(terms, nvars, p):
+        for s, degree, top_degree in _solvable_variables(
+            terms, nvars, p, len(eqs) == 1
+        ):
             # s is enumerated where the top coefficient vanishes, at most
             # top_degree q^(nvars-2) points (Schwartz-Zippel); the tables
-            # are q-sized
+            # are q-sized, and a cubic's table of root counts q x q
             vanishing = top_degree if len(eqs) > 1 else 0
-            cost = max(q, q ** (nvars - 1) * (1 + vanishing))
+            table = q**2 if degree == 3 else q
+            cost = max(table, q ** (nvars - 1) * (1 + vanishing))
             if cost < tuples:
                 tuples, kind, solve_var = cost, "solved", s
                 order = [terms] + eqs[:i] + eqs[i + 1 :]
@@ -338,24 +351,29 @@ def _plan_chart(eqs: list, nvars: int, p: int, k: int) -> ChartPlan:
     return ChartPlan(kind, tuple(order), nvars, solve_var)
 
 
-def _solvable_variables(terms: dict, nvars: int, p: int):
-    """(s, d) for every variable s whose roots can be computed, with d the
-    total degree of its top coefficient in the other variables.
+def _solvable_variables(terms: dict, nvars: int, p: int, alone: bool):
+    """(s, e, d) for every variable s of degree e whose roots can be
+    computed, or, when the equation is `alone` in its chart, counted, with
+    d the total degree of its top coefficient in the other variables.
 
     For a quadratic a*s^2 + b*s + c the roots are (-b +- sqrt(b^2 - 4ac))
     / (2a) when a != 0 (characteristic not 2), and the linear root -c/b
     otherwise; in characteristic 2 only a missing linear term (the one
     root sqrt(c/a), Frobenius) or a linear equation can be solved this way.
+    The roots of a cubic whose top coefficient is a nonzero constant, in
+    characteristic other than 3, are counted by a table (`_cubic_counts`)
+    but not computed, so no other equation can be tested at them.
     """
     for s in range(nvars):
         degree = max(exps[s] for exps in terms)
+        top = [exps for exps in terms if exps[s] == degree]
         if degree == 1 or (
             degree == 2 and (p != 2 or all(exps[s] != 1 for exps in terms))
         ):
-            top = (
-                sum(exps) - degree for exps in terms if exps[s] == degree
-            )
-            yield s, max(top)
+            yield s, degree, max(sum(exps) - degree for exps in top)
+        elif degree == 3 and p != 3 and alone:
+            if [sum(exps) for exps in top] == [3]:  # s^3 is the top term
+                yield s, degree, 0
 
 
 def _factor_cost(f: tuple, p: int) -> int:
@@ -536,17 +554,20 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others):
     """Worker counting the points of a chart solved for variable s.
 
     On the grid of the other variables the solved equation is
-    a*s^2 + b*s + c.  The worker adds up the masks of its roots (`_roots`),
+    a*s^2 + b*s + c, or a cubic with a constant top coefficient and no
+    other equation.  The worker adds up the masks of its roots (`_roots`),
     each narrowed first to the points where the other equations vanish at
     that root, by `_horner` over the grids of their cofactors of each power
     of s (`_by_power`); a root is computed only when there are other
-    equations.  Where a, b and c all vanish, every s counts, or is tested
-    by the other equations (`_every_s`).
+    equations.  Where a, b and c all vanish, every s of a quadratic counts,
+    or is tested by the other equations (`_every_s`).  A cubic's table of
+    root counts is built here, once for every chunk the threads count.
     """
     coeff_polys = _by_power(terms, s)
     other_polys = [_by_power(eq, s) for eq in others]
     n = nvars - 1
     q, zero = domain.q, domain.zero
+    table = _cubic_counts(domain) if 3 in coeff_polys else None
 
     def worker(lo: int, hi: int) -> int:
         a, b, c = (
@@ -558,12 +579,14 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others):
             for polys in other_polys
         ]
         total = 0
-        for found, root in _roots(a, b, c, coeff_polys, domain):
+        for found, root in _roots(a, b, c, coeff_polys, domain, table):
             if grids and found.any():
                 at = root()
                 for coeffs in grids:
                     found = found & (_horner(coeffs, at, domain) == zero)
             total += _grid_sum(found, hi - lo)
+        if table is not None:  # a cubic's top coefficient never vanishes
+            return total
         vanishing = (a == zero) & (b == zero) & (c == zero)
         if vanishing.any():
             shape = ((hi - lo) // q ** (n - 1),) + (q,) * (n - 1)
@@ -573,7 +596,7 @@ def _root_counter(terms: dict, nvars: int, s: int, domain, others):
     return worker
 
 
-def _roots(a, b, c, powers, domain):
+def _roots(a, b, c, powers, domain, table):
     """(found, root) for each root in s of a*s^2 + b*s + c, the one place
     that says where the equation has a root: `found` marks the grid points
     at which the root exists, every root of every point once, and root()
@@ -586,6 +609,14 @@ def _roots(a, b, c, powers, domain):
     has none.  In characteristic 2, where there is no linear term, it is
     the one root sqrt(c/a).  A quotient x / y is x times y^(2q-3), which is
     1/y for y != 0 and 0 at 0, also for q = 2.
+
+    A cubic e*s^3 + a*s^2 + b*s + c with a constant e, in characteristic
+    other than 3, is divided by e and shifted by s = r - h, h = a/(3e),
+    which is a bijection at each point and leaves r^3 + P*r + Q with
+    P = b/e - 3h^2 and Q = c/e + h*(2h^2 - b/e).  `table`, None for a
+    quadratic, holds its root counts (`_cubic_counts`), so the masks are
+    where there are at least one, at least two and three roots; root is
+    None, as no root is computed.
     """
     zero, minus_one = domain.zero, domain.from_int(-1)
     exponent = 2 * domain.q - 3
@@ -593,6 +624,20 @@ def _roots(a, b, c, powers, domain):
     def over(x, y):  # x / y
         return domain.vec_mul(x, domain.vec_pow(y, exponent))
 
+    if table is not None:
+        (e,) = powers[3].values()
+        p, mul, add = domain.p, domain.vec_mul, domain.vec_add
+        h = mul(domain.from_int(pow(3 * e, -1, p)), a)
+        b, c = (mul(domain.from_int(pow(e, -1, p)), x) for x in (b, c))
+        hh = mul(h, h)
+        linear = add(b, mul(domain.from_int(-3), hh))
+        constant = mul(domain.from_int(2), hh)
+        constant = add(c, mul(h, add(constant, mul(minus_one, b))))
+        counts = table[linear, constant]
+        yield counts >= 1, None
+        yield counts >= 2, None
+        yield counts == 3, None
+        return
     flat = a == zero
     if 2 in powers and domain.p == 2:
         yield ~flat, lambda: domain.sqrt(over(c, a))[0]
@@ -613,6 +658,35 @@ def _roots(a, b, c, powers, domain):
             domain.vec_mul(minus_one, domain.vec_add(b, root)), half()
         )
     yield flat & (b != zero), lambda: over(domain.vec_mul(minus_one, c), b)
+
+
+def _cubic_counts(domain) -> np.ndarray:
+    """N[P, Q] = #{r in F_q : r^3 + P*r + Q = 0}, as a q x q uint8 table,
+    since a count is at most 3.
+
+    It is indexed by the values P and Q themselves mod q, so on logs the
+    -1 of 0 is the last index, where numpy reads -1 from, and a grid of
+    values indexes it as it is.  Each block of about `_CHUNK_MIN` entries,
+    whole rows of P, is one `bincount` of Q = -(r^3 + P*r) over every r,
+    computed by the domain's own vector ops, so no q^2-sized array of keys
+    exists.
+    """
+    q, zero = domain.q, domain.zero
+    r = domain.axis_values(0, q)
+    cubes = domain.vec_pow(r, 3)
+    minus_one = domain.from_int(-1)
+    table = np.empty((q, q), dtype=np.uint8)
+    step = max(1, _CHUNK_MIN // q)
+    for lo in range(0, q, step):
+        rows = np.arange(lo, min(lo + step, q), dtype=np.int64)
+        linear = ((rows - zero) % q + zero)[:, None]  # the value at each row
+        values = domain.vec_mul(
+            minus_one, domain.vec_add(cubes, domain.vec_mul(linear, r))
+        )
+        keys = values % q + q * (rows - lo)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=len(rows) * q)
+        table[lo : lo + len(rows)] = counts.reshape(len(rows), q)
+    return table
 
 
 def _every_s(points, grids: list, domain, shape: tuple) -> int:

@@ -502,7 +502,7 @@ def test_budget_rejects_large_grids_before_enumerating():
     eq = "+".join(f"{v}^3" for v in ("x", "y", "z", "w", "x4", "x5")) + "+1"
     v = affine_variety(6, (eq,))
     with pytest.raises(BudgetExceeded):
-        count_points(v, 1, 23)  # 23^6 > 10^7
+        count_points(v, 1, 29)  # solved for x as a cubic, 29^5 > 10^7
 
 
 def test_budget_applies_to_the_solved_variable_path():
@@ -510,6 +510,18 @@ def test_budget_applies_to_the_solved_variable_path():
     v = affine_variety(6, (eq,))
     with pytest.raises(BudgetExceeded):
         count_points(v, 1, 37)  # 37^5 > 10^7 remaining variables
+
+
+def test_budget_refuses_a_cubic_surface_before_its_table(monkeypatch):
+    # solved for x, the surface enumerates 3163^2 points of (y, z), and its
+    # table of root counts has as many entries: past 10^7 neither is built
+    built = []
+    monkeypatch.setattr(counting, "_cubic_counts", built.append)
+    monkeypatch.setattr(counting, "make_field", lambda *args: built.append(args))
+    v = affine_variety(3, ("x^3 + y^3 + z^3 + x*y*z + 1",))
+    with pytest.raises(BudgetExceeded, match=f"^{3163**2} tuples"):
+        count_points(v, 1, 3163)
+    assert built == []
 
 
 def test_budget_refuses_a_quadric_before_its_square_root_table(monkeypatch):
@@ -632,6 +644,14 @@ def test_plane_cubic_on_log_tables_matches_scalar_count():
     for threads in (1, 2):
         assert count_points(v, 1, 3, 4, threads) == expected
     assert make_field(3, 4)._logs is not None
+
+
+# a cubic surface whose variables have the top coefficients 2y, -3z and x,
+# none of them constant, so no cubic solve admits it and it takes the grid
+GRID_SURFACE = (
+    "2*x^3*y - 3*y^3*z + z^3*x + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
+    " + 2*x - y + 3*z + 6"
+)
 
 
 # a quadric and a cubic in P^3, as the census-prime benchmark draws them
@@ -769,6 +789,35 @@ STRATEGY_CASES = {
     "full grid, two equations, char 2, linear term": (
         affine_variety(2, ("y^2 + x*y + x^3 + 1", "x^3 + y^3 + x + 1")), 8
     ),
+    # cubic solves for x, counted by the table of root counts of
+    # r^3 + P r + Q: over each q some points (y, z) have no root, one, two
+    # and three, and some a triple root, where P = Q = 0
+    "cubic solve, q^2-point grid": (
+        affine_variety(
+            3,
+            (
+                "x^3 + y^3 + z^3 + x^2*y + 2*y^2*z + 3*x*z^2 + x*y*z"
+                " + x + y + 1",
+            ),
+        ),
+        7,
+    ),
+    "cubic solve, q^2-point grid, log tables": (
+        affine_variety(
+            3,
+            (
+                "2*x^3 + y^3 - z^3 + x^2*y + 2*y^2*z + x*z^2 + x*y*z"
+                " + 3*x + y + 1",
+            ),
+        ),
+        25,
+    ),
+    "cubic solve, char 2, log tables": (
+        affine_variety(
+            3, ("x^3 + y^3 + z^3 + x^2*y + y^2*z + x*z^2 + x*y*z + x + 1",)
+        ),
+        8,
+    ),
 }
 
 
@@ -784,11 +833,19 @@ def test_strategies_match_brute_force(monkeypatch, case):
         assert count_points(v, 1, p, k, threads) == expected, threads
 
 
+# the cubic solves, each with a prime field of characteristic other than 3
+# on which it is solved too.  Every variable of each has degree 3, so once
+# an equation is added its chart takes the full grid
+CUBIC_SOLVES = {
+    "cubic solve, q^2-point grid": 5,
+    "cubic solve, q^2-point grid, log tables": 7,
+    "cubic solve, char 2, log tables": 2,
+}
 # the cases solved with one equation in two or more variables, each with a
 # prime field on which the solve beats the full grid once an equation is
-# added; over F_2 it ties, so the characteristic-2 cases run on logs alone.
-# At every q used, 2q - 3 is above every exponent of the equations, so a
-# power 2q - 3 is a quotient
+# added; over F_2 it ties, so the characteristic-2 quadratics run on logs
+# alone.  At every q used, 2q - 3 is above every exponent of the
+# equations, so a power 2q - 3 is a quotient
 ONE_EQUATION_SOLVES = {
     "linear": 7,
     "odd quadratic, q-point grid": 7,
@@ -797,17 +854,19 @@ ONE_EQUATION_SOLVES = {
     "char 2, no linear term": None,
     "char 2, no linear term, log tables": None,
     "projective conic": 7,
+    **CUBIC_SOLVES,
 }
 
 
 def _spy_plans(monkeypatch) -> list:
-    """(kind, equations, variables) of every chart planned from now on."""
+    """(kind, equations, variables, solved variable) of every chart planned
+    from now on."""
     plans = []
     real = counting._plan_chart
 
     def spy(*args):
         plan = real(*args)
-        plans.append((plan.kind, len(plan.eqs), plan.nvars))
+        plans.append((plan.kind, len(plan.eqs), plan.nvars, plan.solve_var))
         return plan
 
     monkeypatch.setattr(counting, "_plan_chart", spy)
@@ -852,7 +911,8 @@ def test_one_equation_count_equals_the_roots_path(monkeypatch, case, q):
     # the count of one equation adds up the masks of its roots and takes
     # no quotient; with an equation that holds everywhere the chart is
     # solved with another equation left, so its roots are computed and
-    # tested, and the count must not change
+    # tested, or, for a cubic, counted on the full grid, and the count
+    # must not change
     v = STRATEGY_CASES[case][0]
     p, k = field_params_from_q(q)
     plans = _spy_plans(monkeypatch)
@@ -876,8 +936,77 @@ def test_one_equation_count_equals_the_roots_path(monkeypatch, case, q):
         plans.clear()
         exponents.clear()
         assert count_points(_with_everywhere(v, q), 1, p, k, threads) == want
-        assert ("solved", 2) in [plan[:2] for plan in plans]
-        assert 2 * q - 3 in exponents
+        if case in CUBIC_SOLVES:
+            assert [plan[:2] for plan in plans] == [("full grid", 2)]
+        else:
+            assert ("solved", 2) in [plan[:2] for plan in plans]
+            assert 2 * q - 3 in exponents
+
+
+@pytest.mark.parametrize(
+    "equations,q",
+    [
+        # characteristic 3, where the shift by a third does not exist
+        (("x^3 + y^3 + z^3 + x^2*y + 2*y^2*z + x*z^2 + x*y*z + x + 1",), 9),
+        ((GRID_SURFACE,), 7),
+        # two equations: a cubic's roots are counted, not computed, so the
+        # second equation could not be tested at them
+        (
+            (
+                "x^3 + y^3 + z^3 + x^2*y + 2*y^2*z + 3*x*z^2 + x + 1",
+                "x^3 - y^3 + 2*z^3 + x*y*z - 1",
+            ),
+            5,
+        ),
+    ],
+)
+def test_cubics_no_table_counts_take_the_full_grid(monkeypatch, equations, q):
+    v = affine_variety(3, equations)
+    plans = _spy_plans(monkeypatch)
+    assert count_points(v, 1, *field_params_from_q(q)) == brute_count(v, q)
+    assert plans == [("full grid", len(equations), 3, None)]
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (5, 8)])
+def test_weierstrass_charts_of_census_ext_keep_their_plans(monkeypatch, p, m):
+    # the chart x = 1 is solved for y at q tuples; a cubic in z would cost
+    # q^2, the full grid's size, and loses the tie.  The chart (0, 1, z) is
+    # the cubic z - 2 z^3 of one variable, counted on its q points or by
+    # its gcd, and the constant chart (0, 0, 1) is empty
+    plans = _spy_plans(monkeypatch)
+    v = projective_variety(2, ("y^2*z - x^3 - 3*x*z^2 - 2*z^3",))
+    count_points(v, m, p)
+    z_chart = "full grid" if m == 1 else "one variable"
+    assert plans == [
+        ("solved", 1, 2, 0), (z_chart, 1, 1, None), ("empty", 0, 0, None)
+    ]
+
+
+@pytest.mark.parametrize("q", [7, 25])
+def test_a_cubic_chart_builds_one_table_whatever_the_threads(monkeypatch, q):
+    # the table of root counts is built before the grid is split, and the
+    # workers of every chunk read it
+    tables = []
+    real = counting._cubic_counts
+
+    def spy(domain):
+        tables.append(real(domain))
+        return tables[-1]
+
+    monkeypatch.setattr(counting, "_cubic_counts", spy)
+    monkeypatch.setattr(counting, "_CHUNK_MIN", 1)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    v = projective_variety(
+        3, ("x^3 + y^3 + z^3 + w^3 + x^2*y + y*z*w - w^2*x",)
+    )
+    counts = []
+    for threads in (1, 2):
+        tables.clear()
+        counts.append(count_points(v, 1, *field_params_from_q(q), threads))
+        # one chart, x = 1, has three variables; the others tie the full grid
+        assert len(tables) == 1
+        assert tables[0].dtype == np.uint8 and tables[0].shape == (q, q)
+    assert counts[0] == counts[1]
 
 
 ONE_VARIABLE_COUNTS = {
@@ -1199,16 +1328,13 @@ def spy_vec_ops(monkeypatch, size):
 def test_grid_evaluation_touches_the_full_grid_per_leading_exponent(
     monkeypatch,
 ):
-    # a census-prime surface, by Horner's rule in x: ((2 x - y) x + c1) x
-    # + c0, where the cofactors c1 and c0 of x and 1 are the first values
-    # in y and z, so only the last product and the last two sums are full
+    # a cubic surface on its full grid, by Horner's rule in x:
+    # ((2y x - y) x + c1) x + c0, where the cofactors c1 and c0 of x and 1
+    # are the first values in y and z, so only the last product and the
+    # last two sums are full
     p = 89
-    eq = (
-        "2*x^3 - 3*y^3 + z^3 + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
-        " + 2*x - y + 3*z + 6"
-    )
     full = spy_vec_ops(monkeypatch, p**3)
-    count_points(affine_variety(3, (eq,)), 1, p)
+    count_points(affine_variety(3, (GRID_SURFACE,)), 1, p)
     assert sorted(full) == ["GF.vec_add", "GF.vec_add", "GF.vec_mul"], full
 
 
@@ -1235,15 +1361,11 @@ def test_extension_grids_with_tables_never_leave_the_logs(monkeypatch):
 
 
 def test_prime_grid_peaks_near_two_full_grids():
-    # a cubic surface over F_89: the Horner accumulator and one term are
-    # the full-size arrays alive at once; modular reduction in place adds
-    # no third
+    # a cubic surface on its full grid over F_89: the Horner accumulator
+    # and one term are the full-size arrays alive at once; modular
+    # reduction in place adds no third
     p = 89
-    eq = (
-        "2*x^3 - 3*y^3 + z^3 + 5*x*y*z - x^2*y + 4*y^2*z - 7*x*z^2"
-        " + 2*x - y + 3*z + 6"
-    )
-    v = affine_variety(3, (eq,))
+    v = affine_variety(3, (GRID_SURFACE,))
     tracemalloc.start()
     try:
         count_points(v, 1, p)
